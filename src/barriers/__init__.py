@@ -34,7 +34,6 @@ from .barrier import (
     in_base,
     make_canonical,
     make_derived,
-    make_plus,
     make_product,
     make_restrict,
     order_type,

@@ -14,9 +14,13 @@ Classification of a sequence ``s`` over the base yields exactly one of:
 * ``OVERRUN``        a strict initial segment of s is a member,
 * ``NOT_IN_BASE``    some coordinate of s lies outside the base.
 
-Product classification relies on prefixes of one sequence being comparable
-while distinct members are set-incomparable: among the prefixes of ``s`` at
-most one can be a member of the left factor, so the split point is unique.
+Classification reads ``s`` one coordinate at a time through residuals
+(Brzozowski derivatives): the residual of a family after x is the family of
+all t with (x,) + t a member, and for every constructor it is again a
+constructor.  In normal form the one-member family {()} is always the object
+``EMPTY``, so ``s`` is a member iff its residual is ``EMPTY`` and overruns iff
+a shorter prefix already reached it.  Base membership is checked separately,
+against the original spec.
 """
 
 from __future__ import annotations
@@ -58,11 +62,8 @@ __all__ = [
     "variant",
     "append_variant",
     "order_type",
-    "make_exact",
-    "make_schreier",
     "make_canonical",
     "make_product",
-    "make_plus",
     "make_derived",
     "make_restrict",
     "rank_key",
@@ -193,56 +194,77 @@ def base_members(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
 # --- classification ---------------------------------------------------
 
 
+EMPTY = ExactSize(0)
+
+
 @lru_cache(maxsize=None)
 def _limit_chain(index: Ordinal, n: int) -> BarrierSpec:
-    # Canonical(index[n]) * Canonical(index[n-1]) * ... * Canonical(index[0])
-    chain: BarrierSpec = Canonical(fund_seq(index, 0))
-    for i in range(1, n + 1):
-        chain = Product(Canonical(fund_seq(index, i)), chain)
+    # Canonical(index[n]) * ... * Canonical(index[0]), built in normal form.
+    chain: BarrierSpec = EMPTY
+    for i in range(n + 1):
+        a = fund_seq(index, i)
+        if not a.is_zero:
+            chain = Canonical(a) if chain is EMPTY else Product(Canonical(a), chain)
     return chain
 
 
-def _tag(spec: BarrierSpec, s: Seq) -> Classification:
-    # All coordinates already checked against the base.
+def _norm(spec: BarrierSpec) -> BarrierSpec:
+    """Normal form of a spec: the one-member family {()} is always the object
+    EMPTY, no product has it as left factor, and Restrict and Derived are
+    unfolded (their bases stay with the original spec, see in_base)."""
     match spec:
-        case ExactSize(n):
-            if len(s) == n:
-                return ELEMENT
-            return PROPER_PREFIX if len(s) < n else OVERRUN
+        case ExactSize():
+            return EMPTY if spec.size == 0 else spec
         case Schreier():
-            if not s:
-                return PROPER_PREFIX
-            need = s[0] + 1
-            if len(s) == need:
-                return ELEMENT
-            return PROPER_PREFIX if len(s) < need else OVERRUN
-        case Plus(inner):
-            if not s:
-                return PROPER_PREFIX
-            return _tag(inner, tuple(x - 1 for x in s[:-1]))
-        case Derived(inner, n):
-            return _tag(inner, (n,) + s)
-        case Restrict(inner, _):
-            return _tag(inner, s)
-        case Product(left, right):
-            for i in range(len(s) + 1):
-                t = _tag(left, s[:i])
-                if t is ELEMENT:
-                    return _tag(right, s[i:])
-                if t is OVERRUN:
-                    raise InternalInvariantError(
-                        f"BUG: overrun before element in product left scan at {s[:i]}"
-                    )
-            return PROPER_PREFIX
-        case Canonical(index):
-            if index.is_zero:
-                return ELEMENT if not s else OVERRUN
-            if not s:
-                return PROPER_PREFIX
-            if index.is_successor:
-                return _tag(Canonical(pred(index)), s[1:])
-            return _tag(_limit_chain(index, s[0]), s[1:])
+            return spec
+        case Canonical():
+            return EMPTY if spec.index.is_zero else spec
+        case Product():
+            left = _norm(spec.left)
+            return _norm(spec.right) if left is EMPTY else Product(left, _norm(spec.right))
+        case Plus():
+            return Plus(_norm(spec.inner))
+        case Derived():
+            return _d(_norm(spec.inner), spec.n)
+        case Restrict():
+            return _norm(spec.inner)
     raise TypeError(f"not a barrier spec: {spec!r}")
+
+
+def _d(r: BarrierSpec, x: int) -> BarrierSpec:
+    """Residual { t : (x,) + t in r } of a normal form r other than EMPTY,
+    again in normal form."""
+    # Class patterns without captures: a capture through __match_args__
+    # triples the cost of the dispatch, and this runs once per prefix node.
+    match r:
+        case ExactSize():
+            return EMPTY if r.size == 1 else ExactSize(r.size - 1)
+        case Product():
+            rest = _d(r.left, x)
+            return r.right if rest is EMPTY else Product(rest, r.right)
+        case Canonical():
+            if r.index.is_successor:
+                return _norm(Canonical(pred(r.index)))
+            return _limit_chain(r.index, x)
+        case Schreier():
+            return EMPTY if x == 0 else ExactSize(x)
+        case Plus():
+            return EMPTY if r.inner is EMPTY else Plus(_d(r.inner, x - 1))
+    raise TypeError(f"not a barrier spec: {r!r}")
+
+
+def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> int:
+    """Depth-first walk of the extensions of ``prefix`` by g[start:], r being
+    the residual after ``prefix``.  Appends the members met, in lex order, and
+    returns how many of the subsets ``prefix`` + (some of g[start:]) start
+    with a member.  By Sperner every extension of a member overruns."""
+    if r is EMPTY:
+        out.append(prefix)
+        return 1 << (len(g) - start)
+    hits = 0
+    for j in range(start, len(g)):
+        hits += _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
+    return hits
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
@@ -250,7 +272,12 @@ def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
     seq = as_seq(s)
     if any(not in_base(spec, x) for x in seq):
         return NOT_IN_BASE
-    return _tag(spec, seq)
+    r = _norm(spec)
+    for x in seq:
+        if r is EMPTY:
+            return OVERRUN
+        r = _d(r, x)
+    return ELEMENT if r is EMPTY else PROPER_PREFIX
 
 
 def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
@@ -259,9 +286,10 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
     Returns None (inconclusive) when a finite stream runs out while still a
     proper prefix.  Raises NotInBaseError when the stream leaves the base.
     Along any infinite increasing stream inside the base, Density guarantees
-    termination.
+    termination.  No stream element past the member is read.
     """
-    if _tag(spec, ()) is ELEMENT:
+    r = _norm(spec)
+    if r is EMPTY:
         return ()
     cur: list[int] = []
     for x in stream:
@@ -270,37 +298,19 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
         if not in_base(spec, x):
             raise NotInBaseError(f"{x} is not in the base")
         cur.append(x)
-        t = _tag(spec, tuple(cur))
-        if t is ELEMENT:
+        r = _d(r, x)
+        if r is EMPTY:
             return tuple(cur)
-        if t is OVERRUN:
-            raise InternalInvariantError(
-                f"BUG: stream {tuple(cur)} overran without an element prefix"
-            )
     return None
 
 
 def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
     """All members contained in a finite ground set, in lexicographic order.
 
-    Non-base elements of the ground set are ignored.  Enumeration is a
-    depth-first extension walk pruned at members (extensions of a member
-    would overrun, by Sperner).
+    Non-base elements of the ground set are ignored.
     """
-    g = base_members(spec, ground)
     out: list[Seq] = []
-
-    def extend(prefix: Seq, start: int) -> None:
-        t = _tag(spec, prefix)
-        if t is ELEMENT:
-            out.append(prefix)
-            return
-        if t is OVERRUN:
-            raise InternalInvariantError(f"BUG: overrun below a proper prefix at {prefix}")
-        for j in range(start, len(g)):
-            extend(prefix + (g[j],), j + 1)
-
-    extend((), 0)
+    _walk(_norm(spec), base_members(spec, ground), 0, (), out)
     return tuple(out)
 
 
@@ -332,54 +342,26 @@ def density_probe(spec: BarrierSpec, ground: Iterable[int]) -> DensityReport:
     """Stream every nonempty subset of the ground set through the stop rule.
 
     ``hit`` counts subsets that reach a member, ``inconclusive`` those that
-    run out first.  A subset witnessing an overrun with no member prefix is
-    recorded as a violation; for a genuine barrier the list is empty.
-    Non-base ground elements are dropped up front, matching the Density
-    quantifier over subsets of the base.
+    run out first; a member ending at ground index j stands for the
+    2^(n-j-1) subsets it starts.  ``violations`` stays in the report schema
+    but is always empty: the residual walk stops at the first member, so no
+    subset can overrun without one.  Non-base ground elements are dropped up
+    front, matching the Density quantifier over subsets of the base.
     """
     g = base_members(spec, ground)
-    if _tag(spec, ()) is ELEMENT:
+    total = (1 << len(g)) - 1
+    r = _norm(spec)
+    if r is EMPTY:
         # Degenerate one-member family {()}: every stream stops immediately.
-        total = (1 << len(g)) - 1
         return DensityReport(hit=total, inconclusive=0, violations=())
 
     from .parallel import pmap
 
-    def probe_chunk(bounds: tuple[int, int]) -> tuple[int, int, list[Seq]]:
-        lo, hi = bounds
-        hit = inconclusive = 0
-        violations: list[Seq] = []
-        for mask in range(lo, hi):
-            sub = tuple(g[i] for i in range(len(g)) if mask >> i & 1)
-            prefix: tuple[int, ...] = ()
-            outcome = None
-            for x in sub:
-                prefix += (x,)
-                t = _tag(spec, prefix)
-                if t is ELEMENT:
-                    outcome = "hit"
-                    break
-                if t is OVERRUN:
-                    outcome = "violation"
-                    break
-            if outcome == "hit":
-                hit += 1
-            elif outcome == "violation":
-                violations.append(sub)
-            else:
-                inconclusive += 1
-        return hit, inconclusive, violations
+    def subtree(j: int) -> int:
+        return _walk(_d(r, g[j]), g, j + 1, (g[j],), [])
 
-    total = 1 << len(g)
-    chunk = 1 << 10
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
-    hit = inconclusive = 0
-    violations: list[Seq] = []
-    for h, i, v in pmap(probe_chunk, bounds):
-        hit += h
-        inconclusive += i
-        violations.extend(v)
-    return DensityReport(hit=hit, inconclusive=inconclusive, violations=tuple(violations))
+    hit = sum(pmap(subtree, range(len(g))))
+    return DensityReport(hit=hit, inconclusive=total - hit, violations=())
 
 
 # --- variants ----------------------------------------------------------
@@ -463,14 +445,6 @@ def order_type(spec: BarrierSpec) -> Ordinal:
 # --- validated constructors ---------------------------------------------
 
 
-def make_exact(n: int) -> ExactSize:
-    return ExactSize(n)
-
-
-def make_schreier() -> Schreier:
-    return Schreier()
-
-
 def make_canonical(index: Ordinal | int) -> Canonical:
     if isinstance(index, int):
         index = Ordinal.from_int(index)
@@ -491,10 +465,6 @@ def make_product(left: BarrierSpec, right: BarrierSpec) -> Product:
     if not (_plain_base(left) and _plain_base(right)):
         raise ValueError("product factors must live on the full base of naturals")
     return Product(left, right)
-
-
-def make_plus(inner: BarrierSpec) -> Plus:
-    return Plus(inner)
 
 
 def make_derived(inner: BarrierSpec, n: int) -> Derived:

@@ -3,7 +3,8 @@
 Barrier specs are tagged constructor trees with ordinals as text; shorthand
 strings (``schreier``, ``exact:N``, ``canonical:ORD``) are accepted anywhere
 a spec is expected, including inside trees, e.g. ``{"plus": "schreier"}``.
-Matching JSON Schemas ship under docs/schemas/.
+Matching JSON Schemas ship under docs/schemas/.  Decoders raise ValueError
+on any malformed shape.
 """
 
 from __future__ import annotations
@@ -37,6 +38,22 @@ __all__ = [
     "family_to_json",
     "family_from_json",
 ]
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _shape(value: Any, kind: type, what: str) -> Any:
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _int(value: Any, what: str) -> int:
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def spec_to_json(spec: BarrierSpec) -> Any:
@@ -75,19 +92,21 @@ def spec_from_json(obj: Any) -> BarrierSpec:
         raise ValueError(f"a barrier spec is a shorthand string or a one-key object, got {obj!r}")
     (tag, value), = obj.items()
     if tag == "exact":
-        return ExactSize(int(value))
+        return ExactSize(_int(value, "exact size"))
     if tag == "schreier":
         return Schreier()
     if tag == "canonical":
-        return Canonical(parse_ordinal(value))
+        return Canonical(parse_ordinal(_shape(value, str, "a canonical index")))
     if tag == "product":
-        left, right = value
+        left, right = _shape(value, list, "product factors")
         return make_product(spec_from_json(left), spec_from_json(right))
     if tag == "plus":
         return Plus(spec_from_json(value))
     if tag == "derived":
-        return make_derived(spec_from_json(value["inner"]), int(value["n"]))
+        _shape(value, dict, "a derived spec")
+        return make_derived(spec_from_json(value["inner"]), _int(value["n"], "derived n"))
     if tag == "restrict":
+        _shape(value, dict, "a restrict spec")
         return make_restrict(spec_from_json(value["inner"]), ground_from_json(value["base"]))
     raise ValueError(f"unknown barrier constructor {tag!r}")
 
@@ -101,11 +120,14 @@ def ground_to_json(g: GroundSet) -> dict:
 
 def ground_from_json(obj: Any) -> GroundSet:
     if isinstance(obj, list):
-        return GroundSet.of(int(x) for x in obj)
+        return GroundSet.of(_int(x, "a ground element") for x in obj)
+    _shape(obj, dict, "a ground set")
     tail = None
     if obj.get("tail") is not None:
-        tail = Tail(int(obj["tail"]["start"]), int(obj["tail"].get("step", 1)))
-    return GroundSet(prefix=tuple(int(x) for x in obj.get("prefix", ())), tail=tail)
+        raw = _shape(obj["tail"], dict, "a ground set tail")
+        tail = Tail(_int(raw["start"], "tail start"), _int(raw.get("step", 1), "tail step"))
+    prefix = _shape(obj.get("prefix", []), list, "a ground set prefix")
+    return GroundSet(prefix=tuple(_int(x, "a ground element") for x in prefix), tail=tail)
 
 
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
@@ -114,12 +136,17 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     if not isinstance(obj, dict):
         raise ValueError(f"a coloring is an object, got {obj!r}")
     bound = obj.get("bound")
-    bound = int(bound) if bound is not None else None
+    bound = _int(bound, "bound") if bound is not None else None
     if "table" in obj:
-        table = {as_seq(int(x) for x in row[0]): int(row[1]) for row in obj["table"]}
+        table = {}
+        for row in _shape(obj["table"], list, "a coloring table"):
+            seq, color = _shape(row, list, "a table row")
+            seq = as_seq(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
+            table[seq] = _int(color, "a color")
         return table_coloring(barrier, table, declared_bound=bound)
     if "builtin" in obj:
-        f = builtin_coloring(barrier, obj["builtin"], obj.get("params"))
+        params = _shape(obj.get("params") or {}, dict, "builtin params")
+        f = builtin_coloring(barrier, obj["builtin"], params)
         if bound is not None:
             f.declared_bound = bound
         return f
@@ -134,8 +161,9 @@ def family_to_json(fam: OracleFamily) -> list:
 
 
 def family_from_json(obj: Any) -> OracleFamily:
-    entries = [
-        OracleEntry(e=int(row["e"]), members=ground_from_json(row["set"]), delay=int(row.get("delay", 0)))
-        for row in obj
-    ]
+    entries = []
+    for row in _shape(obj, list, "an oracle family"):
+        _shape(row, dict, "an oracle family entry")
+        e, delay = _int(row["e"], "entry e"), _int(row.get("delay", 0), "entry delay")
+        entries.append(OracleEntry(e=e, members=ground_from_json(row["set"]), delay=delay))
     return OracleFamily.of(entries)

@@ -126,6 +126,33 @@ def test_front_matches_subset_filter(name):
     assert tuple(sorted(front(spec, range(9)))) == oracles.front_oracle(spec, range(9))
 
 
+def test_unit_factors_match_direct_membership():
+    # the one-member family {()} as a product factor, under plus and derived
+    units = (ExactSize(0), Canonical(parse_ordinal("0")), make_derived(Schreier(), 0))
+    for unit in units:
+        for spec in (Product(ExactSize(1), unit), Product(unit, Schreier()), Product(unit, unit), Plus(unit)):
+            for s in subsets(range(8)):
+                assert classify(spec, s) is oracles.tag_oracle(spec, s), (spec, s)
+            assert front(spec, range(8)) == oracles.front_oracle(spec, range(8)), spec
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_density_probe_matches_tag_oracle(name):
+    # stream every nonempty subset of the base in 0..9 through the stop rule,
+    # tagging each prefix (the empty one first) by direct membership
+    spec = ALL_SPECS[name]
+    g = [x for x in range(10) if oracles.obase(spec, x)]
+    counts = {ELEMENT: 0, OVERRUN: 0, PROPER_PREFIX: 0}
+    for sub in subsets(g):
+        if sub:
+            tags = (oracles.tag_oracle(spec, sub[:i]) for i in range(len(sub) + 1))
+            counts[next((t for t in tags if t is not PROPER_PREFIX), PROPER_PREFIX)] += 1
+    rep = density_probe(spec, range(10))
+    assert (rep.hit, rep.inconclusive, len(rep.violations)) == (
+        counts[ELEMENT], counts[PROPER_PREFIX], counts[OVERRUN]
+    )
+
+
 # --- structural invariants -----------------------------------------------------
 
 
@@ -331,6 +358,9 @@ _ATOMS = st.sampled_from(
         Canonical(parse_ordinal("0")),
         Canonical(parse_ordinal("2")),
         Canonical(OMEGA),
+        Canonical(parse_ordinal("w + 1")),
+        Canonical(parse_ordinal("w*2")),
+        Canonical(parse_ordinal("w^2")),
     ]
 )
 

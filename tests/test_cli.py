@@ -152,6 +152,24 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diag", "--family", '[{"e":0,"set":5}]', "--kind", "thin", "--alpha", "1", "--verify", "0,0"],
+        ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"table":[5]}', "--ground", "0..4"],
+        ["diag", "--family", '{"e":0}', "--kind", "thin", "--alpha", "1", "--verify", "e=0,i=0"],
+        ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"builtin":"min","params":5}',
+         "--ground", "0..4"],
+        ["ordertype", "--barrier", '{"canonical":5}'],
+    ],
+    ids=["family-set-not-a-ground-set", "table-row-not-a-pair", "family-not-an-array",
+         "params-not-an-object", "canonical-index-not-a-string"],
+)
+def test_malformed_json_shapes_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ordertype_derived_is_a_usage_error(capsys):
     code = main(["ordertype", "--barrier", json.dumps({"derived": {"inner": "schreier", "n": 2}})])
     assert code == 2
