@@ -491,9 +491,15 @@ def rank_key(s: Seq) -> tuple[int, Seq]:
     return (s[-1] if s else -1, s)
 
 
+@lru_cache(maxsize=256)
 def ranked_up_to(spec: BarrierSpec, top: int) -> tuple[Seq, ...]:
     """All members with max coordinate <= top, sorted by rank."""
     return tuple(sorted(front(spec, range(top + 1)), key=rank_key))
+
+
+@lru_cache(maxsize=256)
+def _rank_positions(spec: BarrierSpec, top: int) -> dict[Seq, int]:
+    return {s: i for i, s in enumerate(ranked_up_to(spec, top))}
 
 
 def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
@@ -501,8 +507,7 @@ def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
         raise ValueError(f"{seq} is not a member")
-    key = rank_key(seq)
-    return sum(1 for t in ranked_up_to(spec, key[0]) if rank_key(t) < key)
+    return _rank_positions(spec, rank_key(seq)[0])[seq]
 
 
 # --- labels --------------------------------------------------------------

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Any
 
 from . import __version__
@@ -39,7 +40,7 @@ from .diag import StagedColoring, rainbow_defeater, thin_defeater, verify_defeat
 from .jsonio import coloring_from_json, family_from_json, spec_from_json
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
-from .solver import PROPERTIES, default_universe, find
+from .solver import PROPERTIES, find
 from .seqs import as_seq
 
 __all__ = ["main"]
@@ -332,9 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and reused: building it costs
+    # more than many commands.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code, text = args.fn(args)
     except InternalInvariantError as exc:

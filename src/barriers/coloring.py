@@ -91,12 +91,20 @@ def _rank_mod(barrier: BarrierSpec, m: int) -> Callable[[Seq], int]:
 BUILTIN_COLORINGS = ("const", "min", "max-plus-one", "min-parity", "size", "rank", "rank-div", "rank-mod")
 
 
+def _int_param(params: Mapping, key: str, default: int | None = None) -> int:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"builtin param {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = None) -> Coloring:
     """Named rules: const {value}, min, max-plus-one, min-parity, size,
-    rank (injective), rank-div {k} (k-bounded), rank-mod {m}."""
+    rank (injective), rank-div {k} (k-bounded), rank-mod {m}.  Params must
+    be integers; anything else raises ValueError."""
     params = dict(params or {})
     if name == "const":
-        value = int(params.get("value", 0))
+        value = _int_param(params, "value", 0)
         return Coloring(barrier, lambda s: value, name=f"const:{value}")
     if name == "min":
         return Coloring(barrier, lambda s: s[0], name="min")
@@ -109,12 +117,12 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
     if name == "rank":
         return Coloring(barrier, lambda s: enum_rank(barrier, s), name="rank", declared_bound=1)
     if name == "rank-div":
-        k = int(params["k"])
+        k = _int_param(params, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
         return Coloring(barrier, _rank_div(barrier, k), name=f"rank-div:{k}", declared_bound=k)
     if name == "rank-mod":
-        m = int(params["m"])
+        m = _int_param(params, "m")
         if m < 1:
             raise ValueError("m must be >= 1")
         return Coloring(barrier, _rank_mod(barrier, m), name=f"rank-mod:{m}")

@@ -27,8 +27,8 @@ drops max(H) before decrementing.  The pointwise decrement itself is
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .barrier import (
@@ -45,7 +45,8 @@ from .barrier import (
     variant,
 )
 from .coloring import BoundViolationError, Coloring, table_coloring
-from .seqs import Seq, as_seq, lex_cmp, seq_minus
+from .seqs import Seq, lex_cmp, seq_minus
+from .solver import FrontIndex
 
 __all__ = [
     "FreeToMonoColoring",
@@ -175,32 +176,27 @@ def ts_fs_backward(x: Iterable[int]) -> tuple[int, ...]:
     return xs[1:]
 
 
+def _thin_palette(used: Iterable[int], g: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(set(used) | {0, 1} | set(g)))
+
+
 def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
     """Color universe for desk-scale thinness checks: colors used on the
     ground front, the two collapse colors, and the ground elements themselves
     (the omitted color produced by ts-to-fs is a ground element)."""
     g = tuple(ground)
-    used = {f(s) for s in front(f.barrier, g)}
-    return tuple(sorted(used | {0, 1} | set(g)))
+    return _thin_palette((f(s) for s in front(f.barrier, g)), g)
 
 
 # --- rainbow from monochromatic / free set -------------------------------
 
 
-class _RankedPrefix:
-    """Members ordered by (max, lex); the strict predecessors of any member
-    form a finite, explicitly enumerable list."""
-
-    def __init__(self, spec: BarrierSpec):
-        self.spec = spec
-        self._by_top: dict[int, tuple[Seq, ...]] = {}
-
-    def before(self, s: Seq) -> tuple[Seq, ...]:
-        top = rank_key(s)[0]
-        if top not in self._by_top:
-            self._by_top[top] = ranked_up_to(self.spec, max(top, 0))
-        key = rank_key(s)
-        return tuple(t for t in self._by_top[top] if rank_key(t) < key)
+def _before(spec: BarrierSpec, s: Seq) -> tuple[Seq, ...]:
+    """Members strictly before s in the (max, lex) enumeration: a prefix of
+    the cached rank list up to max(s)."""
+    key = rank_key(s)
+    ranked = ranked_up_to(spec, max(key[0], 0))
+    return ranked[: bisect_left(ranked, key, key=rank_key)]
 
 
 def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
@@ -212,11 +208,10 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     k = f.declared_bound
     if k is None or k < 1:
         raise ValueError("instance must declare a bound k >= 1")
-    ranked = _RankedPrefix(spec)
 
     def rule(s: Seq) -> int:
         color = f(s)
-        count = sum(1 for t in ranked.before(s) if f(t) == color)
+        count = sum(1 for t in _before(spec, s) if f(t) == color)
         if count >= k:
             raise BoundViolationError(
                 f"color {color} occurs {count + 1} times up to {s}; declared bound {k}"
@@ -234,11 +229,10 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     """
     if f.declared_bound != 2:
         raise ValueError("instance must declare bound 2")
-    ranked = _RankedPrefix(spec)
 
     def rule(s: Seq) -> int:
         color = f(s)
-        twins = [t for t in ranked.before(s) if f(t) == color]
+        twins = [t for t in _before(spec, s) if f(t) == color]
         if len(twins) > 1:
             raise BoundViolationError(f"color {color} occurs {len(twins) + 1} times up to {s}")
         if not twins:
@@ -261,7 +255,6 @@ class Reduction:
     name: str
     source_property: str
     target_property: str
-    barrier_map: Callable[[BarrierSpec], BarrierSpec]
     forward: Callable[[BarrierSpec, Coloring], Coloring]
     backward: Callable[[tuple[int, ...]], tuple[int, ...]]
     target_ground: Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -287,7 +280,6 @@ REDUCTIONS: dict[str, Reduction] = {
         name="fs-to-rt",
         source_property="free",
         target_property="mono",
-        barrier_map=Plus,
         forward=fs_forward,
         backward=_fs_desk_backward,
         target_ground=_shift_ground,
@@ -297,7 +289,6 @@ REDUCTIONS: dict[str, Reduction] = {
         name="ts-to-rt",
         source_property="thin",
         target_property="mono",
-        barrier_map=lambda spec: spec,
         forward=lambda spec, f: ts_rt_forward(f),
         backward=lambda h: h,
         target_ground=_identity_ground,
@@ -306,7 +297,6 @@ REDUCTIONS: dict[str, Reduction] = {
         name="ts-to-fs",
         source_property="thin",
         target_property="free",
-        barrier_map=lambda spec: spec,
         forward=lambda spec, f: f,
         backward=ts_fs_backward,
         target_ground=_identity_ground,
@@ -316,7 +306,6 @@ REDUCTIONS: dict[str, Reduction] = {
         name="rrt-to-rt",
         source_property="rainbow",
         target_property="mono",
-        barrier_map=lambda spec: spec,
         forward=rrt_rt_forward,
         backward=lambda h: h,
         target_ground=_identity_ground,
@@ -326,7 +315,6 @@ REDUCTIONS: dict[str, Reduction] = {
         name="rrt2-to-fs",
         source_property="rainbow",
         target_property="free",
-        barrier_map=lambda spec: spec,
         forward=rrt2_fs_forward,
         backward=lambda h: h,
         target_ground=_identity_ground,
@@ -368,13 +356,6 @@ class ReductionReport:
         }
 
 
-def _mask(seq: Seq, index: dict[int, int]) -> int:
-    m = 0
-    for x in seq:
-        m |= 1 << index[x]
-    return m
-
-
 def check_reduction(
     red: Reduction | str,
     f: Coloring,
@@ -386,7 +367,9 @@ def check_reduction(
     Every subset H of the target ground set with at least ``min_size``
     elements whose front solves the target instance is mapped back; the
     report collects any H whose image fails the source property.  For a
-    correct reduction the counterexample list is empty.
+    correct reduction the counterexample list is empty.  Both fronts are
+    indexed once (see :class:`FrontIndex`), so grounds with more than
+    MAX_GROUND base elements raise ValueError.
     """
     if isinstance(red, str):
         red = REDUCTIONS[red]
@@ -396,85 +379,32 @@ def check_reduction(
         if red.needs_bound and f.declared_bound != red.needs_bound:
             raise ValueError(f"{red.name} needs bound {red.needs_bound}")
 
-    src_spec = f.barrier
-    g = base_members(src_spec, ground)
-    tgt_spec = red.barrier_map(src_spec)
-    tg = red.target_ground(g)
-    gvals = red.forward(src_spec, f)
-
-    t_index = {x: i for i, x in enumerate(tg)}
-    t_front = front(tgt_spec, tg)
-    t_masks = [_mask(s, t_index) for s in t_front]
-    t_colors = [gvals(s) for s in t_front]
-    t_sets = [set(s) for s in t_front]
-
-    s_index = {x: i for i, x in enumerate(g)}
-    s_front = front(src_spec, g)
-    s_masks = [_mask(s, s_index) for s in s_front]
-    s_colors = [f(s) for s in s_front]
-    s_sets = [set(s) for s in s_front]
-    universe = thin_universe(f, g) if red.source_property == "thin" else ()
-
-    def target_holds(hmask: int, hset: set[int]) -> bool:
-        if red.target_property == "mono":
-            seen: set[int] = set()
-            for m, c in zip(t_masks, t_colors):
-                if m & ~hmask == 0:
-                    seen.add(c)
-                    if len(seen) > 1:
-                        return False
-            return True
-        # free
-        for m, c, elems in zip(t_masks, t_colors, t_sets):
-            if m & ~hmask == 0 and c in hset and c not in elems:
-                return False
-        return True
-
-    def source_holds(back: tuple[int, ...]) -> bool:
-        bmask = _mask(back, s_index)
-        bset = set(back)
-        if red.source_property == "free":
-            return all(
-                c in elems
-                for m, c, elems in zip(s_masks, s_colors, s_sets)
-                if m & ~bmask == 0 and c in bset
-            )
-        if red.source_property == "thin":
-            image = {c for m, c in zip(s_masks, s_colors) if m & ~bmask == 0}
-            return any(c not in image for c in universe)
-        # rainbow
-        seen: set[int] = set()
-        for m, c in zip(s_masks, s_colors):
-            if m & ~bmask == 0:
-                if c in seen:
-                    return False
-                seen.add(c)
-        return True
+    g = base_members(f.barrier, ground)
+    gvals = red.forward(f.barrier, f)
+    target = FrontIndex(gvals, red.target_ground(g))
+    source = FrontIndex(f, g)
+    universe = _thin_palette(source.colors, g) if red.source_property == "thin" else ()
+    source_ok = source.satisfied(red.source_property, universe)
 
     checked = 0
     counterexamples: list[dict] = []
-    lo = max(min_size, red.min_witness)
-    for size in range(lo, len(tg) + 1):
-        for h in combinations(tg, size):
-            hmask = _mask(h, t_index)
-            if not target_holds(hmask, set(h)):
-                continue
-            checked += 1
-            back = red.backward(h)
-            if not source_holds(back):
-                counterexamples.append(
-                    {"witness": list(h), "solution": list(back), "property": red.source_property}
-                )
+    for _, h in target.solutions(red.target_property, max(min_size, red.min_witness)):
+        checked += 1
+        back = red.backward(h)
+        if not source_ok(source.mask(back)):
+            counterexamples.append(
+                {"witness": list(h), "solution": list(back), "property": red.source_property}
+            )
     return ReductionReport(
         name=red.name,
-        barrier=spec_label(src_spec),
+        barrier=spec_label(f.barrier),
         coloring=f.name,
         ground=g,
         min_size=min_size,
         checked_witnesses=checked,
         counterexamples=tuple(counterexamples),
         max_recursion_chain=getattr(gvals, "max_chain", 0),
-        forward_max_color=max(t_colors, default=None),
+        forward_max_color=max(target.colors, default=None),
     )
 
 

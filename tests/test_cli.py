@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,3 +204,52 @@ def test_coloring_file_argument(tmp_path, capsys):
         "--coloring", str(path), "--ground", "0..7", "--min-size", "3",
     )
     assert code == 0 and report["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"k": None}, {"k": "2"}, {"k": 2.5}, {"k": True}, {}],
+    ids=["null", "string", "float", "bool", "missing"],
+)
+def test_builtin_params_must_be_integers(capsys, params):
+    coloring = json.dumps({"builtin": "rank-div", "params": params})
+    argv = ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", coloring, "--ground", "0..4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    for name, key in (("rank-mod", "m"), ("const", "value")):
+        coloring = json.dumps({"builtin": name, "params": {key: None}})
+        argv = ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", coloring, "--ground", "0..4"]
+        assert main(argv) == 2
+
+
+def test_subset_searches_past_the_ground_cap_exit_2(capsys):
+    for argv in (
+        ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}', "--ground", "0..21"],
+        ["reduce", "--name", "ts-to-rt", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}',
+         "--ground", "0..21", "--check"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "20" in err
+
+
+def test_back_to_back_calls_match_separate_processes(capsys):
+    argvs = [
+        ["solve", "--property", "free", "--barrier", "schreier", "--coloring", '{"builtin":"min"}',
+         "--ground", "0..7", "--min-size", "3", "--json"],
+        ["front", "--barrier", "exact:2", "--ground", "0..5", "--json"],
+        ["reduce", "--name", "ts-to-rt", "--barrier", "exact:1", "--ground", "0..6", "--check",
+         "--random", "2", "--seed", "3", "--json"],
+        ["ordertype", "--barrier", "canonical:w^2", "--json"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in argvs:
+        separate = subprocess.run([sys.executable, "-m", "barriers", *argv], capture_output=True, text=True, env=env)
+        assert separate.returncode == 0, separate.stderr
+        code, out = run(capsys, *argv)
+        assert (code, out) == (0, separate.stdout)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--property", "nope", "--barrier", "exact:1", "--coloring", "{}", "--ground", "0..3"])
+    assert exc.value.code == 2
+    code, out = run(capsys, *argvs[1])
+    assert code == 0 and json.loads(out)["count"] == 10

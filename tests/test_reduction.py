@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriers.barrier import Canonical, ExactSize, Plus, Schreier, front
+from barriers.barrier import Canonical, ExactSize, Plus, Schreier, base_members, front
 from barriers.coloring import BoundViolationError, table_coloring
 from barriers.ordinals import OMEGA
 from barriers.reduction import (
@@ -21,7 +22,7 @@ from barriers.reduction import (
     ts_fs_backward,
     ts_rt_forward,
 )
-from barriers.solver import verify_free, verify_mono, verify_rainbow, verify_thin
+from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
 
@@ -218,3 +219,74 @@ def test_bounded_random_instances_respect_bound():
         f = random_instance("rrt-to-rt", Schreier(), range(8), seed=5, bound=k)
         ok, worst = check_bounded(f, range(8))
         assert ok and worst <= k
+
+
+# --- the subset-lattice checker against brute force ----------------------------------
+
+
+def brute_check(red, f, ground, min_size):
+    """check_reduction by its definition: every target subset by size then
+    lex, both properties checked by verify_* on their own fronts."""
+    g = base_members(f.barrier, ground)
+    gvals = red.forward(f.barrier, f)
+    universe = thin_universe(f, g)
+    verify = {
+        "mono": verify_mono,
+        "free": verify_free,
+        "rainbow": verify_rainbow,
+        "thin": lambda c, h: verify_thin(c, h, universe),
+    }
+    tg = red.target_ground(g)
+    checked, counterexamples = 0, []
+    for size in range(max(min_size, red.min_witness), len(tg) + 1):
+        for h in combinations(tg, size):
+            if verify[red.target_property](gvals, h):
+                checked += 1
+                back = red.backward(h)
+                if not verify[red.source_property](f, back):
+                    cex = {"witness": list(h), "solution": list(back), "property": red.source_property}
+                    counterexamples.append(cex)
+    return checked, counterexamples
+
+
+def instances(red, spec, ground):
+    bounds = (2, 3) if red.needs_bound == 0 else (None,)
+    for bound in bounds:
+        for seed in (1, 2):
+            yield random_instance(red, spec, ground, seed=seed, bound=bound)
+        yield from adversarial_instances(red, spec, ground, bound=bound)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_check_reduction_matches_brute_force(name):
+    red = REDUCTIONS[name]
+    for spec in (ExactSize(1), ExactSize(2), Schreier()):
+        for f in instances(red, spec, range(7)):
+            report = check_reduction(red, f, range(7), 2)
+            want = brute_check(red, f, range(7), 2)
+            assert (report.checked_witnesses, list(report.counterexamples)) == want, (name, spec, f.name)
+
+
+def test_check_reduction_lists_counterexamples_in_brute_force_order():
+    # Broken reductions: fs-to-rt without dropping max(H), ts-to-fs without
+    # dropping min(H).  Both produce counterexamples, which must come in the
+    # order of the subset scan.
+    broken = [
+        replace(REDUCTIONS["fs-to-rt"], backward=fs_backward),
+        replace(REDUCTIONS["ts-to-fs"], backward=lambda h: h),
+    ]
+    seen = 0
+    for red in broken:
+        for spec in (ExactSize(1), Schreier()):
+            for f in instances(red, spec, range(7)):
+                report = check_reduction(red, f, range(7), 2)
+                want = brute_check(red, f, range(7), 2)
+                assert (report.checked_witnesses, list(report.counterexamples)) == want, (red.name, spec, f.name)
+                seen += len(want[1])
+    assert seen > 0
+
+
+def test_check_reduction_ground_cap():
+    f = random_instance("ts-to-rt", ExactSize(1), range(MAX_GROUND + 1), seed=0)
+    with pytest.raises(ValueError, match=str(MAX_GROUND)):
+        check_reduction("ts-to-rt", f, range(MAX_GROUND + 1), 3)

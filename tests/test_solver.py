@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from barriers.barrier import ExactSize, Schreier, front
+from barriers.barrier import ExactSize, Plus, Schreier, base_members, front
 from barriers.coloring import (
     BoundViolationError,
     Coloring,
@@ -14,7 +15,19 @@ from barriers.coloring import (
     check_bounded,
     table_coloring,
 )
-from barriers.solver import Witness, default_universe, find, verify_free, verify_mono, verify_rainbow, verify_thin
+from barriers.solver import (
+    MAX_GROUND,
+    FrontIndex,
+    Witness,
+    default_universe,
+    find,
+    verify_free,
+    verify_mono,
+    verify_rainbow,
+    verify_thin,
+)
+
+from conftest import SPEC_POOL
 
 
 def const(spec, value):
@@ -153,3 +166,102 @@ def test_check_bounded_detects_violations():
 
 def test_witness_json():
     assert Witness((1, 2), "mono", 0).to_json() == {"h": [1, 2], "property": "mono", "detail": 0}
+
+
+# --- the subset-lattice search against brute force ------------------------------
+
+
+def brute_find(prop, f, ground, min_size, universe=None):
+    """find by its definition: every subset by size then lex, each checked
+    by the verify_* of the property on its own front."""
+    g = base_members(f.barrier, ground)
+    if prop == "thin":
+        universe = default_universe(f, g) if universe is None else tuple(sorted(set(universe)))
+    for size in range(min_size, len(g) + 1):
+        for h in combinations(g, size):
+            image = {f(s) for s in front(f.barrier, h)}
+            if prop == "mono" and verify_mono(f, h):
+                return Witness(h, "mono", image.pop() if image else None)
+            if prop == "thin" and verify_thin(f, h, universe):
+                return Witness(h, "thin", min(c for c in universe if c not in image))
+            if prop == "free" and verify_free(f, h):
+                return Witness(h, "free")
+            if prop == "rainbow" and verify_rainbow(f, h):
+                return Witness(h, "rainbow")
+    return None
+
+
+def seeded_grounds(seed):
+    rng = random.Random(seed)
+    return [tuple(range(6)), tuple(range(8)), tuple(sorted(rng.sample(range(11), 7)))]
+
+
+@pytest.mark.parametrize("label", sorted(SPEC_POOL))
+def test_find_matches_brute_force_on_seeded_tables(label):
+    spec = SPEC_POOL[label]
+    for seed, ground in enumerate(seeded_grounds(len(label))):
+        rng = random.Random(seed)
+        palette = rng.sample(range(len(ground) + 3), rng.choice((2, 3, 5)))
+        f = table_coloring(spec, {s: rng.choice(palette) for s in front(spec, ground)})
+        for prop in ("mono", "free", "thin", "rainbow"):
+            for min_size in (0, 1, 2, 3, 5):
+                want = brute_find(prop, f, ground, min_size)
+                assert find(prop, f, ground, min_size) == want, (label, ground, prop, min_size)
+
+
+@pytest.mark.parametrize("name", ["min", "max-plus-one", "min-parity", "size", "rank"])
+def test_find_matches_brute_force_on_builtins(name):
+    for spec in (ExactSize(1), ExactSize(2), Schreier(), Plus(ExactSize(1))):
+        f = builtin_coloring(spec, name)
+        for prop in ("mono", "free", "thin", "rainbow"):
+            for min_size in (1, 2, 4):
+                assert find(prop, f, range(8), min_size) == brute_find(prop, f, range(8), min_size)
+
+
+def test_find_thin_matches_brute_force_on_given_universes():
+    spec = Schreier()
+    rng = random.Random(7)
+    f = table_coloring(spec, {s: rng.randrange(4) for s in front(spec, range(8))})
+    for universe in ((), (0,), (0, 1), (1, 3, 3), (0, 1, 2, 3), (9,)):
+        for min_size in (1, 3, 6):
+            want = brute_find("thin", f, range(8), min_size, universe)
+            assert find("thin", f, range(8), min_size, universe) == want, (universe, min_size)
+    assert find("thin", f, range(8), 0, ()) is None  # nothing omits a color of the empty universe
+
+
+def test_violations_are_the_up_set_of_failing_subsets():
+    spec = Schreier()
+    rng = random.Random(3)
+    f = table_coloring(spec, {s: rng.randrange(4) for s in front(spec, range(7))})
+    index = FrontIndex(f, range(7))
+    universe = default_universe(f, range(7))
+    checks = {
+        "mono": verify_mono,
+        "free": verify_free,
+        "rainbow": verify_rainbow,
+        "thin": lambda g, h: verify_thin(g, h, universe),
+    }
+    for prop, check in checks.items():
+        bad = index.violations(prop, universe)
+        for m in range(1 << 7):
+            h = [x for x in range(7) if m >> x & 1]
+            assert (bad >> m & 1) == (not check(f, h)), (prop, h)
+
+
+def test_ground_cap_is_on_base_elements():
+    f = const(ExactSize(1), 0)
+    assert find("mono", f, range(MAX_GROUND), 1) == Witness((0,), "mono", 0)
+    with pytest.raises(ValueError, match=str(MAX_GROUND)):
+        find("mono", f, range(MAX_GROUND + 1), 1)
+    # the plus barrier's base leaves 0 out, so 0..20 holds only 20 base elements
+    g = const(Plus(ExactSize(1)), 0)
+    assert find("mono", g, range(MAX_GROUND + 1), 1) == Witness((1,), "mono", None)
+
+
+def test_find_colors_the_whole_ground_front():
+    # (0,) alone is a mono witness, but the table misses (5,): the index
+    # colors every member of the ground front first, so the search raises.
+    f = table_coloring(ExactSize(1), {(x,): 0 for x in range(5)})
+    assert find("mono", f, range(5), 1) == Witness((0,), "mono", 0)
+    with pytest.raises(PartialColoringError):
+        find("mono", f, range(6), 1)
