@@ -17,10 +17,17 @@ staying 2-bounded overall.
 
 Stage replays depend only on min(stage) and the family, so the defeat search
 inspects one canonical (lex-least) stage per admissible minimum.
+
+A rainbow color <m, stage> = pair(m, code_seq(stage)) has about twice the
+bits of the stage code, which doubles with every coordinate (0.9 Mbit at 17
+coordinates).  A rainbow replay costs one code_seq plus one squaring of the
+stage code per stage; each of its colors then costs one small multiply and
+a few additions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -68,9 +75,7 @@ def unpair(z: int) -> tuple[int, int]:
     """Inverse of :func:`pair`."""
     if z < 0:
         raise ValueError("unpair needs a natural")
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= z:
-        w += 1
+    w = (math.isqrt(8 * z + 1) - 1) // 2  # the largest w with w(w+1)/2 <= z
     a = z - w * (w + 1) // 2
     return a, w - a
 
@@ -174,19 +179,28 @@ def _rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
     for the smaller one m.  The closing substage hands every remaining l its
     own color <l, stage>.  Each stage's codes are fresh, so the whole
     coloring is 2-bounded.
+
+    The stage code C is squared once: <m, stage> = pair(m, C) equals
+    pair(0, C) + m*C + m(m+1)/2 + m, so each color costs one small multiply.
     """
     s1 = stage[0]
     colors: dict[int, int] = {}
     claimed: set[int] = set()
     stage_code = code_seq(stage)
+    base = pair(0, stage_code)
+
+    def color(m: int) -> int:
+        return base + m * stage_code + m * (m + 1) // 2 + m
+
     for e in range(s1):
         cands = [x for x in range(s1) if x not in claimed and fam.g(e, x, stage) == 1]
         if len(cands) >= 2:
             m, l = cands[0], cands[1]
             claimed.update((m, l))
-            colors[m] = colors[l] = pair(m, stage_code)
+            colors[m] = colors[l] = color(m)
     for l in range(s1):
-        colors.setdefault(l, pair(l, stage_code))
+        if l not in colors:
+            colors[l] = color(l)
     return colors
 
 

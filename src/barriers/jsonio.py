@@ -50,10 +50,15 @@ def _shape(value: Any, kind: type, what: str) -> Any:
 
 
 def _int(value: Any, what: str) -> int:
-    try:
-        return int(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _field(obj: dict, key: str, what: str) -> Any:
+    if key not in obj:
+        raise ValueError(f"{what} needs the key {key!r}, got {obj!r}")
+    return obj[key]
 
 
 def spec_to_json(spec: BarrierSpec) -> Any:
@@ -104,10 +109,16 @@ def spec_from_json(obj: Any) -> BarrierSpec:
         return Plus(spec_from_json(value))
     if tag == "derived":
         _shape(value, dict, "a derived spec")
-        return make_derived(spec_from_json(value["inner"]), _int(value["n"], "derived n"))
+        return make_derived(
+            spec_from_json(_field(value, "inner", "a derived spec")),
+            _int(_field(value, "n", "a derived spec"), "derived n"),
+        )
     if tag == "restrict":
         _shape(value, dict, "a restrict spec")
-        return make_restrict(spec_from_json(value["inner"]), ground_from_json(value["base"]))
+        return make_restrict(
+            spec_from_json(_field(value, "inner", "a restrict spec")),
+            ground_from_json(_field(value, "base", "a restrict spec")),
+        )
     raise ValueError(f"unknown barrier constructor {tag!r}")
 
 
@@ -125,7 +136,8 @@ def ground_from_json(obj: Any) -> GroundSet:
     tail = None
     if obj.get("tail") is not None:
         raw = _shape(obj["tail"], dict, "a ground set tail")
-        tail = Tail(_int(raw["start"], "tail start"), _int(raw.get("step", 1), "tail step"))
+        start = _int(_field(raw, "start", "a ground set tail"), "tail start")
+        tail = Tail(start, _int(raw.get("step", 1), "tail step"))
     prefix = _shape(obj.get("prefix", []), list, "a ground set prefix")
     return GroundSet(prefix=tuple(_int(x, "a ground element") for x in prefix), tail=tail)
 
@@ -164,6 +176,8 @@ def family_from_json(obj: Any) -> OracleFamily:
     entries = []
     for row in _shape(obj, list, "an oracle family"):
         _shape(row, dict, "an oracle family entry")
-        e, delay = _int(row["e"], "entry e"), _int(row.get("delay", 0), "entry delay")
-        entries.append(OracleEntry(e=e, members=ground_from_json(row["set"]), delay=delay))
+        e = _int(_field(row, "e", "an oracle family entry"), "entry e")
+        delay = _int(row.get("delay", 0), "entry delay")
+        members = ground_from_json(_field(row, "set", "an oracle family entry"))
+        entries.append(OracleEntry(e=e, members=members, delay=delay))
     return OracleFamily.of(entries)

@@ -222,6 +222,27 @@ def test_builtin_params_must_be_integers(capsys, params):
         assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "barrier, coloring",
+    [
+        ('{"exact": 1.7}', {"table": [[[0], 0], [[1], 0], [[2], 0]]}),
+        ("exact:1", {"table": [[[0], 2.9], [[1], 0], [[2], 0]]}),
+        ("exact:1", {"table": [[[0], 0], [[1], True], [[2], 0]]}),
+        ("exact:1", {"table": [[[0], 0], [[1], 0], [["2"], 0]]}),
+        ('{"exact": true}', {"builtin": "min"}),
+        ('{"exact": "1"}', {"builtin": "min"}),
+    ],
+    ids=["float-size", "float-color", "bool-color", "string-element", "bool-size", "string-size"],
+)
+def test_json_numbers_must_be_integers(capsys, barrier, coloring):
+    argv = ["solve", "--property", "mono", "--barrier", barrier, "--coloring", json.dumps(coloring),
+            "--ground", "0..3", "--min-size", "1", "--json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be an integer" in captured.err
+    assert captured.out == ""
+
+
 def test_subset_searches_past_the_ground_cap_exit_2(capsys):
     for argv in (
         ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}', "--ground", "0..21"],

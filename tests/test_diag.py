@@ -51,6 +51,14 @@ def test_pair_unpair_roundtrip():
     assert sorted(pair(a, b) for a in range(10) for b in range(10) if a + b < 10) == list(range(55))
 
 
+def test_unpair_is_closed_form_on_huge_codes():
+    # walking the diagonals up to z would take about 2^(bits/2) steps here
+    code = code_seq(tuple(range(11, 23)))
+    assert code.bit_length() > 10_000
+    assert unpair(pair(3, code)) == (3, code)
+    assert unpair(pair(code, 5)) == (code, 5)
+
+
 def test_code_seq_injective_with_length_tag():
     assert code_seq(()) != code_seq((0,))
     codes = {code_seq(s) for s in [(), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]}
@@ -151,6 +159,32 @@ def test_replays_match_straight_line_reimplementation():
         for stage in stages:
             assert thin_defeater(OMEGA, fam).stage_colors(stage) == oracles.slow_thin_stage(fam, stage)
             assert rainbow_defeater(OMEGA, fam).stage_colors(stage) == oracles.slow_rainbow_stage(fam, stage)
+
+
+@pytest.mark.parametrize(
+    "alpha_text, stream",
+    [
+        ("w", range(4, 40)),  # 11 coordinates
+        ("w", range(5, 40)),  # 16 coordinates, a 456 kbit stage code
+        ("w+1", range(3, 40)),  # 12 coordinates
+        ("w+1", (3, 4, 7, 8, 9, 11, 18, 21, 28, 29, 30, 31, 40)),  # 12 coordinates
+        ("1", (40,)),  # one coordinate, colors for m up to 39
+    ],
+)
+def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
+    # Long stages carry big-integer codes (no stage under canonical w or w+1
+    # has 13 to 15 coordinates); a stage with a large minimum has many
+    # colors.  The oracle calls pair(m, code_seq(stage)) for every color.
+    alpha = parse_ordinal(alpha_text)
+    fam = OracleFamily.of([
+        OracleEntry(0, GroundSet(tail=Tail(1, 3)), 0),
+        OracleEntry(1, EVENS, 0),
+        OracleEntry(2, GroundSet(tail=Tail(0, 5)), 2),
+    ])
+    stage = step(Canonical(alpha), iter(stream))
+    want = oracles.slow_rainbow_stage(fam, stage)
+    assert len(set(want.values())) < len(want)  # some pair is claimed
+    assert rainbow_defeater(alpha, fam).stage_colors(stage) == want
 
 
 def test_stage_replay_is_query_order_independent():

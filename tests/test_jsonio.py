@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -100,3 +101,45 @@ def test_restrict_spec_with_ground_base_roundtrips():
     spec = spec_from_json(data)
     assert front(spec, range(7)) == front(Schreier(), (0, 2, 4, 6))
     assert spec_to_json(spec) == data
+
+
+# --- decoders on arbitrary JSON ---------------------------------------------------
+
+_KEYS = ["exact", "schreier", "canonical", "product", "plus", "derived", "restrict", "inner", "n",
+         "base", "prefix", "tail", "start", "step", "table", "builtin", "params", "bound", "value",
+         "k", "m", "e", "set", "delay"]
+_TEXTS = ["schreier", "exact:2", "exact:x", "canonical:w", "canonical:w^", "const", "rank-div", "min"]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.floats()  # json.loads accepts NaN and Infinity
+    | st.sampled_from(_TEXTS)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS + ["", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+DECODERS = {
+    "spec": spec_from_json,
+    "ground": ground_from_json,
+    "coloring": lambda obj: coloring_from_json(ExactSize(1), obj),
+    "family": family_from_json,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=200)
+@given(obj=JSON_VALUES)
+# missing required keys, which random dictionaries seldom produce
+@example(obj={"derived": {"n": 2}})
+@example(obj={"restrict": {"inner": "schreier"}})
+@example(obj={"tail": {"step": 2}})
+@example(obj=[{"e": 0}])
+def test_decoders_return_or_raise_value_error(name, obj):
+    try:
+        DECODERS[name](obj)
+    except ValueError:
+        pass
