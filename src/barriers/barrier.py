@@ -21,6 +21,10 @@ constructor.  In normal form the one-member family {()} is always the object
 ``EMPTY``, so ``s`` is a member iff its residual is ``EMPTY`` and overruns iff
 a shorter prefix already reached it.  Base membership is checked separately,
 against the original spec.
+
+:func:`front` walks the residual tree of a finite ground set once, and the
+density probe is a fold over that front: a subset's stream stops at its
+shortest member prefix, so each member stands for the subsets it starts.
 """
 
 from __future__ import annotations
@@ -53,11 +57,14 @@ __all__ = [
     "OrderTypeUnsupportedError",
     "in_base",
     "base_members",
+    "MAX_GROUND",
+    "capped_base",
     "classify",
     "step",
     "front",
     "check_sperner",
     "DensityReport",
+    "density_of_front",
     "density_probe",
     "variant",
     "append_variant",
@@ -191,6 +198,22 @@ def base_members(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(x for x in set(ground) if in_base(spec, x)))
 
 
+MAX_GROUND = 20  # base elements of a ground set whose subsets are all scanned
+
+
+def capped_base(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
+    """base_members, refused with ValueError past MAX_GROUND elements: the
+    scans over every subset of the base (density, find, check_reduction)
+    cost up to 2^n."""
+    g = base_members(spec, ground)
+    if len(g) > MAX_GROUND:
+        raise ValueError(
+            f"the ground has {len(g)} base elements; scans over all its subsets are "
+            f"limited to {MAX_GROUND} (they cost 2^n)"
+        )
+    return g
+
+
 # --- classification ---------------------------------------------------
 
 
@@ -202,23 +225,24 @@ def _limit_chain(index: Ordinal, n: int) -> BarrierSpec:
     # Canonical(index[n]) * ... * Canonical(index[0]), built in normal form.
     chain: BarrierSpec = EMPTY
     for i in range(n + 1):
-        a = fund_seq(index, i)
-        if not a.is_zero:
-            chain = Canonical(a) if chain is EMPTY else Product(Canonical(a), chain)
+        factor = _norm(Canonical(fund_seq(index, i)))
+        if factor is not EMPTY:
+            chain = factor if chain is EMPTY else Product(factor, chain)
     return chain
 
 
 def _norm(spec: BarrierSpec) -> BarrierSpec:
     """Normal form of a spec: the one-member family {()} is always the object
-    EMPTY, no product has it as left factor, and Restrict and Derived are
-    unfolded (their bases stay with the original spec, see in_base)."""
+    EMPTY, no product has it as left factor, a finite canonical index k is
+    ExactSize(k), and Restrict and Derived are unfolded (their bases stay
+    with the original spec, see in_base)."""
     match spec:
         case ExactSize():
             return EMPTY if spec.size == 0 else spec
         case Schreier():
             return spec
         case Canonical():
-            return EMPTY if spec.index.is_zero else spec
+            return _norm(ExactSize(spec.index.as_int())) if spec.index.is_finite else spec
         case Product():
             left = _norm(spec.left)
             return _norm(spec.right) if left is EMPTY else Product(left, _norm(spec.right))
@@ -244,7 +268,8 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
             return r.right if rest is EMPTY else Product(rest, r.right)
         case Canonical():
             if r.index.is_successor:
-                return _norm(Canonical(pred(r.index)))
+                # an infinite successor has an infinite predecessor
+                return Canonical(pred(r.index))
             return _limit_chain(r.index, x)
         case Schreier():
             return EMPTY if x == 0 else ExactSize(x)
@@ -253,18 +278,15 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
     raise TypeError(f"not a barrier spec: {r!r}")
 
 
-def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> int:
+def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
     """Depth-first walk of the extensions of ``prefix`` by g[start:], r being
-    the residual after ``prefix``.  Appends the members met, in lex order, and
-    returns how many of the subsets ``prefix`` + (some of g[start:]) start
-    with a member.  By Sperner every extension of a member overruns."""
+    the residual after ``prefix``.  Appends the members met, in lex order.
+    By Sperner every extension of a member overruns, so none is walked."""
     if r is EMPTY:
         out.append(prefix)
-        return 1 << (len(g) - start)
-    hits = 0
+        return
     for j in range(start, len(g)):
-        hits += _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
-    return hits
+        _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
@@ -338,30 +360,33 @@ class DensityReport:
         }
 
 
+def density_of_front(members: Iterable[Seq], g: Seq) -> DensityReport:
+    """The density probe of a front, read off its members.
+
+    ``g`` is the base of the ground set and ``members`` the front inside it.
+    A subset's stream stops at its shortest member prefix, so a member ending
+    at g[j] is reached by exactly the 2^(n-1-j) subsets it starts, and the
+    member () of the family {()} by all 2^n - 1 nonempty subsets.
+    """
+    n = len(g)
+    pos = {x: j for j, x in enumerate(g)}
+    hit = sum(1 << (n - 1 - pos[s[-1]]) if s else (1 << n) - 1 for s in members)
+    return DensityReport(hit=hit, inconclusive=(1 << n) - 1 - hit, violations=())
+
+
 def density_probe(spec: BarrierSpec, ground: Iterable[int]) -> DensityReport:
     """Stream every nonempty subset of the ground set through the stop rule.
 
     ``hit`` counts subsets that reach a member, ``inconclusive`` those that
-    run out first; a member ending at ground index j stands for the
-    2^(n-j-1) subsets it starts.  ``violations`` stays in the report schema
-    but is always empty: the residual walk stops at the first member, so no
-    subset can overrun without one.  Non-base ground elements are dropped up
-    front, matching the Density quantifier over subsets of the base.
+    run out first; both are read off the front (:func:`density_of_front`).
+    ``violations`` stays in the report schema but is always empty: a stream
+    stops at its first member, so no subset can overrun without one.
+    Non-base ground elements are dropped up front, matching the Density
+    quantifier over subsets of the base, and a base of more than
+    :data:`MAX_GROUND` elements raises ValueError.
     """
-    g = base_members(spec, ground)
-    total = (1 << len(g)) - 1
-    r = _norm(spec)
-    if r is EMPTY:
-        # Degenerate one-member family {()}: every stream stops immediately.
-        return DensityReport(hit=total, inconclusive=0, violations=())
-
-    from .parallel import pmap
-
-    def subtree(j: int) -> int:
-        return _walk(_d(r, g[j]), g, j + 1, (g[j],), [])
-
-    hit = sum(pmap(subtree, range(len(g))))
-    return DensityReport(hit=hit, inconclusive=total - hit, violations=())
+    g = capped_base(spec, ground)
+    return density_of_front(front(spec, g), g)
 
 
 # --- variants ----------------------------------------------------------

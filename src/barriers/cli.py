@@ -27,9 +27,10 @@ from .barrier import (
     BarrierSpec,
     InternalInvariantError,
     OrderTypeUnsupportedError,
+    capped_base,
     check_sperner,
     classify,
-    density_probe,
+    density_of_front,
     front,
     order_type,
     spec_label,
@@ -107,9 +108,10 @@ def cmd_front(args: argparse.Namespace) -> tuple[dict, int, str]:
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
-    members = front(spec, ground)
+    g = capped_base(spec, ground)
+    members = front(spec, g)
     sperner_ok = check_sperner(members)
-    density = density_probe(spec, ground)
+    density = density_of_front(members, g)
     ok = sperner_ok and not density.violations
     report = {
         "command": "check",

@@ -27,7 +27,7 @@ from .barrier import (
 from .coloring import Coloring, builtin_coloring, table_coloring
 from .diag import OracleEntry, OracleFamily
 from .ordinals import parse_ordinal
-from .seqs import GroundSet, Tail, as_seq
+from .seqs import GroundSet, Tail
 
 __all__ = [
     "spec_to_json",
@@ -153,7 +153,8 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
         table = {}
         for row in _shape(obj["table"], list, "a coloring table"):
             seq, color = _shape(row, list, "a table row")
-            seq = as_seq(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
+            # table_coloring checks that each key is an increasing sequence
+            seq = tuple(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
             table[seq] = _int(color, "a color")
         return table_coloring(barrier, table, declared_bound=bound)
     if "builtin" in obj:

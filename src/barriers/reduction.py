@@ -99,10 +99,9 @@ class FreeToMonoColoring(Coloring):
         self.max_chain = 0
         super().__init__(Plus(inner), self._eval, name=f"free-to-mono({f.name})", colors=(0, 1))
 
-    def _terminal(self, s: Seq) -> int | None:
-        """Value for the non-recursive cases, None when a hop is needed."""
-        t = seq_minus(s)
-        v = self.f(t)
+    def _terminal(self, s: Seq, t: Seq, v: int) -> int | None:
+        """Value for the non-recursive cases, None when a hop is needed;
+        t = seq_minus(s) and v = f(t)."""
         n = len(s) - 1
         if v in t:
             return 0
@@ -118,12 +117,13 @@ class FreeToMonoColoring(Coloring):
         chain: list[Seq] = []
         cur = s
         while cur not in self.memo:
-            value = self._terminal(cur)
+            t = seq_minus(cur)
+            v = self.f(t)
+            value = self._terminal(cur, t, v)
             if value is not None:
                 self.memo[cur] = value
                 self.depth[cur] = 0
                 break
-            v = self.f(seq_minus(cur))
             nxt = variant(self.barrier, cur, v + 1)
             if lex_cmp(nxt, cur) >= 0:
                 raise InternalInvariantError(f"BUG: hop {cur} -> {nxt} does not lex-decrease")

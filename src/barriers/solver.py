@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .barrier import base_members, front, in_base
+from .barrier import MAX_GROUND, capped_base, front, in_base
 from .coloring import Coloring
 
 __all__ = [
@@ -101,9 +101,6 @@ def default_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
 
 # --- the subset lattice ---------------------------------------------------
 
-MAX_GROUND = 20  # base elements of a searched ground set; the work is 2^n
-
-
 def _has(n: int, i: int) -> int:
     """The 2^n-bit set of the masks over range(n) that contain bit i: runs
     of 2^i zeros and 2^i ones, doubled up to 2^n bits."""
@@ -126,13 +123,8 @@ class FrontIndex:
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
-        self.g = base_members(f.barrier, ground)
+        self.g = capped_base(f.barrier, ground)
         n = len(self.g)
-        if n > MAX_GROUND:
-            raise ValueError(
-                f"the ground has {n} base elements; subset searches are limited to "
-                f"{MAX_GROUND} (they cost 2^n)"
-            )
         self.pos = {x: i for i, x in enumerate(self.g)}
         self.members = front(f.barrier, self.g)
         self.masks = [self.mask(s) for s in self.members]

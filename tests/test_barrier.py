@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import chain, combinations
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barriers.barrier import (
+    MAX_GROUND,
     Canonical,
     Derived,
     ELEMENT,
@@ -36,6 +38,8 @@ from barriers.barrier import (
     step,
     variant,
 )
+from barriers.cli import main
+from barriers.jsonio import spec_to_json
 from barriers.ordinals import OMEGA, Ordinal, mul, omega_pow, parse_ordinal
 from barriers.seqs import GroundSet, Tail, lex_cmp, seq_plus
 
@@ -137,7 +141,7 @@ def test_unit_factors_match_direct_membership():
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
-def test_density_probe_matches_tag_oracle(name):
+def test_density_probe_matches_tag_oracle(name, capsys):
     # stream every nonempty subset of the base in 0..9 through the stop rule,
     # tagging each prefix (the empty one first) by direct membership
     spec = ALL_SPECS[name]
@@ -151,6 +155,18 @@ def test_density_probe_matches_tag_oracle(name):
     assert (rep.hit, rep.inconclusive, len(rep.violations)) == (
         counts[ELEMENT], counts[PROPER_PREFIX], counts[OVERRUN]
     )
+    # `check` reads the density off the one front it walks
+    assert main(["check", "--barrier", json.dumps(spec_to_json(spec)), "--ground", "0..10", "--json"]) == 0
+    density = json.loads(capsys.readouterr().out)["density"]
+    assert (density["hit"], density["inconclusive"]) == (counts[ELEMENT], counts[PROPER_PREFIX])
+
+
+def test_density_probe_refuses_grounds_past_the_cap():
+    assert density_probe(ExactSize(1), range(MAX_GROUND)).hit == (1 << MAX_GROUND) - 1
+    # the cap counts base elements: 0 is outside the base of plus(exact:1)
+    assert density_probe(Plus(ExactSize(1)), range(MAX_GROUND + 1)).inconclusive == MAX_GROUND
+    with pytest.raises(ValueError, match=str(MAX_GROUND)):
+        density_probe(ExactSize(1), range(MAX_GROUND + 1))
 
 
 # --- structural invariants -----------------------------------------------------
@@ -392,13 +408,3 @@ def test_composite_specs_match_direct_membership(spec, xs):
     assert classify(spec, s) is oracles.tag_oracle(spec, s)
     for i in range(len(s)):
         assert classify(spec, s[:i]) is oracles.tag_oracle(spec, s[:i])
-
-
-def test_density_probe_identical_under_parallelism(monkeypatch):
-    serial = density_probe(Canonical(OMEGA), range(11))
-    monkeypatch.setenv("BARRIERS_JOBS", "4")
-    parallel = density_probe(Canonical(OMEGA), range(11))
-    assert serial == parallel
-    monkeypatch.setenv("BARRIERS_JOBS", "zero")
-    with pytest.raises(ValueError):
-        density_probe(Canonical(OMEGA), range(5))

@@ -248,6 +248,7 @@ def test_subset_searches_past_the_ground_cap_exit_2(capsys):
         ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}', "--ground", "0..21"],
         ["reduce", "--name", "ts-to-rt", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}',
          "--ground", "0..21", "--check"],
+        ["check", "--barrier", "schreier", "--ground", "0..40"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
