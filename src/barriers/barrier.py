@@ -59,6 +59,7 @@ __all__ = [
     "base_members",
     "MAX_GROUND",
     "capped_base",
+    "MAX_MEMBERS",
     "classify",
     "step",
     "front",
@@ -278,12 +279,18 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
     raise TypeError(f"not a barrier spec: {r!r}")
 
 
+MAX_MEMBERS = 1 << 20  # members of one front walk
+
+
 def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
     """Depth-first walk of the extensions of ``prefix`` by g[start:], r being
-    the residual after ``prefix``.  Appends the members met, in lex order.
-    By Sperner every extension of a member overruns, so none is walked."""
+    the residual after ``prefix``.  Appends the members met, in lex order,
+    and raises ValueError past MAX_MEMBERS of them.  By Sperner every
+    extension of a member overruns, so none is walked."""
     if r is EMPTY:
         out.append(prefix)
+        if len(out) > MAX_MEMBERS:
+            raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
         return
     for j in range(start, len(g)):
         _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
@@ -329,7 +336,8 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
 def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
     """All members contained in a finite ground set, in lexicographic order.
 
-    Non-base elements of the ground set are ignored.
+    Non-base elements of the ground set are ignored.  A front of more than
+    :data:`MAX_MEMBERS` members raises ValueError.
     """
     out: list[Seq] = []
     _walk(_norm(spec), base_members(spec, ground), 0, (), out)

@@ -195,7 +195,7 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
     if not args.check:
         f = instances[0]
         g = red.forward(spec, f)
-        tg = red.target_ground(tuple(x for x in ground))
+        tg = red.target_ground(ground)
         table = [[list(s), g(s)] for s in front(g.barrier, tg)]
         report = {
             "command": "reduce",

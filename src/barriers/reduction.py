@@ -2,8 +2,10 @@
 
 Each reduction is a pair of maps: a forward map turning an instance (a
 coloring) of the source principle into an instance of the target principle,
-and a backward map turning target solutions into source solutions.  The five
-reductions shipped here:
+and a backward map turning target solutions into source solutions.  The
+backward map is data: it drops the ends of H listed in ``drop``, in turn,
+and shifts the rest down by ``shift``, the amount by which the target ground
+lies above the source ground.  The five reductions shipped here:
 
     fs-to-rt    free set          <=  2-color monochromatic, on the plus barrier
     ts-to-rt    thin set          <=  2-color monochromatic
@@ -15,19 +17,21 @@ Forward colorings are demand-driven rules closing over the instance and the
 barrier only, so they are uniform: no ground set is consulted beyond the
 queried member.  ``check_reduction`` validates a reduction exhaustively on a
 finite ground set: every subset that solves the target instance must map back
-to a solution of the source instance.
+to a solution of the source instance.  It works on the subset lattice of
+:mod:`barriers.solver`: the target solutions and the preimage of the source
+violations under the backward map are 2^n-bit sets, and the counterexamples
+are their intersection.
 
 Desk-scale note for fs-to-rt: a finite monochromatic front constrains the
 recursion only below its largest element (the recursion at a member needs a
-next element of H after it), so the solution transform used by the checker
-drops max(H) before decrementing.  The pointwise decrement itself is
-:func:`fs_backward`.
+next element of H after it), so its backward map drops max(H) before
+decrementing.  The pointwise decrement itself is :func:`fs_backward`, and the
+desk-scale map of ts-to-fs, dropping min(H), is :func:`ts_fs_backward`.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -37,6 +41,7 @@ from .barrier import (
     InternalInvariantError,
     Plus,
     classify,
+    enum_rank,
     front,
     base_members,
     rank_key,
@@ -46,7 +51,7 @@ from .barrier import (
 )
 from .coloring import BoundViolationError, Coloring, table_coloring
 from .seqs import Seq, lex_cmp, seq_minus
-from .solver import FrontIndex
+from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
     "FreeToMonoColoring",
@@ -112,6 +117,10 @@ class FreeToMonoColoring(Coloring):
         return 1
 
     def _eval(self, s: Seq) -> int:
+        # Memo keys are validated members or variants of members, so only a
+        # miss needs classifying; a hit is no deeper than max_chain already.
+        if s in self.memo:
+            return self.memo[s]
         if classify(self.barrier, s) is not ELEMENT:
             raise ValueError(f"{s} is not a member of the plus barrier")
         chain: list[Seq] = []
@@ -191,16 +200,38 @@ def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
 # --- rainbow from monochromatic / free set -------------------------------
 
 
-def _before(spec: BarrierSpec, s: Seq) -> tuple[Seq, ...]:
-    """Members strictly before s in the (max, lex) enumeration: a prefix of
-    the cached rank list up to max(s)."""
-    key = rank_key(s)
-    ranked = ranked_up_to(spec, max(key[0], 0))
-    return ranked[: bisect_left(ranked, key, key=rank_key)]
+class _ColorClasses:
+    """The members of a barrier in (max, lex) rank order, colored by f one
+    at a time as queries reach them: each member colored once, and only
+    those up to the furthest member queried so far.  ``classes`` maps each
+    color to its members in rank order, ``place`` each member to its color
+    and its index in that list (the number of earlier members of its color).
+    """
+
+    def __init__(self, spec: BarrierSpec, f: Coloring):
+        self.spec = spec
+        self.f = f
+        self.done = 0  # members colored, a prefix of the rank order
+        self.classes: dict[int, list[Seq]] = {}
+        self.place: dict[Seq, tuple[int, int]] = {}
+
+    def __call__(self, s: Seq) -> tuple[int, int]:
+        if s not in self.place:
+            rank = enum_rank(self.spec, s)  # ValueError on a non-member
+            ranked = ranked_up_to(self.spec, max(rank_key(s)[0], 0))
+            while self.done <= rank:
+                t = ranked[self.done]
+                color = self.f(t)
+                cls = self.classes.setdefault(color, [])
+                self.place[t] = (color, len(cls))
+                cls.append(t)
+                self.done += 1
+        return self.place[s]
 
 
 def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
-    """Count agreeing predecessors: g(s) = |{t before s : f(t) = f(s)}|.
+    """Count agreeing predecessors: g(s) = |{t before s : f(t) = f(s)}|,
+    "before" in the (max, lex) rank order.
 
     For a k-bounded f this is a k-coloring; the bound is validated on every
     queried rank prefix and violations raise.
@@ -208,10 +239,10 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     k = f.declared_bound
     if k is None or k < 1:
         raise ValueError("instance must declare a bound k >= 1")
+    place = _ColorClasses(spec, f)
 
     def rule(s: Seq) -> int:
-        color = f(s)
-        count = sum(1 for t in _before(spec, s) if f(t) == color)
+        color, count = place(s)
         if count >= k:
             raise BoundViolationError(
                 f"color {color} occurs {count + 1} times up to {s}; declared bound {k}"
@@ -229,17 +260,18 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     """
     if f.declared_bound != 2:
         raise ValueError("instance must declare bound 2")
+    place = _ColorClasses(spec, f)
 
     def rule(s: Seq) -> int:
-        color = f(s)
-        twins = [t for t in _before(spec, s) if f(t) == color]
-        if len(twins) > 1:
-            raise BoundViolationError(f"color {color} occurs {len(twins) + 1} times up to {s}")
-        if not twins:
+        color, count = place(s)
+        if count > 1:
+            raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}")
+        if not count:
             return 0
-        diff = set(twins[0]) - set(s)
+        twin = place.classes[color][0]
+        diff = set(twin) - set(s)
         if not diff:
-            raise InternalInvariantError(f"BUG: member {twins[0]} contained in {s}")
+            raise InternalInvariantError(f"BUG: member {twin} contained in {s}")
         return min(diff)
 
     return Coloring(spec, rule, name=f"twin-min({f.name})")
@@ -250,29 +282,48 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
 
 @dataclass(frozen=True)
 class Reduction:
-    """A source principle, a target principle, and the two uniform maps."""
+    """A source principle, a target principle, the instance map ``forward``
+    and the solution map as data: ``backward`` drops the ends of H named in
+    ``drop`` ("min" or "max"), in turn, and shifts the rest down by
+    ``shift``; the target ground is the source ground shifted up by it."""
 
     name: str
     source_property: str
     target_property: str
     forward: Callable[[BarrierSpec, Coloring], Coloring]
-    backward: Callable[[tuple[int, ...]], tuple[int, ...]]
-    target_ground: Callable[[tuple[int, ...]], tuple[int, ...]]
-    min_witness: int = 1
+    drop: tuple[str, ...] = ()
+    shift: int = 0
     needs_bound: int | None = None  # 2 = exactly 2-bounded, 0 = any declared k
 
+    def __post_init__(self) -> None:
+        if any(end not in ("min", "max") for end in self.drop):
+            raise ValueError(f"drop must list ends, each 'min' or 'max', got {self.drop}")
 
-def _identity_ground(g: tuple[int, ...]) -> tuple[int, ...]:
-    return g
+    @property
+    def min_witness(self) -> int:
+        """The smallest target solution size that keeps an element after the drops."""
+        return 1 + len(self.drop)
 
+    def backward(self, h: Iterable[int]) -> tuple[int, ...]:
+        hs = tuple(sorted(set(h)))
+        if len(hs) < len(self.drop):
+            raise ValueError(f"need at least {len(self.drop)} elements, got {hs}")
+        for end in self.drop:
+            hs = hs[1:] if end == "min" else hs[:-1]
+        if hs and hs[0] < self.shift:
+            raise ValueError(f"{hs} has elements below the shift {self.shift}")
+        return tuple(x - self.shift for x in hs)
 
-def _shift_ground(g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + 1 for x in g)
+    def target_ground(self, g: Iterable[int]) -> tuple[int, ...]:
+        return tuple(x + self.shift for x in g)
 
-
-def _fs_desk_backward(h: tuple[int, ...]) -> tuple[int, ...]:
-    # A finite mono front only witnesses the recursion below its top element.
-    return fs_backward(h[:-1])
+    def preimage(self, s: int, n: int) -> int:
+        """The target masks over n ground elements whose backward image lies
+        in the 2^n-bit set s of source masks (masks as in FrontIndex; the
+        shift keeps the indices)."""
+        for end in reversed(self.drop):
+            s = drop_preimage(s, n, end)
+        return s
 
 
 REDUCTIONS: dict[str, Reduction] = {
@@ -281,34 +332,27 @@ REDUCTIONS: dict[str, Reduction] = {
         source_property="free",
         target_property="mono",
         forward=fs_forward,
-        backward=_fs_desk_backward,
-        target_ground=_shift_ground,
-        min_witness=2,
+        drop=("max",),
+        shift=1,
     ),
     "ts-to-rt": Reduction(
         name="ts-to-rt",
         source_property="thin",
         target_property="mono",
         forward=lambda spec, f: ts_rt_forward(f),
-        backward=lambda h: h,
-        target_ground=_identity_ground,
     ),
     "ts-to-fs": Reduction(
         name="ts-to-fs",
         source_property="thin",
         target_property="free",
         forward=lambda spec, f: f,
-        backward=ts_fs_backward,
-        target_ground=_identity_ground,
-        min_witness=2,
+        drop=("min",),
     ),
     "rrt-to-rt": Reduction(
         name="rrt-to-rt",
         source_property="rainbow",
         target_property="mono",
         forward=rrt_rt_forward,
-        backward=lambda h: h,
-        target_ground=_identity_ground,
         needs_bound=0,
     ),
     "rrt2-to-fs": Reduction(
@@ -316,8 +360,6 @@ REDUCTIONS: dict[str, Reduction] = {
         source_property="rainbow",
         target_property="free",
         forward=rrt2_fs_forward,
-        backward=lambda h: h,
-        target_ground=_identity_ground,
         needs_bound=2,
     ),
 }
@@ -365,11 +407,14 @@ def check_reduction(
     """Exhaustively validate one instance at desk scale.
 
     Every subset H of the target ground set with at least ``min_size``
-    elements whose front solves the target instance is mapped back; the
-    report collects any H whose image fails the source property.  For a
-    correct reduction the counterexample list is empty.  Both fronts are
-    indexed once (see :class:`FrontIndex`), so grounds with more than
-    MAX_GROUND base elements raise ValueError.
+    (and ``red.min_witness``) elements whose front solves the target
+    instance is mapped back; the report collects any H whose image fails
+    the source property, by size then lex.  For a correct reduction the
+    counterexample list is empty.  Both fronts are indexed once (see
+    :class:`FrontIndex`) and the check is a few operations on their 2^n-bit
+    sets, so grounds with more than MAX_GROUND base elements raise
+    ValueError, as does a forward barrier whose base inside the target
+    ground is not ``red.target_ground`` of the source base.
     """
     if isinstance(red, str):
         red = REDUCTIONS[red]
@@ -383,25 +428,28 @@ def check_reduction(
     gvals = red.forward(f.barrier, f)
     target = FrontIndex(gvals, red.target_ground(g))
     source = FrontIndex(f, g)
+    if target.g != red.target_ground(source.g):
+        raise ValueError(
+            f"{red.name}: the forward barrier's base inside the target ground is {list(target.g)}, "
+            f"not the source base {list(source.g)} shifted by {red.shift}"
+        )
     universe = _thin_palette(source.colors, g) if red.source_property == "thin" else ()
-    source_ok = source.satisfied(red.source_property, universe)
-
-    checked = 0
-    counterexamples: list[dict] = []
-    for _, h in target.solutions(red.target_property, max(min_size, red.min_witness)):
-        checked += 1
-        back = red.backward(h)
-        if not source_ok(source.mask(back)):
-            counterexamples.append(
-                {"witness": list(h), "solution": list(back), "property": red.source_property}
-            )
+    clean = target.all & ~target.violations(red.target_property)
+    layers = target.layers[max(min_size, red.min_witness) :]
+    bad = clean & red.preimage(source.violations(red.source_property, universe), len(g))
+    counterexamples = []
+    for m in in_order(bad, layers):
+        h = target.subset(m)
+        counterexamples.append(
+            {"witness": list(h), "solution": list(red.backward(h)), "property": red.source_property}
+        )
     return ReductionReport(
         name=red.name,
         barrier=spec_label(f.barrier),
         coloring=f.name,
         ground=g,
         min_size=min_size,
-        checked_witnesses=checked,
+        checked_witnesses=sum((clean & layer).bit_count() for layer in layers),
         counterexamples=tuple(counterexamples),
         max_recursion_chain=getattr(gvals, "max_chain", 0),
         forward_max_color=max(target.colors, default=None),

@@ -11,10 +11,15 @@ verified (for thin, with the same color universe).  So the subsets H that
 violate a property form an up-set, the union of the up-sets of a few small
 masks, and :class:`FrontIndex` computes it for all 2^n subsets at once as one
 2^n-bit integer (a superset-closure, or zeta, pass).  The index walks the
-front of the ground set once and calls the coloring once per member; ``find``
-and ``check_reduction`` then test one bit per candidate.  Because the bitset
-has 2^n bits, both refuse a ground whose base has more than
-:data:`MAX_GROUND` elements.
+front of the ground set once and calls the coloring once per member.  With
+``g[i]`` at bit ``n-1-i`` of a mask, the subsets of one size go in lex order
+exactly as their masks go down, so with the size layers (:func:`size_layers`)
+an answer is read off the bitset without a loop over subsets: ``find`` takes
+the highest clean mask of the first nonempty layer from ``min_size`` on, and
+``check_reduction`` intersects the clean target masks with the preimage of
+the source violations (:func:`drop_preimage`).  Because the bitsets have 2^n
+bits, both refuse a ground whose base has more than :data:`MAX_GROUND`
+elements.
 
 The ``verify_*`` functions restate each property by its definition, one
 subset at a time; they are the slow reference the index is tested against.
@@ -23,8 +28,8 @@ subset at a time; they are the slow reference the index is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .barrier import MAX_GROUND, capped_base, front, in_base
 from .coloring import Coloring
@@ -113,31 +118,75 @@ def _has(n: int, i: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=None)  # one entry per n <= MAX_GROUND
+def size_layers(n: int) -> tuple[int, ...]:
+    """Layer k is the 2^n-bit set of the masks over range(n) with k bits.
+    Adding bit i puts a copy of every layer 2^i positions up, one size
+    higher: n shift-ORs over the layers."""
+    layers = [1]
+    for i in range(n):
+        layers = [lo | hi << (1 << i) for lo, hi in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
+
+
+def in_order(bits: int, layers: Iterable[int]) -> Iterator[int]:
+    """The masks in a 2^n-bit set that lie in the given layers, layer by
+    layer, each layer by decreasing mask (lex order, see FrontIndex)."""
+    for layer in layers:
+        x = bits & layer
+        while x:
+            m = x.bit_length() - 1
+            yield m
+            x ^= 1 << m
+
+
+def drop_preimage(s: int, n: int, end: str) -> int:
+    """The masks over range(n) that lose their "min" or "max" element into
+    the 2^n-bit set s.  The minimum is the top bit p of a mask, above a mask
+    below 2^p; the maximum is the lowest bit p, below a mask with no bit up
+    to p.  O(n) big-int operations."""
+    out, free = 0, (1 << (1 << n)) - 1
+    for p in range(n):
+        if end == "min":
+            out |= (s & ((1 << (1 << p)) - 1)) << (1 << p)
+        else:
+            free &= ~_has(n, p)
+            out |= (s & free) << (1 << p)
+    return out
+
+
 class FrontIndex:
     """The front inside a ground set, walked once, with one color per member.
 
     Keeps the base ``g`` of the ground set, the ``members`` in lex order,
-    each member's bitmask over the indices of ``g`` (``masks``) and its
-    color (``colors``).  A subset H of ``g`` is named by its mask.  Sets of
-    subsets are 2^n-bit integers whose bit H stands for the subset H.
+    each member's bitmask over ``g`` (``masks``) and its color (``colors``).
+    A subset H of ``g`` is named by its mask, with ``g[i]`` at bit
+    ``n-1-i``, so that the subsets of one size go in lex order exactly as
+    their masks go down.  Sets of subsets are 2^n-bit integers whose bit H
+    stands for the subset H.
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
         self.g = capped_base(f.barrier, ground)
         n = len(self.g)
-        self.pos = {x: i for i, x in enumerate(self.g)}
+        self.pos = {x: n - 1 - i for i, x in enumerate(self.g)}
         self.members = front(f.barrier, self.g)
         self.masks = [self.mask(s) for s in self.members]
         self.colors = [f(s) for s in self.members]
         self._has = [_has(n, i) for i in range(n)]
-        self._all = (1 << (1 << n)) - 1
+        self.all = (1 << (1 << n)) - 1
+        self.layers = size_layers(n)
 
     def mask(self, xs: Iterable[int]) -> int:
         return sum(1 << self.pos[x] for x in xs)
 
+    def subset(self, m: int) -> tuple[int, ...]:
+        """The subset of ``g`` with mask m, sorted."""
+        return tuple(x for x in self.g if m >> self.pos[x] & 1)
+
     def up(self, m: int) -> int:
         """The masks that contain m."""
-        out = self._all
+        out = self.all
         for i, has in enumerate(self._has):
             if m >> i & 1:
                 out &= has
@@ -164,7 +213,7 @@ class FrontIndex:
         for m, c in zip(self.masks, self.colors):
             classes.setdefault(c, []).append(m)
         if prop == "thin":
-            bad = self._all
+            bad = self.all
             for c in universe:
                 bad &= self._any_up(classes.get(c, ()))
             return bad
@@ -181,24 +230,6 @@ class FrontIndex:
                     bad |= seen & x
                     seen |= x
         return bad
-
-    def satisfied(self, prop: str, universe: Iterable[int] = ()) -> Callable[[int], bool]:
-        """Test whether the subset with a given mask has the property."""
-        table = self.violations(prop, universe).to_bytes(((1 << len(self.g)) + 7) // 8, "little")
-        return lambda m: not table[m >> 3] >> (m & 7) & 1
-
-    def solutions(
-        self, prop: str, min_size: int, universe: Iterable[int] = ()
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(mask, H) for every subset H of ``g`` with at least min_size
-        elements that has the property, by size then lex."""
-        ok = self.satisfied(prop, universe)
-        bits = [1 << i for i in range(len(self.g))]
-        for size in range(min_size, len(bits) + 1):
-            for bs, h in zip(combinations(bits, size), combinations(self.g, size)):
-                m = sum(bs)
-                if ok(m):
-                    yield m, h
 
     def colors_inside(self, m: int) -> list[int]:
         """Colors of the members inside the subset with mask m, in lex order."""
@@ -220,6 +251,8 @@ def find(
     MAX_GROUND base elements raise ValueError."""
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}")
+    if min_size < 0:
+        raise ValueError(f"min_size must be >= 0, got {min_size}")
     index = FrontIndex(f, ground)
     if property != "thin":
         universe = ()
@@ -227,11 +260,13 @@ def find(
         universe = _universe(f, index.colors)
     else:
         universe = tuple(sorted(set(universe)))
-    for m, h in index.solutions(property, min_size, universe):
-        image = index.colors_inside(m)
-        if property == "mono":
-            return Witness(h, "mono", image[0] if image else None)
-        if property == "thin":
-            return Witness(h, "thin", min(c for c in universe if c not in image))
-        return Witness(h, property)
-    return None
+    clean = index.all & ~index.violations(property, universe)
+    m = next(in_order(clean, index.layers[min_size:]), None)
+    if m is None:
+        return None
+    h, image = index.subset(m), index.colors_inside(m)
+    if property == "mono":
+        return Witness(h, "mono", image[0] if image else None)
+    if property == "thin":
+        return Witness(h, "thin", min(c for c in universe if c not in image))
+    return Witness(h, property)

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from barriers import barrier
 from barriers.barrier import (
     MAX_GROUND,
     Canonical,
@@ -167,6 +168,15 @@ def test_density_probe_refuses_grounds_past_the_cap():
     assert density_probe(Plus(ExactSize(1)), range(MAX_GROUND + 1)).inconclusive == MAX_GROUND
     with pytest.raises(ValueError, match=str(MAX_GROUND)):
         density_probe(ExactSize(1), range(MAX_GROUND + 1))
+
+
+def test_front_refuses_walks_past_the_member_cap(monkeypatch):
+    # front(schreier, 0..n) has F(n+1) members (Fibonacci): 55 at 0..9.
+    assert len(front(Schreier(), range(10))) == 55
+    monkeypatch.setattr(barrier, "MAX_MEMBERS", 55)
+    assert len(front(Schreier(), range(10))) == 55
+    with pytest.raises(ValueError, match="more than 55 members"):
+        front(Schreier(), range(11))
 
 
 # --- structural invariants -----------------------------------------------------

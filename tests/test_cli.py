@@ -255,6 +255,12 @@ def test_subset_searches_past_the_ground_cap_exit_2(capsys):
         assert err.startswith("error: ") and "20" in err
 
 
+def test_front_walks_past_the_member_cap_exit_2(capsys):
+    assert main(["front", "--barrier", "schreier", "--ground", "0..40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1048576" in err and err.count("\n") == 1
+
+
 def test_back_to_back_calls_match_separate_processes(capsys):
     argvs = [
         ["solve", "--property", "free", "--barrier", "schreier", "--coloring", '{"builtin":"min"}',

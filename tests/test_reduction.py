@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriers.barrier import Canonical, ExactSize, Plus, Schreier, base_members, front
-from barriers.coloring import BoundViolationError, table_coloring
+from barriers.barrier import Canonical, ExactSize, Plus, Schreier, base_members, front, rank_key, ranked_up_to
+from barriers.coloring import BoundViolationError, Coloring, table_coloring
 from barriers.ordinals import OMEGA
 from barriers.reduction import (
     REDUCTIONS,
@@ -272,8 +273,8 @@ def test_check_reduction_lists_counterexamples_in_brute_force_order():
     # dropping min(H).  Both produce counterexamples, which must come in the
     # order of the subset scan.
     broken = [
-        replace(REDUCTIONS["fs-to-rt"], backward=fs_backward),
-        replace(REDUCTIONS["ts-to-fs"], backward=lambda h: h),
+        replace(REDUCTIONS["fs-to-rt"], drop=()),
+        replace(REDUCTIONS["ts-to-fs"], drop=()),
     ]
     seen = 0
     for red in broken:
@@ -290,3 +291,146 @@ def test_check_reduction_ground_cap():
     f = random_instance("ts-to-rt", ExactSize(1), range(MAX_GROUND + 1), seed=0)
     with pytest.raises(ValueError, match=str(MAX_GROUND)):
         check_reduction("ts-to-rt", f, range(MAX_GROUND + 1), 3)
+
+
+# --- the backward map as data -------------------------------------------------------
+
+
+def test_registry_backward_maps_are_the_callables():
+    # The declared drops and shifts reproduce the solution maps as callables.
+    old = {
+        "fs-to-rt": lambda h: fs_backward(h[:-1]),
+        "ts-to-fs": ts_fs_backward,
+        "ts-to-rt": lambda h: h,
+        "rrt-to-rt": lambda h: h,
+        "rrt2-to-fs": lambda h: h,
+    }
+    for name, backward in old.items():
+        red = REDUCTIONS[name]
+        assert red.target_ground(range(6)) == tuple(range(red.shift, 6 + red.shift))
+        tg = red.target_ground(range(6))
+        for size in range(red.min_witness, 7):
+            for h in combinations(tg, size):
+                assert red.backward(h) == backward(h), (name, h)
+    assert {n: r.min_witness for n, r in REDUCTIONS.items() if r.min_witness > 1} == {"fs-to-rt": 2, "ts-to-fs": 2}
+
+
+DROPS = ((), ("min",), ("max",), ("min", "max"), ("max", "min"))
+
+
+def backward_images(red, n):
+    """For each target mask over n ground elements (g[i] at bit n-1-i), the
+    source mask of its image under red.backward, or None when it is too
+    small to drop from; the source ground is range(n)."""
+    tg = red.target_ground(range(n))
+    images = []
+    for m in range(1 << n):
+        h = tuple(x for i, x in enumerate(tg) if m >> (n - 1 - i) & 1)
+        back = red.backward(h) if len(h) >= len(red.drop) else None
+        images.append(None if back is None else sum(1 << (n - 1 - x) for x in back))
+    return images
+
+
+@pytest.mark.parametrize("drop", DROPS)
+@pytest.mark.parametrize("shift", (0, 1))
+def test_preimage_of_every_single_mask(drop, shift):
+    red = replace(REDUCTIONS["ts-to-rt"], drop=drop, shift=shift)
+    for n in range(11):
+        want = [0] * (1 << n)
+        for m, image in enumerate(backward_images(red, n)):
+            if image is not None:
+                want[image] |= 1 << m
+        assert [red.preimage(1 << b, n) for b in range(1 << n)] == want, n
+
+
+@given(st.integers(0, 10), st.sampled_from(DROPS), st.integers(0, 1), st.data())
+def test_preimage_matches_the_backward_map(n, drop, shift, data):
+    red = replace(REDUCTIONS["ts-to-rt"], drop=drop, shift=shift)
+    s = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    want = sum(1 << m for m, b in enumerate(backward_images(red, n)) if b is not None and s >> b & 1)
+    assert red.preimage(s, n) == want
+
+
+def test_reduction_fields_are_checked():
+    with pytest.raises(ValueError, match="drop"):
+        replace(REDUCTIONS["ts-to-fs"], drop=("first",))
+    with pytest.raises(ValueError):
+        REDUCTIONS["ts-to-fs"].backward(())
+    with pytest.raises(ValueError):
+        REDUCTIONS["fs-to-rt"].backward((0, 3))  # 0 lies below the shifted ground
+
+
+def test_misaligned_target_ground_raises():
+    # fs-to-rt's forward colors the plus barrier, whose base leaves out 0:
+    # without the shift the target ground would not be its base.
+    red = replace(REDUCTIONS["fs-to-rt"], shift=0)
+    f = random_instance(red, ExactSize(1), range(6), seed=1)
+    with pytest.raises(ValueError, match="shifted by 0"):
+        check_reduction(red, f, range(6), 2)
+
+
+# --- the twin forwards color each member once -----------------------------------
+
+
+def counting(coloring):
+    calls = []
+
+    def rule(s):
+        calls.append(s)
+        return coloring(s)
+
+    return Coloring(coloring.barrier, rule, name=coloring.name, declared_bound=coloring.declared_bound), calls
+
+
+def twin_definition(spec, f, s):
+    """The earlier members of s's color, by the definition over the rank list."""
+    color = f(s)
+    return [t for t in ranked_up_to(spec, s[-1]) if rank_key(t) < rank_key(s) and f(t) == color]
+
+
+def rrt_rt_definition(spec, f, k, s):
+    count = len(twin_definition(spec, f, s))
+    if count >= k:
+        raise BoundViolationError(count)
+    return count
+
+
+def rrt2_fs_definition(spec, f, s):
+    twins = twin_definition(spec, f, s)
+    if len(twins) > 1:
+        raise BoundViolationError(len(twins))
+    return min(set(twins[0]) - set(s)) if twins else 0
+
+
+@pytest.mark.parametrize("spec", [ExactSize(1), ExactSize(2), Schreier()])
+def test_twin_forwards_color_each_member_once(spec):
+    members = front(spec, range(8))
+    ranked = sorted(members, key=rank_key)
+    rng = random.Random(7)
+    tables = [
+        ({s: i // 2 for i, s in enumerate(members)}, 2),
+        ({s: rng.randrange(len(members) // 2) for s in members}, 2),  # bound lies too
+        ({s: i % 5 for i, s in enumerate(members)}, 3),
+    ]
+    for table, k in tables:
+        f = table_coloring(spec, table, declared_bound=k)
+        forwards = [(rrt_rt_forward, lambda s: rrt_rt_definition(spec, f, k, s))]
+        if k == 2:
+            forwards.append((rrt2_fs_forward, lambda s: rrt2_fs_definition(spec, f, s)))
+        for forward, definition in forwards:
+            counted, calls = counting(f)
+            g = forward(spec, counted)
+            queries = rng.sample(members, len(members) // 2) * 2
+            furthest = -1
+            for s in queries:
+                try:
+                    want = definition(s)
+                except BoundViolationError:
+                    with pytest.raises(BoundViolationError):
+                        g(s)
+                else:
+                    assert g(s) == want, (forward.__name__, s)
+                furthest = max(furthest, ranked.index(s))
+                assert sorted(calls, key=rank_key) == ranked[: furthest + 1]  # each once, a rank prefix
+            with pytest.raises(ValueError, match="not a member"):
+                g((0, 1, 2, 3, 4, 5, 6, 7) if spec != ExactSize(1) else (0, 1))

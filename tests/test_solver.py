@@ -244,7 +244,7 @@ def test_violations_are_the_up_set_of_failing_subsets():
     for prop, check in checks.items():
         bad = index.violations(prop, universe)
         for m in range(1 << 7):
-            h = [x for x in range(7) if m >> x & 1]
+            h = [x for x in range(7) if m >> (6 - x) & 1]
             assert (bad >> m & 1) == (not check(f, h)), (prop, h)
 
 
@@ -265,3 +265,10 @@ def test_find_colors_the_whole_ground_front():
     assert find("mono", f, range(5), 1) == Witness((0,), "mono", 0)
     with pytest.raises(PartialColoringError):
         find("mono", f, range(6), 1)
+
+
+def test_find_min_size_out_of_range():
+    f = const(ExactSize(1), 0)
+    assert find("mono", f, range(4), 5) is None  # no layer that large
+    with pytest.raises(ValueError, match="min_size"):
+        find("mono", f, range(4), -1)
