@@ -25,6 +25,7 @@ against the original spec.
 :func:`front` walks the residual tree of a finite ground set once, and the
 density probe is a fold over that front: a subset's stream stops at its
 shortest member prefix, so each member stands for the subsets it starts.
+:func:`check_sperner` reads the members as masks on the subset lattice.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "base_members",
     "MAX_GROUND",
     "capped_base",
+    "has_sets",
     "MAX_MEMBERS",
     "classify",
     "step",
@@ -215,6 +217,22 @@ def capped_base(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
     return g
 
 
+@lru_cache(maxsize=None)  # one entry per n <= MAX_GROUND
+def has_sets(n: int) -> tuple[int, ...]:
+    """Entry i is the 2^n-bit set of the masks over range(n) that contain
+    bit i: runs of 2^i zeros and 2^i ones, doubled up to 2^n bits."""
+    out = []
+    for i in range(n):
+        run = 1 << i
+        bits = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < 1 << n:
+            bits |= bits << width
+            width *= 2
+        out.append(bits)
+    return tuple(out)
+
+
 # --- classification ---------------------------------------------------
 
 
@@ -345,13 +363,32 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
 
 
 def check_sperner(members: Iterable[Seq]) -> bool:
-    """True iff no member strictly contains another as a set."""
+    """True iff no member strictly contains another as a set.
+
+    A zeta pass over the subset lattice of the n coordinates the members
+    use: ``member_masks`` is the 2^n-bit set of their masks, ``up`` its
+    strict up-set (every one-bit extension, closed upward), and Sperner
+    holds iff the two are disjoint.  2n big-int shift-ORs whatever the
+    number of members; more than :data:`MAX_GROUND` coordinates raise
+    ValueError.
+    """
     sets = [frozenset(s) for s in members]
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a < b:
-                return False
-    return True
+    union = sorted(frozenset().union(*sets))
+    n = len(union)
+    if n > MAX_GROUND:
+        raise ValueError(f"the members use {n} coordinates; Sperner checks are limited to {MAX_GROUND}")
+    pos = {x: i for i, x in enumerate(union)}
+    bits = bytearray((1 << n >> 3) + 1)  # one OR of 2^n bits per member would cost members * 2^n
+    for a in sets:
+        m = sum(1 << pos[x] for x in a)
+        bits[m >> 3] |= 1 << (m & 7)
+    member_masks = int.from_bytes(bits, "little")
+    up = 0
+    for i, has in enumerate(has_sets(n)):
+        up |= (member_masks & ~has) << (1 << i)
+    for i, has in enumerate(has_sets(n)):
+        up |= (up & ~has) << (1 << i)
+    return not member_masks & up
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,21 @@ stage.  The thin defeater plants every color i on each declared-infinite set;
 the rainbow defeater plants color collisions inside each declared set while
 staying 2-bounded overall.
 
-Stage replays depend only on min(stage) and the family, so the defeat search
-inspects one canonical (lex-least) stage per admissible minimum.
+Stage replays depend only on min(stage) and the family, so they are cached by
+the minimum, and the defeat search inspects one canonical (lex-least) stage of
+at most :data:`MAX_STAGE_COORDS` coordinates per admissible minimum.
 
-A rainbow color <m, stage> = pair(m, code_seq(stage)) has about twice the
+A replay yields small labels: thin colors, or rainbow owners.  The rainbow
+color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
 bits of the stage code, which doubles with every coordinate (0.9 Mbit at 17
-coordinates).  A rainbow replay costs one code_seq plus one squaring of the
-stage code per stage; each of its colors then costs one small multiply and
-a few additions.
+coordinates), so it is built only when a color is asked for as a number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .barrier import (
@@ -54,6 +55,7 @@ __all__ = [
     "thin_defeater",
     "rainbow_defeater",
     "DefeatResult",
+    "MAX_STAGE_COORDS",
     "verify_defeat_thin",
     "verify_defeat_rainbow",
 ]
@@ -172,36 +174,21 @@ def _thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
 
 
 def _rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    """Replay the rainbow-defeating substage loop at one stage.
+    """Replay the rainbow-defeating substage loop at one stage, as owners.
 
     Substage e claims the two least unclaimed numbers below min(stage) that
-    the e-th approximation puts in X_e, and gives both the color <m, stage>
-    for the smaller one m.  The closing substage hands every remaining l its
-    own color <l, stage>.  Each stage's codes are fresh, so the whole
+    the e-th approximation puts in X_e; the smaller one m owns both, and
+    both get the color <m, stage>.  The closing substage lets every
+    remaining l own itself.  Each stage's codes are fresh, so the whole
     coloring is 2-bounded.
-
-    The stage code C is squared once: <m, stage> = pair(m, C) equals
-    pair(0, C) + m*C + m(m+1)/2 + m, so each color costs one small multiply.
     """
     s1 = stage[0]
-    colors: dict[int, int] = {}
-    claimed: set[int] = set()
-    stage_code = code_seq(stage)
-    base = pair(0, stage_code)
-
-    def color(m: int) -> int:
-        return base + m * stage_code + m * (m + 1) // 2 + m
-
+    owner: dict[int, int] = {}
     for e in range(s1):
-        cands = [x for x in range(s1) if x not in claimed and fam.g(e, x, stage) == 1]
+        cands = [x for x in range(s1) if x not in owner and fam.g(e, x, stage) == 1]
         if len(cands) >= 2:
-            m, l = cands[0], cands[1]
-            claimed.update((m, l))
-            colors[m] = colors[l] = color(m)
-    for l in range(s1):
-        if l not in colors:
-            colors[l] = color(l)
-    return colors
+            owner[cands[0]] = owner[cands[1]] = cands[0]
+    return {l: owner.get(l, l) for l in range(s1)}
 
 
 class StagedColoring(Coloring):
@@ -216,7 +203,7 @@ class StagedColoring(Coloring):
         self.kind = kind
         self.alpha = alpha
         self.family = family
-        self._cache: dict[Seq, dict[int, int]] = {}
+        self._cache: dict[int, dict[int, int]] = {}  # min(stage) -> labels
         barrier = Product(ExactSize(1), Canonical(alpha))
         super().__init__(
             barrier,
@@ -225,24 +212,36 @@ class StagedColoring(Coloring):
             declared_bound=2 if kind == "rainbow" else None,
         )
 
+    def _replay(self, stage: Seq) -> dict[int, int]:
+        """m -> thin color or rainbow owner for m < min(stage); a replay is a
+        pure function of (min(stage), family)."""
+        if stage[0] not in self._cache:
+            replay = _thin_stage if self.kind == "thin" else _rainbow_stage
+            self._cache[stage[0]] = replay(self.family, stage)
+        return self._cache[stage[0]]
+
     def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
         """All colors assigned at one stage: m -> f(m, stage) for m < min.
 
-        Replays are pure functions of (stage, family); the cache only ever
-        holds identical values for a key, so concurrent queries agree.
+        A rainbow color is <owner, stage> = pair(owner, C) for the stage
+        code C, which equals pair(0, C) + owner*C + owner(owner+1)/2 + owner:
+        C is squared once, and each color costs one small multiply.
         """
         key = as_seq(stage)
         if not key:
             raise ValueError("stage must be nonempty")
-        if key not in self._cache:
-            replay = _thin_stage if self.kind == "thin" else _rainbow_stage
-            self._cache[key] = replay(self.family, key)
-        return self._cache[key]
+        labels = self._replay(key)
+        if self.kind == "thin":
+            return labels
+        code = code_seq(key)
+        base = pair(0, code)
+        return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
 
     def _eval(self, s: Seq) -> int:
         if len(s) < 2 or s[0] >= s[1]:
             raise ValueError(f"{s} is not of the form (m) + stage with m < min(stage)")
-        return self.stage_colors(s[1:])[s[0]]
+        label = self._replay(s[1:])[s[0]]
+        return label if self.kind == "thin" else pair(label, code_seq(s[1:]))
 
 
 def thin_defeater(alpha: Ordinal, family: OracleFamily) -> StagedColoring:
@@ -278,19 +277,29 @@ class DefeatResult:
         return {"found": {"numbers": list(nums), "stage": list(stage)}, "reason": self.reason}
 
 
+MAX_STAGE_COORDS = 1 << 16  # coordinates of the declared set read per stage
+
+
 def _stages(alpha: Ordinal, entry: OracleEntry, bound: int) -> Iterator[Seq]:
     """Canonical stages inside the entry's set: for each admissible minimum
     m0 with delay < m0 < bound, the lex-least member of the canonical barrier
     starting at m0 and drawn from the set.  Replays depend on the minimum
-    only, so one stage per minimum is exhaustive for defeat search."""
+    only, so one stage per minimum is exhaustive for defeat search.  A stage
+    still undecided after MAX_STAGE_COORDS coordinates raises ValueError."""
     spec: BarrierSpec = Canonical(alpha)
     for m0 in entry.members.elements():
         if m0 >= bound:
             break
         if m0 <= entry.delay:
             continue
-        stage = step(spec, entry.members.stream_from(m0))
+        coords = entry.members.stream_from(m0)
+        stage = step(spec, islice(coords, MAX_STAGE_COORDS))
         if stage is None:
+            if next(coords, None) is not None:
+                raise ValueError(
+                    f"the stage from {m0} has more than {MAX_STAGE_COORDS} coordinates; "
+                    "stages are limited to that many"
+                )
             return  # finite declared set ran out
         yield stage
 
@@ -311,9 +320,9 @@ def verify_defeat_thin(col: StagedColoring, e: int, i: int, bound: int) -> Defea
         return DefeatResult(None, "no-oracle-entry")
     guaranteed = False
     for stage in _stages(col.alpha, entry, bound):
-        colors = col.stage_colors(stage)
+        colors = col._replay(stage)
         for m in range(stage[0]):
-            if colors.get(m) == i and m in entry.members:
+            if colors[m] == i and m in entry.members:
                 return DefeatResult((m, stage), "ok")
         if f_approx(col.family, e, i, stage) is not None:
             guaranteed = True
@@ -325,6 +334,8 @@ def verify_defeat_thin(col: StagedColoring, e: int, i: int, bound: int) -> Defea
 def verify_defeat_rainbow(col: StagedColoring, e: int, bound: int) -> DefeatResult:
     """Search for m < l in X_e and a stage inside X_e with equal colors.
 
+    Within a stage pair(., code) is injective and an owner claims one l, so
+    the first colliding pair is the least (owner[l], l) with owner[l] != l.
     Guaranteed once a stage sees at least 2e+2 members of X_e below its
     minimum: the first e substages claim at most 2e of them, so substage e
     finds an unclaimed pair.  Coming up empty past that threshold is a bug.
@@ -336,13 +347,11 @@ def verify_defeat_rainbow(col: StagedColoring, e: int, bound: int) -> DefeatResu
         return DefeatResult(None, "no-oracle-entry")
     guaranteed = False
     for stage in _stages(col.alpha, entry, bound):
-        colors = col.stage_colors(stage)
+        owner = col._replay(stage)
         below = [x for x in range(stage[0]) if x in entry.members]
-        for ia in range(len(below)):
-            for ib in range(ia + 1, len(below)):
-                m, l = below[ia], below[ib]
-                if colors[m] == colors[l]:
-                    return DefeatResult((m, l, stage), "ok")
+        found = min(((owner[l], l) for l in below if owner[l] != l and owner[l] in entry.members), default=None)
+        if found is not None:
+            return DefeatResult((*found, stage), "ok")
         if len(below) >= 2 * e + 2:
             guaranteed = True
     if guaranteed:

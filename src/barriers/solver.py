@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .barrier import MAX_GROUND, capped_base, front, in_base
+from .barrier import MAX_GROUND, capped_base, front, has_sets, in_base
 from .coloring import Coloring
 
 __all__ = [
@@ -106,18 +106,6 @@ def default_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
 
 # --- the subset lattice ---------------------------------------------------
 
-def _has(n: int, i: int) -> int:
-    """The 2^n-bit set of the masks over range(n) that contain bit i: runs
-    of 2^i zeros and 2^i ones, doubled up to 2^n bits."""
-    run = 1 << i
-    bits = ((1 << run) - 1) << run
-    width = 2 * run
-    while width < 1 << n:
-        bits |= bits << width
-        width *= 2
-    return bits
-
-
 @lru_cache(maxsize=None)  # one entry per n <= MAX_GROUND
 def size_layers(n: int) -> tuple[int, ...]:
     """Layer k is the 2^n-bit set of the masks over range(n) with k bits.
@@ -150,7 +138,7 @@ def drop_preimage(s: int, n: int, end: str) -> int:
         if end == "min":
             out |= (s & ((1 << (1 << p)) - 1)) << (1 << p)
         else:
-            free &= ~_has(n, p)
+            free &= ~has_sets(n)[p]
             out |= (s & free) << (1 << p)
     return out
 
@@ -173,7 +161,6 @@ class FrontIndex:
         self.members = front(f.barrier, self.g)
         self.masks = [self.mask(s) for s in self.members]
         self.colors = [f(s) for s in self.members]
-        self._has = [_has(n, i) for i in range(n)]
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)
 
@@ -187,7 +174,7 @@ class FrontIndex:
     def up(self, m: int) -> int:
         """The masks that contain m."""
         out = self.all
-        for i, has in enumerate(self._has):
+        for i, has in enumerate(has_sets(len(self.g))):
             if m >> i & 1:
                 out &= has
         return out

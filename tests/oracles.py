@@ -107,6 +107,12 @@ def front_oracle(spec: BarrierSpec, ground) -> tuple[Seq, ...]:
     return tuple(sorted(s for s in subsets if member(spec, s)))
 
 
+def slow_sperner(members) -> bool:
+    """Sperner by its definition: no member is a proper subset of another."""
+    sets = [frozenset(s) for s in members]
+    return not any(a < b for a in sets for b in sets)
+
+
 # --- ordinal vectors (exponents below a fixed K) ----------------------------
 
 K = 8  # vectors live below w^K

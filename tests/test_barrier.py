@@ -201,6 +201,30 @@ def test_front_sperner(name):
     assert check_sperner(front(ALL_SPECS[name], range(10)))
 
 
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_check_sperner_matches_the_pairwise_definition(name):
+    members = front(ALL_SPECS[name], range(11))
+    assert check_sperner(members) == oracles.slow_sperner(members)
+    for s in members[:: max(1, len(members) // 6)]:
+        # a member's proper prefix, and a superset of a member
+        for extra in ([s[:-1]] if s else []) + [s + (11,), s + (12, 20)]:
+            injected = members + (extra,)
+            assert oracles.slow_sperner(injected) is False
+            assert check_sperner(injected) is False
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12))
+def test_check_sperner_on_random_families(sets):
+    members = [tuple(sorted(a)) for a in sets]
+    assert check_sperner(members) == oracles.slow_sperner(members)
+
+
+def test_check_sperner_refuses_more_than_max_ground_coordinates():
+    assert check_sperner([(x,) for x in range(barrier.MAX_GROUND)])
+    with pytest.raises(ValueError, match="limited to 20"):
+        check_sperner([(x,) for x in range(barrier.MAX_GROUND + 1)])
+
+
 def test_plus_front_law():
     for inner in (ExactSize(1), ExactSize(2), Schreier()):
         for ground in (range(1, 8), (1, 2, 4, 7, 9), range(2, 9)):

@@ -261,6 +261,25 @@ def test_front_walks_past_the_member_cap_exit_2(capsys):
     assert err.startswith("error: ") and "1048576" in err and err.count("\n") == 1
 
 
+def test_diag_stages_past_the_coordinate_cap_exit_2(capsys):
+    # the stage of canonical:w*2 from 2 along the evens has 26,114,764 coordinates
+    family = '[{"e":0,"set":{"prefix":[],"tail":{"start":0,"step":2}},"delay":0}]'
+    assert main(["diag", "--kind", "thin", "--alpha", "w*2", "--family", family, "--verify", "e=0,i=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "65536" in err and err.count("\n") == 1
+
+
+def test_diag_rainbow_collision_on_a_long_stage(capsys):
+    # the stage from 6 has 22 coordinates; its colors would have about 2^22 bits
+    family = '[{"e":2,"set":{"prefix":[1],"tail":{"start":3,"step":3}},"delay":5}]'
+    code, report = run_json(
+        capsys, "diag", "--kind", "rainbow", "--alpha", "w", "--family", family, "--verify", "e=2", "--bound", "30"
+    )
+    assert code == 0 and report["result"]["reason"] == "ok"
+    found = report["result"]["found"]
+    assert found["numbers"] == [1, 3] and found["stage"] == list(range(6, 70, 3))
+
+
 def test_back_to_back_calls_match_separate_processes(capsys):
     argvs = [
         ["solve", "--property", "free", "--barrier", "schreier", "--coloring", '{"builtin":"min"}',

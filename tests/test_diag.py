@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from barriers.barrier import ExactSize, Product, Canonical, classify, ELEMENT, front, step
+from barriers import diag
 from barriers.coloring import check_bounded
 from barriers.diag import (
     DefeatResult,
@@ -185,6 +188,22 @@ def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
     want = oracles.slow_rainbow_stage(fam, stage)
     assert len(set(want.values())) < len(want)  # some pair is claimed
     assert rainbow_defeater(alpha, fam).stage_colors(stage) == want
+    owner = rainbow_defeater(alpha, fam)._replay(stage)
+    assert all((owner[m] == owner[l]) == (want[m] == want[l]) for m in want for l in want)
+
+
+def test_stages_with_one_minimum_share_their_labels():
+    alpha = parse_ordinal("w+1")
+    a = step(Canonical(alpha), iter(range(3, 40)))  # 12 coordinates
+    b = step(Canonical(alpha), iter((3,) + tuple(range(5, 40))))  # 17 coordinates
+    assert a[0] == b[0] and a != b
+    for make, slow in ((thin_defeater, oracles.slow_thin_stage), (rainbow_defeater, oracles.slow_rainbow_stage)):
+        col = make(alpha, FAM)
+        assert col.stage_colors(a) == slow(FAM, a)
+        assert col.stage_colors(b) == slow(FAM, b)
+        assert col._replay(a) is col._replay(b) and len(col._cache) == 1
+    # each stage's rainbow codes are fresh
+    assert not set(col.stage_colors(a).values()) & set(col.stage_colors(b).values())
 
 
 def test_stage_replay_is_query_order_independent():
@@ -240,6 +259,63 @@ def test_rainbow_defeat_collision(alpha_text):
     assert col.stage_colors(stage)[m] == col.stage_colors(stage)[l]
 
 
+def _double_loop_rainbow(fam: OracleFamily, alpha: Ordinal, e: int, bound: int, colors_of) -> DefeatResult | None:
+    """The rainbow defeat search as a double loop over the numbers below
+    each stage, with the colors ``colors_of(stage)``.  None when it reaches
+    a stage of more than 12 coordinates: the straight-line oracle builds
+    every color from a code that doubles with every coordinate, and longer
+    stages are compared in test_big_rainbow_stages_match_the_direct_definition."""
+    entry = fam.get(e)
+    guaranteed = False
+    for m0 in entry.members.elements():
+        if m0 >= bound:
+            break
+        if m0 <= entry.delay:
+            continue
+        stage = step(Canonical(alpha), entry.members.stream_from(m0))
+        if stage is None:
+            break
+        if len(stage) > 12:
+            return None
+        colors = colors_of(stage)
+        below = [x for x in range(m0) if x in entry.members]
+        for a, m in enumerate(below):
+            for l in below[a + 1 :]:
+                if colors[m] == colors[l]:
+                    return DefeatResult((m, l, stage), "ok")
+        guaranteed = guaranteed or len(below) >= 2 * e + 2
+    return DefeatResult(None, "BUG: enough correct members but no collision" if guaranteed else "bound-too-small")
+
+
+def _seeded_family(rng: random.Random) -> OracleFamily:
+    entries = []
+    for e in rng.sample(range(4), rng.randint(1, 3)):
+        start = rng.randint(0, 4)
+        prefix = tuple(x for x in range(start) if rng.random() < 0.5)
+        tail = Tail(start, rng.randint(1, 2)) if rng.random() < 0.8 else None
+        entries.append(OracleEntry(e, GroundSet(prefix=prefix, tail=tail), rng.randint(0, 2)))
+    return OracleFamily.of(entries)
+
+
+@pytest.mark.parametrize("alpha_text, bounds", [("1", (3, 13)), ("w", (3, 5)), ("w+1", (3, 5))])
+def test_rainbow_defeat_matches_the_double_loop(alpha_text, bounds):
+    alpha = parse_ordinal(alpha_text)
+    rng = random.Random(alpha_text)
+    reasons = Counter()
+    # substages 0 and 1 both claim pairs of evens at the first stage past 6
+    twice = OracleFamily.of([OracleEntry(0, EVENS, 6), OracleEntry(1, EVENS, 0)])
+    for fam in [twice] + [_seeded_family(rng) for _ in range(40)]:
+        col = rainbow_defeater(alpha, fam)
+        slow = lru_cache(maxsize=None)(lambda stage: oracles.slow_rainbow_stage(fam, stage))
+        for entry in fam.entries:
+            for bound in bounds:
+                want = _double_loop_rainbow(fam, alpha, entry.e, bound, slow)
+                if want is not None:
+                    assert verify_defeat_rainbow(col, entry.e, bound) == want, (fam, entry.e, bound)
+                    reasons[want.reason] += 1
+    assert reasons["ok"] >= 10 and reasons["bound-too-small"] >= 10, reasons
+
+
 def test_defeat_diagnostics():
     col = thin_defeater(ONE, FAM)
     assert verify_defeat_thin(col, 0, 0, 1).reason == "bound-too-small"
@@ -248,6 +324,24 @@ def test_defeat_diagnostics():
     rb = rainbow_defeater(ONE, lonely)
     assert verify_defeat_rainbow(rb, 0, 16).reason == "bound-too-small"
     assert verify_defeat_rainbow(rainbow_defeater(ONE, EMPTY), 0, 12).reason == "no-oracle-entry"
+
+
+def test_stages_past_the_coordinate_cap_raise(monkeypatch):
+    # under w the stage from 4 along the evens has 11 coordinates
+    col = rainbow_defeater(OMEGA, FAM)
+    monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 11)
+    assert verify_defeat_rainbow(col, 0, 16).found == (0, 2, tuple(range(4, 26, 2)))
+    monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 10)
+    with pytest.raises(ValueError, match="the stage from 4 has more than 10 coordinates"):
+        verify_defeat_rainbow(rainbow_defeater(OMEGA, FAM), 0, 16)
+    with pytest.raises(ValueError, match="limited"):
+        verify_defeat_thin(thin_defeater(OMEGA, FAM), 0, 1, 16)
+    # a finite declared set that runs out before the cap still ends the search
+    short = OracleFamily.of([OracleEntry(0, GroundSet(prefix=(1, 3, 4, 5)), 0)])
+    assert verify_defeat_rainbow(rainbow_defeater(OMEGA, short), 0, 16).reason == "bound-too-small"
+    monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 2)
+    with pytest.raises(ValueError, match="the stage from 3 has more than 2 coordinates"):
+        verify_defeat_rainbow(rainbow_defeater(OMEGA, short), 0, 16)
 
 
 def test_defeat_result_json():
