@@ -22,8 +22,10 @@ constructor.  In normal form the one-member family {()} is always the object
 a shorter prefix already reached it.  Base membership is checked separately,
 against the original spec.
 
-:func:`front` walks the residual tree of a finite ground set once, and the
-density probe is a fold over that front: a subset's stream stops at its
+:func:`front` walks the residual tree of a finite ground set once per
+(normal form, base) pair and keeps the last :data:`FRONT_CACHE` fronts, since
+a uniform check sends many instances through one barrier and ground.  The
+density probe is a fold over the front: a subset's stream stops at its
 shortest member prefix, so each member stands for the subsets it starts.
 :func:`check_sperner` reads the members as masks on the subset lattice.
 """
@@ -62,6 +64,9 @@ __all__ = [
     "capped_base",
     "has_sets",
     "MAX_MEMBERS",
+    "FRONT_CACHE",
+    "front_key",
+    "indexed_front",
     "classify",
     "step",
     "front",
@@ -78,6 +83,7 @@ __all__ = [
     "make_restrict",
     "rank_key",
     "ranked_up_to",
+    "rank_positions",
     "enum_rank",
     "spec_label",
 ]
@@ -298,6 +304,11 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
 
 
 MAX_MEMBERS = 1 << 20  # members of one front walk
+FRONT_CACHE = 64  # (normal form, base) pairs whose fronts stay indexed
+
+
+def _too_many() -> ValueError:
+    return ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
 
 
 def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
@@ -308,10 +319,34 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
     if r is EMPTY:
         out.append(prefix)
         if len(out) > MAX_MEMBERS:
-            raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
+            raise _too_many()
         return
     for j in range(start, len(g)):
         _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
+
+
+@lru_cache(maxsize=FRONT_CACHE)
+def _walked(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
+    out: list[Seq] = []
+    _walk(r, g, 0, (), out)
+    return tuple(out)
+
+
+def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Seq]:
+    """What a front depends on: the normal form of the spec and the base
+    inside the ground set.  Restrict and Derived bases are applied here, so
+    specs with one normal form share their fronts."""
+    return _norm(spec), base_members(spec, ground)
+
+
+def indexed_front(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
+    """The front of the normal form r inside the sorted base g, walked once
+    per process while the pair stays among the last :data:`FRONT_CACHE`
+    used.  A kept front is held to :data:`MAX_MEMBERS` like a walk."""
+    members = _walked(r, g)
+    if len(members) > MAX_MEMBERS:
+        raise _too_many()
+    return members
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
@@ -355,11 +390,10 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
     """All members contained in a finite ground set, in lexicographic order.
 
     Non-base elements of the ground set are ignored.  A front of more than
-    :data:`MAX_MEMBERS` members raises ValueError.
+    :data:`MAX_MEMBERS` members raises ValueError.  Fronts are kept by
+    (normal form, base), see :func:`indexed_front`.
     """
-    out: list[Seq] = []
-    _walk(_norm(spec), base_members(spec, ground), 0, (), out)
-    return tuple(out)
+    return indexed_front(*front_key(spec, ground))
 
 
 def check_sperner(members: Iterable[Seq]) -> bool:
@@ -568,7 +602,9 @@ def ranked_up_to(spec: BarrierSpec, top: int) -> tuple[Seq, ...]:
 
 
 @lru_cache(maxsize=256)
-def _rank_positions(spec: BarrierSpec, top: int) -> dict[Seq, int]:
+def rank_positions(spec: BarrierSpec, top: int) -> dict[Seq, int]:
+    """Member -> rank for every member with max coordinate <= top, so a
+    sequence with max <= top that is missing is not a member."""
     return {s: i for i, s in enumerate(ranked_up_to(spec, top))}
 
 
@@ -577,7 +613,7 @@ def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
         raise ValueError(f"{seq} is not a member")
-    return _rank_positions(spec, rank_key(seq)[0])[seq]
+    return rank_positions(spec, rank_key(seq)[0])[seq]
 
 
 # --- labels --------------------------------------------------------------

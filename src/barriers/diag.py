@@ -204,6 +204,7 @@ class StagedColoring(Coloring):
         self.alpha = alpha
         self.family = family
         self._cache: dict[int, dict[int, int]] = {}  # min(stage) -> labels
+        self._codes: dict[Seq, int] = {}  # stage -> code_seq(stage), rainbow only
         barrier = Product(ExactSize(1), Canonical(alpha))
         super().__init__(
             barrier,
@@ -220,6 +221,12 @@ class StagedColoring(Coloring):
             self._cache[stage[0]] = replay(self.family, stage)
         return self._cache[stage[0]]
 
+    def _code(self, stage: Seq) -> int:
+        """code_seq(stage), built once per stage for every color asked of it."""
+        if stage not in self._codes:
+            self._codes[stage] = code_seq(stage)
+        return self._codes[stage]
+
     def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
         """All colors assigned at one stage: m -> f(m, stage) for m < min.
 
@@ -233,7 +240,7 @@ class StagedColoring(Coloring):
         labels = self._replay(key)
         if self.kind == "thin":
             return labels
-        code = code_seq(key)
+        code = self._code(key)
         base = pair(0, code)
         return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
 
@@ -241,7 +248,7 @@ class StagedColoring(Coloring):
         if len(s) < 2 or s[0] >= s[1]:
             raise ValueError(f"{s} is not of the form (m) + stage with m < min(stage)")
         label = self._replay(s[1:])[s[0]]
-        return label if self.kind == "thin" else pair(label, code_seq(s[1:]))
+        return label if self.kind == "thin" else pair(label, self._code(s[1:]))
 
 
 def thin_defeater(alpha: Ordinal, family: OracleFamily) -> StagedColoring:

@@ -41,10 +41,10 @@ from .barrier import (
     InternalInvariantError,
     Plus,
     classify,
-    enum_rank,
     front,
     base_members,
     rank_key,
+    rank_positions,
     ranked_up_to,
     spec_label,
     variant,
@@ -127,7 +127,7 @@ class FreeToMonoColoring(Coloring):
         cur = s
         while cur not in self.memo:
             t = seq_minus(cur)
-            v = self.f(t)
+            v = self.f.rule(t)  # t is a member of the inner barrier: no revalidation
             value = self._terminal(cur, t, v)
             if value is not None:
                 self.memo[cur] = value
@@ -167,10 +167,11 @@ def fs_backward(h: Iterable[int]) -> tuple[int, ...]:
 
 
 def ts_rt_forward(f: Coloring) -> Coloring:
-    """Collapse to 2 colors: keep 0, send everything else to 1."""
+    """Collapse to 2 colors: keep 0, send everything else to 1.  The new
+    coloring validates each query, so its rule hands it to ``f.rule``."""
     return Coloring(
         f.barrier,
-        lambda s: 0 if f(s) == 0 else 1,
+        lambda s: 0 if f.rule(s) == 0 else 1,
         name=f"thin-to-mono({f.name})",
         colors=(0, 1),
     )
@@ -206,6 +207,8 @@ class _ColorClasses:
     those up to the furthest member queried so far.  ``classes`` maps each
     color to its members in rank order, ``place`` each member to its color
     and its index in that list (the number of earlier members of its color).
+    The rank dict of the members up to max(s) decides membership, and the
+    ranked members are colored through ``f.rule``.
     """
 
     def __init__(self, spec: BarrierSpec, f: Coloring):
@@ -217,11 +220,14 @@ class _ColorClasses:
 
     def __call__(self, s: Seq) -> tuple[int, int]:
         if s not in self.place:
-            rank = enum_rank(self.spec, s)  # ValueError on a non-member
-            ranked = ranked_up_to(self.spec, max(rank_key(s)[0], 0))
+            top = max(rank_key(s)[0], 0)
+            rank = rank_positions(self.spec, top).get(s)
+            if rank is None:
+                raise ValueError(f"{s} is not a member")
+            ranked = ranked_up_to(self.spec, top)
             while self.done <= rank:
                 t = ranked[self.done]
-                color = self.f(t)
+                color = self.f.rule(t)
                 cls = self.classes.setdefault(color, [])
                 self.place[t] = (color, len(cls))
                 cls.append(t)

@@ -10,8 +10,12 @@ All four properties are anti-monotone in H: shrinking a verified H keeps it
 verified (for thin, with the same color universe).  So the subsets H that
 violate a property form an up-set, the union of the up-sets of a few small
 masks, and :class:`FrontIndex` computes it for all 2^n subsets at once as one
-2^n-bit integer (a superset-closure, or zeta, pass).  The index walks the
-front of the ground set once and calls the coloring once per member.  With
+2^n-bit integer (a superset-closure, or zeta, pass).  The index calls the
+coloring once per member.  The members and their masks do not depend on the
+coloring: they are walked and computed once per (normal form, base) pair
+and kept in bounded caches (:func:`barriers.barrier.indexed_front`,
+:func:`front_masks`), since a uniform check sends many instances through the
+same barrier and ground.  With
 ``g[i]`` at bit ``n-1-i`` of a mask, the subsets of one size go in lex order
 exactly as their masks go down, so with the size layers (:func:`size_layers`)
 an answer is read off the bitset without a loop over subsets: ``find`` takes
@@ -31,7 +35,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .barrier import MAX_GROUND, capped_base, front, has_sets, in_base
+from .barrier import (
+    FRONT_CACHE,
+    MAX_GROUND,
+    BarrierSpec,
+    capped_base,
+    front,
+    front_key,
+    has_sets,
+    in_base,
+    indexed_front,
+)
 from .coloring import Coloring
 
 __all__ = [
@@ -43,6 +57,7 @@ __all__ = [
     "verify_rainbow",
     "default_universe",
     "MAX_GROUND",
+    "front_masks",
     "FrontIndex",
     "find",
 ]
@@ -143,29 +158,43 @@ def drop_preimage(s: int, n: int, end: str) -> int:
     return out
 
 
+def _positions(g: tuple[int, ...]) -> dict[int, int]:
+    n = len(g)
+    return {x: n - 1 - i for i, x in enumerate(g)}
+
+
+@lru_cache(maxsize=FRONT_CACHE)
+def front_masks(r: BarrierSpec, g: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of the members of ``indexed_front(r, g)``, in their order
+    (``g[i]`` at bit ``n-1-i``), computed once per (normal form, base) while
+    the pair stays among the last :data:`FRONT_CACHE` used."""
+    pos = _positions(g)
+    return tuple(sum(1 << pos[x] for x in s) for s in indexed_front(r, g))
+
+
 class FrontIndex:
-    """The front inside a ground set, walked once, with one color per member.
+    """The front inside a ground set with one color per member.
 
     Keeps the base ``g`` of the ground set, the ``members`` in lex order,
     each member's bitmask over ``g`` (``masks``) and its color (``colors``).
     A subset H of ``g`` is named by its mask, with ``g[i]`` at bit
     ``n-1-i``, so that the subsets of one size go in lex order exactly as
     their masks go down.  Sets of subsets are 2^n-bit integers whose bit H
-    stands for the subset H.
+    stands for the subset H.  The members and masks depend on the normal
+    form and the base only and are shared through the front caches; the
+    members, which the library produced itself, are colored through
+    ``f.rule`` without revalidation.
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
         self.g = capped_base(f.barrier, ground)
         n = len(self.g)
-        self.pos = {x: n - 1 - i for i, x in enumerate(self.g)}
+        self.pos = _positions(self.g)
         self.members = front(f.barrier, self.g)
-        self.masks = [self.mask(s) for s in self.members]
-        self.colors = [f(s) for s in self.members]
+        self.masks = front_masks(*front_key(f.barrier, self.g))
+        self.colors = [f.rule(s) for s in self.members]
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)
-
-    def mask(self, xs: Iterable[int]) -> int:
-        return sum(1 << self.pos[x] for x in xs)
 
     def subset(self, m: int) -> tuple[int, ...]:
         """The subset of ``g`` with mask m, sorted."""

@@ -29,6 +29,7 @@ from barriers.barrier import (
     density_probe,
     enum_rank,
     front,
+    front_key,
     in_base,
     make_canonical,
     make_derived,
@@ -43,6 +44,7 @@ from barriers.cli import main
 from barriers.jsonio import spec_to_json
 from barriers.ordinals import OMEGA, Ordinal, mul, omega_pow, parse_ordinal
 from barriers.seqs import GroundSet, Tail, lex_cmp, seq_plus
+from barriers.solver import front_masks
 
 import oracles
 
@@ -175,6 +177,44 @@ def test_front_refuses_walks_past_the_member_cap(monkeypatch):
     assert len(front(Schreier(), range(10))) == 55
     monkeypatch.setattr(barrier, "MAX_MEMBERS", 55)
     assert len(front(Schreier(), range(10))) == 55
+    with pytest.raises(ValueError, match="more than 55 members"):
+        front(Schreier(), range(11))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_front_cache_matches_subset_filter(name):
+    # a walked front and a kept one both equal the subset filter, on a dense
+    # and on a sparse ground, and are handed out as immutable tuples
+    spec = ALL_SPECS[name]
+    for ground in (range(11), (0, 2, 3, 5, 8, 9, 10)):
+        want = oracles.front_oracle(spec, ground)
+        barrier._walked.cache_clear()
+        first = front(spec, ground)  # walked
+        second = front(spec, ground)  # kept
+        assert first == want and second is first, (name, ground)
+        assert type(first) is tuple and all(type(s) is tuple for s in first)
+        g = front_key(spec, ground)[1]
+        masks = front_masks(*front_key(spec, ground))
+        assert type(masks) is tuple
+        assert masks == tuple(sum(1 << len(g) - 1 - g.index(x) for x in s) for s in want)
+
+
+def test_restrict_and_derived_share_the_front_of_their_normal_form():
+    evens = (0, 2, 4, 6, 8, 10, 12)  # inside the restricted base
+    restricted = Restrict(Schreier(), GroundSet(tail=Tail(0, 2)))
+    assert front_key(restricted, evens) == front_key(Schreier(), evens)
+    assert front(restricted, evens) is front(Schreier(), evens)
+    assert front(restricted, range(13)) == front(Schreier(), evens)
+    # (2,) + s is a Schreier member iff s has two elements above 2
+    above = range(3, 12)
+    derived = Derived(Schreier(), 2)
+    assert front(derived, above) is front(ExactSize(2), above)
+    assert front(derived, above) == tuple(s[1:] for s in front(Schreier(), (2, *above)) if s[0] == 2)
+
+
+def test_kept_fronts_are_held_to_the_member_cap(monkeypatch):
+    assert len(front(Schreier(), range(11))) == 89  # walked and kept
+    monkeypatch.setattr(barrier, "MAX_MEMBERS", 55)
     with pytest.raises(ValueError, match="more than 55 members"):
         front(Schreier(), range(11))
 

@@ -156,6 +156,27 @@ def test_rainbow_defeater_two_bounded_on_the_full_front(alpha_text):
     assert ok and worst <= 2
 
 
+def test_rainbow_codes_are_built_once_per_stage(monkeypatch):
+    calls = Counter()
+    real = diag.code_seq
+
+    def counting_code_seq(s):
+        calls[s] += 1
+        return real(s)
+
+    monkeypatch.setattr(diag, "code_seq", counting_code_seq)
+    col = rainbow_defeater(parse_ordinal("w+1"), FAM)
+    assert check_bounded(col, range(14))[0]
+    stages = {s[1:] for s in front(col.barrier, range(14))}
+    assert calls == Counter(dict.fromkeys(stages, 1))
+    for stage in stages:  # stage_colors reads the codes the calls built
+        assert col.stage_colors(stage) == {m: col((m, *stage)) for m in range(stage[0])}
+    assert calls == Counter(dict.fromkeys(stages, 1))
+    calls.clear()
+    assert verify_defeat_rainbow(rainbow_defeater(parse_ordinal("w+1"), FAM), 0, 16).ok
+    assert not calls  # the defeat search compares owners and builds no code
+
+
 def test_replays_match_straight_line_reimplementation():
     stages = [s for s in front(Canonical(OMEGA), range(11)) if s] + [(5,), (6,), (9,)]
     for fam in (FAM, EMPTY, OracleFamily.of([OracleEntry(0, EVENS, delay=4)])):

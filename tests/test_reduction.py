@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from barriers import barrier, reduction
 from barriers.barrier import Canonical, ExactSize, Plus, Schreier, base_members, front, rank_key, ranked_up_to
 from barriers.coloring import BoundViolationError, Coloring, table_coloring
 from barriers.ordinals import OMEGA
@@ -23,7 +24,7 @@ from barriers.reduction import (
     ts_fs_backward,
     ts_rt_forward,
 )
-from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
+from barriers.solver import MAX_GROUND, front_masks, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
 
@@ -434,3 +435,52 @@ def test_twin_forwards_color_each_member_once(spec):
                 assert sorted(calls, key=rank_key) == ranked[: furthest + 1]  # each once, a rank prefix
             with pytest.raises(ValueError, match="not a member"):
                 g((0, 1, 2, 3, 4, 5, 6, 7) if spec != ExactSize(1) else (0, 1))
+
+
+# --- the shared front index carries no coloring state -----------------------------
+
+
+def test_reports_do_not_depend_on_the_kept_fronts():
+    # Many colorings through one (barrier, ground): every report equals the
+    # one computed with the front caches emptied first, and the definition.
+    spec, ground = Schreier(), range(8)
+    broken = [replace(REDUCTIONS["fs-to-rt"], drop=()), replace(REDUCTIONS["ts-to-fs"], drop=())]
+    cases = [(red, f) for red in [*REDUCTIONS.values(), *broken] for f in instances(red, spec, ground)]
+    kept = [check_reduction(red, f, ground, 2) for red, f in cases]
+    fresh = []
+    for red, f in cases:
+        barrier._walked.cache_clear()
+        front_masks.cache_clear()
+        fresh.append(check_reduction(red, f, ground, 2))
+    assert [r.to_json() for r in kept] == [r.to_json() for r in fresh]
+    for (red, f), report in zip(cases, kept):
+        want = brute_check(red, f, ground, 2)
+        assert (report.checked_witnesses, list(report.counterexamples)) == want, (red.name, f.name)
+    assert sum(len(r.counterexamples) for r in kept) > 0
+
+
+def test_twin_forwards_classify_no_front_member(monkeypatch):
+    calls = []
+    real = barrier.classify
+
+    def counting_classify(spec, s):
+        calls.append(s)
+        return real(spec, s)
+
+    monkeypatch.setattr(barrier, "classify", counting_classify)
+    monkeypatch.setattr(reduction, "classify", counting_classify)
+    spec, ground = Schreier(), range(9)
+    f = random_instance("rrt2-to-fs", spec, ground, seed=3)
+    definitions = {
+        rrt_rt_forward: lambda s: rrt_rt_definition(spec, f, 2, s),
+        rrt2_fs_forward: lambda s: rrt2_fs_definition(spec, f, s),
+    }
+    for forward, definition in definitions.items():
+        g = forward(spec, f)
+        for s in front(spec, ground):
+            assert g(s) == definition(s), (forward.__name__, s)
+        with pytest.raises(ValueError, match="not a member"):
+            g((2, 3))  # a proper prefix
+    for name in ("rrt-to-rt", "rrt2-to-fs"):
+        assert check_reduction(name, f, ground, 2).ok
+    assert calls == []
