@@ -22,12 +22,23 @@ constructor.  In normal form the one-member family {()} is always the object
 a shorter prefix already reached it.  Base membership is checked separately,
 against the original spec.
 
-:func:`front` walks the residual tree of a finite ground set once per
-(normal form, base) pair and keeps the last :data:`FRONT_CACHE` fronts, since
-a uniform check sends many instances through one barrier and ground.  The
-density probe is a fold over the front: a subset's stream stops at its
-shortest member prefix, so each member stands for the subsets it starts.
-:func:`check_sperner` reads the members as masks on the subset lattice.
+Normal forms fold exact-size blocks: a-sets followed by b-sets are the
+(a+b)-sets, and Plus of the k-sets is the (k+1)-sets, so every canonical
+branch ends in one ``ExactSize`` block (``Canonical(w)`` after x is
+``ExactSize(x(x+1)/2)``).
+
+:func:`front` walks the residual tree of a finite ground set.  An
+``ExactSize(k)`` residual is emitted whole, as the k-subsets of the rest of
+the ground; at any other node the child loop stops at the first child whose
+residual needs more coordinates than are left (:func:`_need`, a lower bound
+on member length that never decreases as the child grows, since only
+Schreier and limit canonical residuals read the coordinate and both grow
+with it).  A front is walked once per (normal form, base) pair and the
+last :data:`FRONT_CACHE` fronts are kept, since a uniform check sends many
+instances through one barrier and ground.  The density probe is a fold
+over the front: a subset's stream stops at its shortest member prefix, so
+each member stands for the subsets it starts.  :func:`check_sperner` reads
+the members as masks on the subset lattice.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
@@ -245,22 +257,41 @@ def has_sets(n: int) -> tuple[int, ...]:
 EMPTY = ExactSize(0)
 
 
+def _prod(left: BarrierSpec, right: BarrierSpec) -> BarrierSpec:
+    """Product(left, right) of two normal forms, in normal form: an EMPTY
+    left factor drops, and an exact-size left factor absorbs an exact-size
+    right factor or head (a-sets followed by b-sets above them are the
+    (a+b)-sets)."""
+    if left is EMPTY:
+        return right
+    if type(left) is ExactSize:
+        if type(right) is ExactSize:
+            return ExactSize(left.size + right.size)
+        if type(right) is Product and type(right.left) is ExactSize:
+            return Product(ExactSize(left.size + right.left.size), right.right)
+    return Product(left, right)
+
+
+def _plus(inner: BarrierSpec) -> BarrierSpec:
+    """Plus(inner) of a normal form, in normal form: shifted k-sets with one
+    coordinate appended are the (k+1)-sets (bases are checked apart)."""
+    return ExactSize(inner.size + 1) if type(inner) is ExactSize else Plus(inner)
+
+
 @lru_cache(maxsize=None)
 def _limit_chain(index: Ordinal, n: int) -> BarrierSpec:
     # Canonical(index[n]) * ... * Canonical(index[0]), built in normal form.
     chain: BarrierSpec = EMPTY
     for i in range(n + 1):
-        factor = _norm(Canonical(fund_seq(index, i)))
-        if factor is not EMPTY:
-            chain = factor if chain is EMPTY else Product(factor, chain)
+        chain = _prod(_norm(Canonical(fund_seq(index, i))), chain)
     return chain
 
 
 def _norm(spec: BarrierSpec) -> BarrierSpec:
     """Normal form of a spec: the one-member family {()} is always the object
-    EMPTY, no product has it as left factor, a finite canonical index k is
-    ExactSize(k), and Restrict and Derived are unfolded (their bases stay
-    with the original spec, see in_base)."""
+    EMPTY, a finite canonical index k is ExactSize(k), exact-size blocks are
+    folded (:func:`_prod`, :func:`_plus`), and Restrict and Derived are
+    unfolded (their bases stay with the original spec, see in_base)."""
     match spec:
         case ExactSize():
             return EMPTY if spec.size == 0 else spec
@@ -269,10 +300,9 @@ def _norm(spec: BarrierSpec) -> BarrierSpec:
         case Canonical():
             return _norm(ExactSize(spec.index.as_int())) if spec.index.is_finite else spec
         case Product():
-            left = _norm(spec.left)
-            return _norm(spec.right) if left is EMPTY else Product(left, _norm(spec.right))
+            return _prod(_norm(spec.left), _norm(spec.right))
         case Plus():
-            return Plus(_norm(spec.inner))
+            return _plus(_norm(spec.inner))
         case Derived():
             return _d(_norm(spec.inner), spec.n)
         case Restrict():
@@ -289,8 +319,7 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
         case ExactSize():
             return EMPTY if r.size == 1 else ExactSize(r.size - 1)
         case Product():
-            rest = _d(r.left, x)
-            return r.right if rest is EMPTY else Product(rest, r.right)
+            return _prod(_d(r.left, x), r.right)
         case Canonical():
             if r.index.is_successor:
                 # an infinite successor has an infinite predecessor
@@ -299,7 +328,7 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
         case Schreier():
             return EMPTY if x == 0 else ExactSize(x)
         case Plus():
-            return EMPTY if r.inner is EMPTY else Plus(_d(r.inner, x - 1))
+            return _plus(_d(r.inner, x - 1))
     raise TypeError(f"not a barrier spec: {r!r}")
 
 
@@ -311,18 +340,45 @@ def _too_many() -> ValueError:
     return ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
 
 
+def _need(r: BarrierSpec) -> int:
+    """A lower bound on the length of every member of the normal form r:
+    k for ExactSize(k), the sum of the factors' bounds for a product, one
+    more than the inner's under plus, and 1 for Schreier and an infinite
+    canonical index."""
+    if type(r) is ExactSize:
+        return r.size
+    if type(r) is Product:
+        return _need(r.left) + _need(r.right)
+    if type(r) is Plus:
+        return _need(r.inner) + 1
+    return 1
+
+
 def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
     """Depth-first walk of the extensions of ``prefix`` by g[start:], r being
     the residual after ``prefix``.  Appends the members met, in lex order,
     and raises ValueError past MAX_MEMBERS of them.  By Sperner every
-    extension of a member overruns, so none is walked."""
-    if r is EMPTY:
-        out.append(prefix)
+    extension of a member overruns, so none is walked.
+
+    An ExactSize(k) residual (EMPTY included) is emitted whole: its members
+    are ``prefix + t`` for the k-subsets t of g[start:], in lex order, cut
+    off past MAX_MEMBERS.  Any other residual takes the children g[j] in
+    turn and stops at the first whose residual needs more coordinates
+    (:func:`_need`) than the n-1-j left above g[j].  Stopping there skips
+    no member: the need of the residual after x never decreases as x grows,
+    since only Schreier (after x: x more) and a limit canonical index (after
+    x: one more chain factor) read x, and sums and +1 keep the order."""
+    if type(r) is ExactSize:
+        out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), MAX_MEMBERS + 1 - len(out)))
         if len(out) > MAX_MEMBERS:
             raise _too_many()
         return
+    last = len(g) - 1
     for j in range(start, len(g)):
-        _walk(_d(r, g[j]), g, j + 1, prefix + (g[j],), out)
+        child = _d(r, g[j])
+        if _need(child) > last - j:
+            return
+        _walk(child, g, j + 1, prefix + (g[j],), out)
 
 
 @lru_cache(maxsize=FRONT_CACHE)

@@ -50,7 +50,7 @@ from .barrier import (
     variant,
 )
 from .coloring import BoundViolationError, Coloring, table_coloring
-from .seqs import Seq, lex_cmp, seq_minus
+from .seqs import Seq, as_seq, lex_cmp, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
@@ -91,6 +91,8 @@ class FreeToMonoColoring(Coloring):
     memoized per member; each recursive hop is asserted to decrease.  The hop
     depth below each member (a pure function of the instance, independent of
     query order) is tracked, and ``max_chain`` holds the largest seen.
+    A call checks that s is a member; the rule trusts its input, like the
+    other forward colorings' rules, since the library hands it only members.
 
     The memo is the only mutable state; every entry is a pure function of
     the instance, so concurrent queries race only on identical values.
@@ -116,13 +118,19 @@ class FreeToMonoColoring(Coloring):
             return 0
         return 1
 
+    def __call__(self, s: Iterable[int]) -> int:
+        # Memo keys are members or variants of members, so only a miss needs
+        # classifying.
+        seq = as_seq(s)
+        if seq not in self.memo and classify(self.barrier, seq) is not ELEMENT:
+            raise ValueError(f"{seq} is not a member of the plus barrier")
+        return self._eval(seq)
+
     def _eval(self, s: Seq) -> int:
-        # Memo keys are validated members or variants of members, so only a
-        # miss needs classifying; a hit is no deeper than max_chain already.
+        # The rule: s is a member (checked by __call__, or made by the
+        # library).  A memo hit is no deeper than max_chain already.
         if s in self.memo:
             return self.memo[s]
-        if classify(self.barrier, s) is not ELEMENT:
-            raise ValueError(f"{s} is not a member of the plus barrier")
         chain: list[Seq] = []
         cur = s
         while cur not in self.memo:

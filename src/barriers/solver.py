@@ -40,8 +40,8 @@ from .barrier import (
     MAX_GROUND,
     BarrierSpec,
     capped_base,
+    _norm,
     front,
-    front_key,
     has_sets,
     in_base,
     indexed_front,
@@ -187,11 +187,12 @@ class FrontIndex:
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
-        self.g = capped_base(f.barrier, ground)
-        n = len(self.g)
-        self.pos = _positions(self.g)
-        self.members = front(f.barrier, self.g)
-        self.masks = front_masks(*front_key(f.barrier, self.g))
+        self.g = g = capped_base(f.barrier, ground)
+        r = _norm(f.barrier)
+        n = len(g)
+        self.pos = _positions(g)
+        self.members = indexed_front(r, g)
+        self.masks = front_masks(r, g)
         self.colors = [f.rule(s) for s in self.members]
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)

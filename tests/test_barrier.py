@@ -482,3 +482,85 @@ def test_composite_specs_match_direct_membership(spec, xs):
     assert classify(spec, s) is oracles.tag_oracle(spec, s)
     for i in range(len(s)):
         assert classify(spec, s[:i]) is oracles.tag_oracle(spec, s[:i])
+
+
+# --- the front walk's shortcuts ---------------------------------------------------
+
+
+@given(composite_specs(), st.sets(st.integers(0, 11)))
+def test_composite_fronts_match_subset_filter(spec, xs):
+    assert front(spec, xs) == oracles.front_oracle(spec, xs)
+
+
+def _shortest_below(r, g, start):
+    """Length of the shortest member of residual r inside g[start:] (None if
+    there is none), by the unpruned walk; checks the length bound at every
+    node on the way: it is at most that length, and the children's bounds
+    never decrease along g."""
+    if r is barrier.EMPTY:
+        return 0
+    best, needs = None, []
+    for j in range(start, len(g)):
+        child = barrier._d(r, g[j])
+        needs.append(barrier._need(child))
+        below = _shortest_below(child, g, j + 1)
+        if below is not None and (best is None or below + 1 < best):
+            best = below + 1
+    assert needs == sorted(needs), (r, g[start:], needs)
+    assert best is None or barrier._need(r) <= best, (r, g[start:], best)
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_length_bound_is_a_monotone_lower_bound(name):
+    # the premise of stopping a walk's child loop at the first child that
+    # cannot fit in what is left of the ground
+    r, g = front_key(ALL_SPECS[name], range(11))
+    _shortest_below(r, g, 0)
+
+
+def test_length_bound_values():
+    need = barrier._need
+    assert need(barrier.EMPTY) == 0 and need(ExactSize(4)) == 4
+    assert need(Schreier()) == need(Canonical(OMEGA)) == need(Canonical(parse_ordinal("w + 1"))) == 1
+    assert need(Plus(Schreier())) == 2 and need(Plus(Plus(Canonical(OMEGA)))) == 3
+    assert need(Product(Schreier(), Product(Plus(Schreier()), ExactSize(2)))) == 5
+
+
+def test_exact_size_blocks_fold_in_normal_forms():
+    assert barrier._norm(Product(ExactSize(2), ExactSize(3))) == ExactSize(5)
+    assert barrier._norm(Product(ExactSize(2), Product(ExactSize(1), Schreier()))) == Product(ExactSize(3), Schreier())
+    assert barrier._norm(Plus(ExactSize(2))) == ExactSize(3)
+    assert barrier._norm(Plus(ExactSize(0))) == ExactSize(1)
+    assert barrier._norm(Product(ExactSize(0), Plus(Plus(ExactSize(0))))) == ExactSize(2)
+    for x in range(7):
+        assert barrier._d(Canonical(OMEGA), x) == ExactSize(x * (x + 1) // 2)
+    assert barrier._d(Canonical(OMEGA), 0) is barrier.EMPTY
+
+
+def test_exact_size_walk_stops_past_the_member_cap(monkeypatch):
+    monkeypatch.setattr(barrier, "MAX_MEMBERS", 10)
+    barrier._walked.cache_clear()
+    with pytest.raises(ValueError, match="more than 10 members"):
+        front(ExactSize(2), range(10))  # 45 members
+    out = []
+    with pytest.raises(ValueError, match="more than 10 members"):
+        barrier._walk(ExactSize(2), tuple(range(10)), 0, (), out)
+    assert out == list(combinations(range(10), 2))[:11]  # built only up to the cap
+
+
+def test_walks_skip_branches_that_cannot_fit(monkeypatch):
+    # no member of product(canonical:3, canonical:w+1) fits in 0..12: after
+    # three coordinates come x < y with y >= 4 and then y(y+1)/2 more, 15 in
+    # all.  The unpruned walk visits all 2^13 - 1 nodes, 14,380 _d calls.
+    calls = []
+    real = barrier._d
+
+    def counting_d(r, x):
+        calls.append(x)
+        return real(r, x)
+
+    monkeypatch.setattr(barrier, "_d", counting_d)
+    barrier._walked.cache_clear()
+    assert front(Product(Canonical(Ordinal.from_int(3)), Canonical(parse_ordinal("w + 1"))), range(13)) == ()
+    assert len(calls) < 2000

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -484,3 +486,40 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
     for name in ("rrt-to-rt", "rrt2-to-fs"):
         assert check_reduction(name, f, ground, 2).ok
     assert calls == []
+
+
+def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
+    # The rule trusts the plus-barrier members that FrontIndex hands it, so a
+    # reduction check classifies nothing; a call still refuses non-members.
+    calls = []
+    real = reduction.classify
+
+    def counting_classify(spec, s):
+        calls.append(s)
+        return real(spec, s)
+
+    monkeypatch.setattr(reduction, "classify", counting_classify)
+    red = REDUCTIONS["fs-to-rt"]
+    broken = replace(red, drop=())
+    reports = []
+    for spec in (ExactSize(1), ExactSize(2), Schreier()):
+        for f in instances(red, spec, range(7)):
+            for r in (red, broken):
+                calls.clear()
+                report = check_reduction(r, f, range(7), 2)
+                assert calls == [], (spec, f.name)
+                assert (report.checked_witnesses, list(report.counterexamples)) == brute_check(r, f, range(7), 2)
+                reports.append(report.to_json())
+    # the reports as computed when the rule classified every memo miss
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "d683a2cabb289c3ccc05ff7014e2437a33c977997d0968cd93dbb2acae75d89d"
+
+    g = fs_forward(Schreier(), random_instance("fs-to-rt", Schreier(), range(8), seed=4))
+    member = front(Plus(Schreier()), range(1, 9))[5]
+    calls.clear()
+    assert g(member) == oracles.slow_fs(Plus(Schreier()), g.f, member)
+    assert g(list(member)) == g(member)
+    assert calls == [member]  # one check on the miss, none on the memo hits
+    for bad in ((1,), (2, 3), (0, 1), (1, 2, 3, 4, 5)):  # prefixes, outside the base, an overrun
+        with pytest.raises(ValueError, match="not a member of the plus barrier"):
+            g(bad)
