@@ -75,6 +75,8 @@ __all__ = [
     "MAX_GROUND",
     "capped_base",
     "has_sets",
+    "up_closure",
+    "up_closure2",
     "MAX_MEMBERS",
     "FRONT_CACHE",
     "front_key",
@@ -249,6 +251,29 @@ def has_sets(n: int) -> tuple[int, ...]:
             width *= 2
         out.append(bits)
     return tuple(out)
+
+
+def up_closure(points: int, n: int) -> int:
+    """The 2^n-bit set of the masks over range(n) that contain at least one
+    mask of the 2^n-bit set ``points``: adding bit i moves a mask 2^i
+    positions up, onto a mask in ``has_sets(n)[i]``.  n shift-ORs."""
+    for i, has in enumerate(has_sets(n)):
+        points |= (points << (1 << i)) & has
+    return points
+
+
+def up_closure2(points: int, n: int) -> int:
+    """The 2^n-bit set of the masks over range(n) that contain at least two
+    distinct masks of ``points``.  A zeta pass that counts the points below
+    each mask, saturated at 2 and kept in two planes (at least one, at
+    least two), so no set of pairs is built.  2n shift-ORs."""
+    once, twice = points, 0
+    for i, has in enumerate(has_sets(n)):
+        run = 1 << i
+        below = (once << run) & has
+        twice |= ((twice << run) & has) | (once & below)  # reads once before it grows
+        once |= below
+    return twice
 
 
 # --- classification ---------------------------------------------------
@@ -457,8 +482,8 @@ def check_sperner(members: Iterable[Seq]) -> bool:
 
     A zeta pass over the subset lattice of the n coordinates the members
     use: ``member_masks`` is the 2^n-bit set of their masks, ``up`` its
-    strict up-set (every one-bit extension, closed upward), and Sperner
-    holds iff the two are disjoint.  2n big-int shift-ORs whatever the
+    strict up-set (every one-bit extension, closed by :func:`up_closure`),
+    and Sperner holds iff the two are disjoint.  2n big-int shift-ORs whatever the
     number of members; more than :data:`MAX_GROUND` coordinates raise
     ValueError.
     """
@@ -475,10 +500,8 @@ def check_sperner(members: Iterable[Seq]) -> bool:
     member_masks = int.from_bytes(bits, "little")
     up = 0
     for i, has in enumerate(has_sets(n)):
-        up |= (member_masks & ~has) << (1 << i)
-    for i, has in enumerate(has_sets(n)):
-        up |= (up & ~has) << (1 << i)
-    return not member_masks & up
+        up |= (member_masks << (1 << i)) & has
+    return not member_masks & up_closure(up, n)
 
 
 @dataclass(frozen=True)

@@ -342,8 +342,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, from the choices of the subparsers action."""
+    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as ``_parser()`` would, sending a known command straight to
+    its subparser.  The top-level parser handles everything else (no command,
+    -h, --version, unknown commands) and, by parsing again, an argv whose
+    subparser leaves arguments over, so that error keeps the top-level
+    usage line."""
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         report, code, text = args.fn(args)
     except InternalInvariantError as exc:

@@ -9,6 +9,7 @@ on any malformed shape.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 from .barrier import (
@@ -142,6 +143,28 @@ def ground_from_json(obj: Any) -> GroundSet:
     return GroundSet(prefix=tuple(_int(x, "a ground element") for x in prefix), tail=tail)
 
 
+def _table(rows: list) -> dict:
+    """The rows [seq, color] of a coloring table as a dict.  The types are
+    checked in a few passes over all rows at once (``bool`` is rejected, its
+    type is not ``int``); only when they fail does a loop over the rows run,
+    to name the first bad value.  table_coloring checks that each key is an
+    increasing sequence."""
+    if rows and {list} >= set(map(type, rows)) and {2} >= set(map(len, rows)):
+        seqs, colors = zip(*rows)
+        if (
+            {list} >= set(map(type, seqs))
+            and {int} >= set(map(type, chain.from_iterable(seqs)))
+            and {int} >= set(map(type, colors))
+        ):
+            return dict(zip(map(tuple, seqs), colors))
+    table = {}
+    for row in rows:
+        seq, color = _shape(row, list, "a table row")
+        seq = tuple(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
+        table[seq] = _int(color, "a color")
+    return table
+
+
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     """{"table": [[seq, color], ...]} or {"builtin": name, "params": {...}},
     optionally with "bound": k declared on either form."""
@@ -150,13 +173,7 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     bound = obj.get("bound")
     bound = _int(bound, "bound") if bound is not None else None
     if "table" in obj:
-        table = {}
-        for row in _shape(obj["table"], list, "a coloring table"):
-            seq, color = _shape(row, list, "a table row")
-            # table_coloring checks that each key is an increasing sequence
-            seq = tuple(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
-            table[seq] = _int(color, "a color")
-        return table_coloring(barrier, table, declared_bound=bound)
+        return table_coloring(barrier, _table(_shape(obj["table"], list, "a coloring table")), declared_bound=bound)
     if "builtin" in obj:
         params = _shape(obj.get("params") or {}, dict, "builtin params")
         f = builtin_coloring(barrier, obj["builtin"], params)

@@ -39,18 +39,20 @@ from .barrier import (
     BarrierSpec,
     ELEMENT,
     InternalInvariantError,
+    NotInBaseError,
     Plus,
     classify,
     front,
     base_members,
+    in_base,
     rank_key,
     rank_positions,
     ranked_up_to,
     spec_label,
-    variant,
+    step,
 )
 from .coloring import BoundViolationError, Coloring, table_coloring
-from .seqs import Seq, as_seq, lex_cmp, seq_minus
+from .seqs import Seq, as_seq, insert_sorted, lex_cmp, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
@@ -88,7 +90,9 @@ class FreeToMonoColoring(Coloring):
         otherwise (v = s_n - 1 or v >= s_n)           -> 1
 
     where s[v+1] is the (v+1)-variant, lexicographically below s.  Values are
-    memoized per member; each recursive hop is asserted to decrease.  The hop
+    memoized per member; a hop steps along s with v+1 inserted, without
+    classifying s again, and is asserted to reach a member through v+1 that
+    lies lexicographically below s.  The hop
     depth below each member (a pure function of the instance, independent of
     query order) is tracked, and ``max_chain`` holds the largest seen.
     A call checks that s is a member; the rule trusts its input, like the
@@ -141,7 +145,15 @@ class FreeToMonoColoring(Coloring):
                 self.memo[cur] = value
                 self.depth[cur] = 0
                 break
-            nxt = variant(self.barrier, cur, v + 1)
+            # The (v+1)-variant of cur, which the library made: v + 1 lies
+            # below max(cur) and outside it (see _terminal), so only the
+            # base needs checking before the step.
+            k = v + 1
+            if not in_base(self.barrier, k):
+                raise NotInBaseError(f"{k} is not in the base")
+            nxt = step(self.barrier, insert_sorted(cur, k))
+            if nxt is None or k not in nxt:
+                raise InternalInvariantError(f"BUG: no variant of {cur} through {k}")
             if lex_cmp(nxt, cur) >= 0:
                 raise InternalInvariantError(f"BUG: hop {cur} -> {nxt} does not lex-decrease")
             chain.append(cur)

@@ -10,8 +10,12 @@ All four properties are anti-monotone in H: shrinking a verified H keeps it
 verified (for thin, with the same color universe).  So the subsets H that
 violate a property form an up-set, the union of the up-sets of a few small
 masks, and :class:`FrontIndex` computes it for all 2^n subsets at once as one
-2^n-bit integer (a superset-closure, or zeta, pass).  The index calls the
-coloring once per member.  The members and their masks do not depend on the
+2^n-bit integer.  The work goes per color class, not per member: a class is
+one 2^n-bit set of points (its members' masks) closed upward by one
+superset-closure, or zeta, pass (:func:`barriers.barrier.up_closure`), and a
+rainbow class of more than two members by a zeta count saturated at 2
+(:func:`barriers.barrier.up_closure2`).  The index calls the coloring once
+per member.  The members and their masks do not depend on the
 coloring: they are walked and computed once per (normal form, base) pair
 and kept in bounded caches (:func:`barriers.barrier.indexed_front`,
 :func:`front_masks`), since a uniform check sends many instances through the
@@ -45,6 +49,8 @@ from .barrier import (
     has_sets,
     in_base,
     indexed_front,
+    up_closure,
+    up_closure2,
 )
 from .coloring import Coloring
 
@@ -158,6 +164,11 @@ def drop_preimage(s: int, n: int, end: str) -> int:
     return out
 
 
+def _points(masks: Iterable[int]) -> int:
+    """The 2^n-bit set of the given distinct masks."""
+    return sum(map((1).__lshift__, masks))
+
+
 def _positions(g: tuple[int, ...]) -> dict[int, int]:
     n = len(g)
     return {x: n - 1 - i for i, x in enumerate(g)}
@@ -201,52 +212,48 @@ class FrontIndex:
         """The subset of ``g`` with mask m, sorted."""
         return tuple(x for x in self.g if m >> self.pos[x] & 1)
 
-    def up(self, m: int) -> int:
-        """The masks that contain m."""
-        out = self.all
-        for i, has in enumerate(has_sets(len(self.g))):
-            if m >> i & 1:
-                out &= has
-        return out
-
-    def _any_up(self, ms: Iterable[int]) -> int:
-        out = 0
-        for m in ms:
-            out |= self.up(m)
-        return out
-
     def violations(self, prop: str, universe: Iterable[int] = ()) -> int:
         """The masks H whose front violates the property; for thin, whose
-        image covers the universe.  One color class at a time, so only a few
-        2^n-bit integers are alive at once."""
-        bad = 0
+        image covers the universe.  Each color class is one 2^n-bit set of
+        points (bit m for each member mask m), closed upward once
+        (:func:`up_closure`), so only a few 2^n-bit integers are alive at
+        once: mono marks the masks in the up-sets of two classes, thin those
+        in the up-set of every universe color's class, rainbow those that
+        contain two members of one class, and free closes the points
+        m | bit(c) of the members m whose color c is a ground element
+        outside m."""
+        n = len(self.g)
         if prop == "free":
+            points = 0
             for m, c in zip(self.masks, self.colors):
                 i = self.pos.get(c)
                 if i is not None and not m >> i & 1:
-                    bad |= self.up(m | 1 << i)
-            return bad
+                    points |= 1 << (m | 1 << i)
+            return up_closure(points, n)
         classes: dict[int, list[int]] = {}
         for m, c in zip(self.masks, self.colors):
             classes.setdefault(c, []).append(m)
         if prop == "thin":
             bad = self.all
             for c in universe:
-                bad &= self._any_up(classes.get(c, ()))
+                bad &= up_closure(_points(classes.get(c, ())), n)
             return bad
-        seen = 0
-        for ms in classes.values():
-            if prop == "mono":
-                x = self._any_up(ms)
+        if prop == "mono":
+            bad = seen = 0
+            for ms in classes.values():
+                x = up_closure(_points(ms), n)
                 bad |= seen & x
                 seen |= x
-            else:  # rainbow
-                seen = 0
-                for m in ms:
-                    x = self.up(m)
-                    bad |= seen & x
-                    seen |= x
-        return bad
+            return bad
+        # rainbow: a class of two members is violated above their union
+        # alone, a larger one wherever two of its members are inside
+        pairs = bad = 0
+        for ms in classes.values():
+            if len(ms) == 2:
+                pairs |= 1 << (ms[0] | ms[1])
+            elif len(ms) > 2:
+                bad |= up_closure2(_points(ms), n)
+        return bad | up_closure(pairs, n)
 
     def colors_inside(self, m: int) -> list[int]:
         """Colors of the members inside the subset with mask m, in lex order."""

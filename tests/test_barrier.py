@@ -38,6 +38,8 @@ from barriers.barrier import (
     order_type,
     rank_key,
     step,
+    up_closure,
+    up_closure2,
     variant,
 )
 from barriers.cli import main
@@ -257,6 +259,18 @@ def test_check_sperner_matches_the_pairwise_definition(name):
 def test_check_sperner_on_random_families(sets):
     members = [tuple(sorted(a)) for a in sets]
     assert check_sperner(members) == oracles.slow_sperner(members)
+
+
+@given(st.integers(0, 8), st.data())
+def test_up_closures_match_their_definitions(n, data):
+    points = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+
+    def containing(k):  # the masks that contain at least k distinct points
+        return sum(1 << h for h in range(1 << n) if sum(p & ~h == 0 for p in points) >= k)
+
+    bits = sum(1 << p for p in points)
+    assert up_closure(bits, n) == containing(1)
+    assert up_closure2(bits, n) == containing(2)
 
 
 def test_check_sperner_refuses_more_than_max_ground_coordinates():

@@ -10,6 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from barriers import cli
 from barriers.cli import main, parse_ground_arg
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -300,3 +301,39 @@ def test_back_to_back_calls_match_separate_processes(capsys):
     assert exc.value.code == 2
     code, out = run(capsys, *argvs[1])
     assert code == 0 and json.loads(out)["count"] == 10
+
+
+_TABLE = json.dumps({"table": [[[x], x % 2] for x in range(6)]})
+PARSE_CORPUS = {
+    "front": ["front", "--barrier", "schreier", "--ground", "0..5", "--json"],
+    "check": ["check", "--barrier", "exact:2", "--ground", "0..6"],
+    "solve": ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", _TABLE, "--ground", "0..6"],
+    "reduce": ["reduce", "--name", "fs-to-rt", "--barrier", "schreier", "--ground", "0..7", "--random", "2",
+               "--adversarial", "--check", "--json"],
+    "stray-positional": ["check", "--barrier", "schreier", "--ground", "0..5", "stray"],
+    "top-level-option-after-command": ["check", "--barrier", "schreier", "--ground", "0..5", "--version"],
+    "missing-required": ["front", "--barrier", "schreier"],
+    "bad-choice": ["solve", "--property", "blue", "--barrier", "exact:1", "--coloring", _TABLE, "--ground", "0..6"],
+    "abbreviation": ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..6", "--random", "1",
+                     "--check", "--min", "3", "--json"],
+    "command-help": ["check", "-h"],
+    "version": ["--version"],
+    "unknown-command": ["frobnicate", "--json"],
+    "no-arguments": [],
+}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", list(PARSE_CORPUS.values()), ids=list(PARSE_CORPUS))
+def test_command_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)

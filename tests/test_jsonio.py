@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, front
+from barriers.coloring import PartialColoringError
 from barriers.jsonio import (
     coloring_from_json,
     family_from_json,
@@ -79,6 +80,36 @@ def test_coloring_from_json():
     validator("coloring.schema.json").validate({"builtin": "rank-div", "params": {"k": 2}})
     with pytest.raises(ValueError):
         coloring_from_json(spec, {"nope": 1})
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([[1], 2.9], "a color must be an integer, got 2.9"),
+        ([[1], True], "a color must be an integer, got True"),
+        ([[True], 0], "a sequence element must be an integer, got True"),
+        ([["2"], 0], "a sequence element must be an integer, got '2'"),
+        ([[1]], "not enough values to unpack (expected 2, got 1)"),
+        ([[1], 0, 0], "too many values to unpack (expected 2)"),
+        ([5, 0], "a table sequence must be an array, got 5"),
+        (5, "a table row must be an array, got 5"),
+    ],
+    ids=["float", "bool", "bool-element", "string", "short-row", "long-row", "non-list-sequence",
+         "non-list-row"],
+)
+def test_malformed_table_messages(row, message):
+    # The first bad value is named, after good rows and before other bad ones.
+    table = [[[0], 4], row, [[2], 0.5]]
+    with pytest.raises(ValueError) as exc:
+        coloring_from_json(ExactSize(1), {"table": table})
+    assert str(exc.value) == message
+
+
+def test_table_keeps_the_last_row_of_a_sequence():
+    f = coloring_from_json(ExactSize(2), {"table": [[[0, 1], 4], [[0, 2], 5], [[0, 1], 6]]})
+    assert (f((0, 1)), f((0, 2))) == (6, 5)
+    with pytest.raises(PartialColoringError):
+        coloring_from_json(ExactSize(2), {"table": []})((0, 1))
 
 
 def test_family_roundtrip():

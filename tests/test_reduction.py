@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barriers import barrier, reduction
-from barriers.barrier import Canonical, ExactSize, Plus, Schreier, base_members, front, rank_key, ranked_up_to
+from barriers.barrier import (
+    Canonical,
+    ExactSize,
+    NotInBaseError,
+    Plus,
+    Restrict,
+    Schreier,
+    base_members,
+    front,
+    rank_key,
+    ranked_up_to,
+)
 from barriers.coloring import BoundViolationError, Coloring, table_coloring
 from barriers.ordinals import OMEGA
 from barriers.reduction import (
@@ -29,6 +40,7 @@ from barriers.reduction import (
 from barriers.solver import MAX_GROUND, front_masks, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
+from conftest import EVENS
 
 
 def singles(table):
@@ -486,6 +498,38 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
     for name in ("rrt-to-rt", "rrt2-to-fs"):
         assert check_reduction(name, f, ground, 2).ok
     assert calls == []
+
+
+def test_free_to_mono_hops_call_no_variant(monkeypatch):
+    # A hop steps along the member with v+1 inserted; the member is the
+    # library's own, so it is not classified again through variant.
+    calls = []
+    real = barrier.variant
+
+    def counting_variant(spec, s, k):
+        calls.append((s, k))
+        return real(spec, s, k)
+
+    monkeypatch.setattr(barrier, "variant", counting_variant)
+    monkeypatch.setattr(reduction, "variant", counting_variant, raising=False)
+    f = random_instance("fs-to-rt", Schreier(), range(9), seed=0)
+    report = check_reduction("fs-to-rt", f, range(9), 3)
+    assert report.ok and report.max_recursion_chain == 2  # the check hops
+    assert calls == []
+
+
+def test_free_to_mono_hops_outside_the_base_raise():
+    # (3, 5) is t = (2,) plus a coordinate; the color -3 lies below
+    # s_0 - 1 and sends the hop through -2.
+    negative = fs_forward(ExactSize(1), singles({x: -3 for x in range(8)}))
+    with pytest.raises(NotInBaseError):
+        negative((3, 5))
+    # (5, 7) is t = (4,) over the evens; the color 1 sends the hop through 2,
+    # and 2 is in the plus barrier's base only if 1 is in the evens.
+    evens = Restrict(ExactSize(1), EVENS)
+    odd = fs_forward(evens, table_coloring(evens, {(x,): 1 for x in range(0, 10, 2)}))
+    with pytest.raises(NotInBaseError):
+        odd((5, 7))
 
 
 def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):

@@ -230,22 +230,34 @@ def test_find_thin_matches_brute_force_on_given_universes():
 
 
 def test_violations_are_the_up_set_of_failing_subsets():
+    # Four colors at random (large classes), k-bounded tables whose classes
+    # have exactly k members (the rainbow pair points and the two-plane
+    # closure), and one color.
     spec = Schreier()
+    members = front(spec, range(7))
     rng = random.Random(3)
-    f = table_coloring(spec, {s: rng.randrange(4) for s in front(spec, range(7))})
-    index = FrontIndex(f, range(7))
-    universe = default_universe(f, range(7))
-    checks = {
-        "mono": verify_mono,
-        "free": verify_free,
-        "rainbow": verify_rainbow,
-        "thin": lambda g, h: verify_thin(g, h, universe),
+    shuffled = random.Random(5).sample(members, len(members))
+    tables = {
+        "four colors": {s: rng.randrange(4) for s in members},
+        "2-bounded": {s: i // 2 for i, s in enumerate(shuffled)},
+        "3-bounded": {s: i // 3 for i, s in enumerate(shuffled)},
+        "one color": {s: 1 for s in members},
     }
-    for prop, check in checks.items():
-        bad = index.violations(prop, universe)
-        for m in range(1 << 7):
-            h = [x for x in range(7) if m >> (6 - x) & 1]
-            assert (bad >> m & 1) == (not check(f, h)), (prop, h)
+    for name, table in tables.items():
+        f = table_coloring(spec, table)
+        index = FrontIndex(f, range(7))
+        universe = default_universe(f, range(7))
+        checks = {
+            "mono": verify_mono,
+            "free": verify_free,
+            "rainbow": verify_rainbow,
+            "thin": lambda g, h: verify_thin(g, h, universe),
+        }
+        for prop, check in checks.items():
+            bad = index.violations(prop, universe)
+            for m in range(1 << 7):
+                h = [x for x in range(7) if m >> (6 - x) & 1]
+                assert (bad >> m & 1) == (not check(f, h)), (name, prop, h)
 
 
 def test_ground_cap_is_on_base_elements():
