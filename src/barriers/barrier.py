@@ -37,8 +37,8 @@ with it).  A front is walked once per (normal form, base) pair and the
 last :data:`FRONT_CACHE` fronts are kept, since a uniform check sends many
 instances through one barrier and ground.  The density probe is a fold
 over the front: a subset's stream stops at its shortest member prefix, so
-each member stands for the subsets it starts.  :func:`check_sperner` reads
-the members as masks on the subset lattice.
+each member stands for the subsets it starts.  :func:`check_sperner` is
+the two-point closure (:func:`up_closure2`) of the members' masks.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "MAX_GROUND",
     "capped_base",
     "has_sets",
+    "point_set",
     "up_closure",
     "up_closure2",
     "MAX_MEMBERS",
@@ -253,6 +254,15 @@ def has_sets(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def point_set(masks: Iterable[int], n: int) -> int:
+    """The 2^n-bit set of the masks over range(n), repeats allowed, built in
+    a bytearray: ORing ``1 << m`` into a big int costs O(2^n) per mask."""
+    bits = bytearray((1 << n >> 3) + 1)
+    for m in masks:
+        bits[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(bits, "little")
+
+
 def up_closure(points: int, n: int) -> int:
     """The 2^n-bit set of the masks over range(n) that contain at least one
     mask of the 2^n-bit set ``points``: adding bit i moves a mask 2^i
@@ -361,10 +371,6 @@ MAX_MEMBERS = 1 << 20  # members of one front walk
 FRONT_CACHE = 64  # (normal form, base) pairs whose fronts stay indexed
 
 
-def _too_many() -> ValueError:
-    return ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
-
-
 def _need(r: BarrierSpec) -> int:
     """A lower bound on the length of every member of the normal form r:
     k for ExactSize(k), the sum of the factors' bounds for a product, one
@@ -396,7 +402,7 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
     if type(r) is ExactSize:
         out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), MAX_MEMBERS + 1 - len(out)))
         if len(out) > MAX_MEMBERS:
-            raise _too_many()
+            raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
         return
     last = len(g) - 1
     for j in range(start, len(g)):
@@ -406,13 +412,6 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
         _walk(child, g, j + 1, prefix + (g[j],), out)
 
 
-@lru_cache(maxsize=FRONT_CACHE)
-def _walked(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
-    out: list[Seq] = []
-    _walk(r, g, 0, (), out)
-    return tuple(out)
-
-
 def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Seq]:
     """What a front depends on: the normal form of the spec and the base
     inside the ground set.  Restrict and Derived bases are applied here, so
@@ -420,14 +419,14 @@ def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Se
     return _norm(spec), base_members(spec, ground)
 
 
+@lru_cache(maxsize=FRONT_CACHE)
 def indexed_front(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
     """The front of the normal form r inside the sorted base g, walked once
     per process while the pair stays among the last :data:`FRONT_CACHE`
-    used.  A kept front is held to :data:`MAX_MEMBERS` like a walk."""
-    members = _walked(r, g)
-    if len(members) > MAX_MEMBERS:
-        raise _too_many()
-    return members
+    used."""
+    out: list[Seq] = []
+    _walk(r, g, 0, (), out)
+    return tuple(out)
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
@@ -478,30 +477,19 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
 
 
 def check_sperner(members: Iterable[Seq]) -> bool:
-    """True iff no member strictly contains another as a set.
-
-    A zeta pass over the subset lattice of the n coordinates the members
-    use: ``member_masks`` is the 2^n-bit set of their masks, ``up`` its
-    strict up-set (every one-bit extension, closed by :func:`up_closure`),
-    and Sperner holds iff the two are disjoint.  2n big-int shift-ORs whatever the
-    number of members; more than :data:`MAX_GROUND` coordinates raise
-    ValueError.
-    """
-    sets = [frozenset(s) for s in members]
-    union = sorted(frozenset().union(*sets))
+    """True iff no member strictly contains another as a set: a member's
+    mask over the n coordinates the members use lies in :func:`up_closure2`
+    of their :func:`point_set` iff it contains a second, distinct member.
+    2n big-int shift-ORs whatever the number of members; more than
+    :data:`MAX_GROUND` coordinates raise ValueError."""
+    members = list(members)
+    union = sorted({x for s in members for x in s})
     n = len(union)
     if n > MAX_GROUND:
         raise ValueError(f"the members use {n} coordinates; Sperner checks are limited to {MAX_GROUND}")
-    pos = {x: i for i, x in enumerate(union)}
-    bits = bytearray((1 << n >> 3) + 1)  # one OR of 2^n bits per member would cost members * 2^n
-    for a in sets:
-        m = sum(1 << pos[x] for x in a)
-        bits[m >> 3] |= 1 << (m & 7)
-    member_masks = int.from_bytes(bits, "little")
-    up = 0
-    for i, has in enumerate(has_sets(n)):
-        up |= (member_masks << (1 << i)) & has
-    return not member_masks & up_closure(up, n)
+    bit = {x: 1 << i for i, x in enumerate(union)}
+    points = point_set((sum(map(bit.__getitem__, set(s))) for s in members), n)
+    return not points & up_closure2(points, n)
 
 
 @dataclass(frozen=True)
@@ -562,12 +550,18 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
         raise ValueError(f"{seq} is not a member")
-    if not in_base(spec, k):
-        raise NotInBaseError(f"{k} is not in the base")
     if k in seq:
         raise ValueError(f"{k} already occurs in {seq}")
     if k >= seq[-1]:
         raise VariantRangeError(f"{k} is not below max{seq}; use append_variant")
+    return _variant(spec, seq, k)
+
+
+def _variant(spec: BarrierSpec, seq: Seq, k: int) -> Seq:
+    """:func:`variant` past its argument checks: k lies below max(seq) and
+    outside the member seq."""
+    if not in_base(spec, k):
+        raise NotInBaseError(f"{k} is not in the base")
     out = step(spec, insert_sorted(seq, k))
     if out is None or k not in out:
         raise InternalInvariantError(f"BUG: no variant of {seq} through {k}")

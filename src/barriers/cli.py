@@ -373,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

@@ -39,20 +39,18 @@ from .barrier import (
     BarrierSpec,
     ELEMENT,
     InternalInvariantError,
-    NotInBaseError,
     Plus,
+    _variant,
     classify,
     front,
     base_members,
-    in_base,
     rank_key,
     rank_positions,
     ranked_up_to,
     spec_label,
-    step,
 )
 from .coloring import BoundViolationError, Coloring, table_coloring
-from .seqs import Seq, as_seq, insert_sorted, lex_cmp, seq_minus
+from .seqs import Seq, as_seq, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
@@ -145,19 +143,10 @@ class FreeToMonoColoring(Coloring):
                 self.memo[cur] = value
                 self.depth[cur] = 0
                 break
-            # The (v+1)-variant of cur, which the library made: v + 1 lies
-            # below max(cur) and outside it (see _terminal), so only the
-            # base needs checking before the step.
-            k = v + 1
-            if not in_base(self.barrier, k):
-                raise NotInBaseError(f"{k} is not in the base")
-            nxt = step(self.barrier, insert_sorted(cur, k))
-            if nxt is None or k not in nxt:
-                raise InternalInvariantError(f"BUG: no variant of {cur} through {k}")
-            if lex_cmp(nxt, cur) >= 0:
-                raise InternalInvariantError(f"BUG: hop {cur} -> {nxt} does not lex-decrease")
+            # The (v+1)-variant of cur: v + 1 lies below max(cur) and outside
+            # it (see _terminal), so variant's argument checks are skipped.
             chain.append(cur)
-            cur = nxt
+            cur = _variant(self.barrier, cur, v + 1)
         value = self.memo[cur]
         below = self.depth[cur]
         for node in reversed(chain):

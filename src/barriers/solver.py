@@ -49,6 +49,7 @@ from .barrier import (
     has_sets,
     in_base,
     indexed_front,
+    point_set,
     up_closure,
     up_closure2,
 )
@@ -164,11 +165,6 @@ def drop_preimage(s: int, n: int, end: str) -> int:
     return out
 
 
-def _points(masks: Iterable[int]) -> int:
-    """The 2^n-bit set of the given distinct masks."""
-    return sum(map((1).__lshift__, masks))
-
-
 def _positions(g: tuple[int, ...]) -> dict[int, int]:
     n = len(g)
     return {x: n - 1 - i for i, x in enumerate(g)}
@@ -215,7 +211,7 @@ class FrontIndex:
     def violations(self, prop: str, universe: Iterable[int] = ()) -> int:
         """The masks H whose front violates the property; for thin, whose
         image covers the universe.  Each color class is one 2^n-bit set of
-        points (bit m for each member mask m), closed upward once
+        points (:func:`point_set` of its member masks), closed upward once
         (:func:`up_closure`), so only a few 2^n-bit integers are alive at
         once: mono marks the masks in the up-sets of two classes, thin those
         in the up-set of every universe color's class, rainbow those that
@@ -224,36 +220,33 @@ class FrontIndex:
         outside m."""
         n = len(self.g)
         if prop == "free":
-            points = 0
-            for m, c in zip(self.masks, self.colors):
-                i = self.pos.get(c)
-                if i is not None and not m >> i & 1:
-                    points |= 1 << (m | 1 << i)
-            return up_closure(points, n)
+            pos = self.pos
+            hits = (m | 1 << pos[c] for m, c in zip(self.masks, self.colors) if c in pos and not m >> pos[c] & 1)
+            return up_closure(point_set(hits, n), n)
         classes: dict[int, list[int]] = {}
         for m, c in zip(self.masks, self.colors):
             classes.setdefault(c, []).append(m)
         if prop == "thin":
             bad = self.all
             for c in universe:
-                bad &= up_closure(_points(classes.get(c, ())), n)
+                bad &= up_closure(point_set(classes.get(c, ()), n), n)
             return bad
         if prop == "mono":
             bad = seen = 0
             for ms in classes.values():
-                x = up_closure(_points(ms), n)
+                x = up_closure(point_set(ms, n), n)
                 bad |= seen & x
                 seen |= x
             return bad
         # rainbow: a class of two members is violated above their union
         # alone, a larger one wherever two of its members are inside
-        pairs = bad = 0
+        pairs, bad = [], 0
         for ms in classes.values():
             if len(ms) == 2:
-                pairs |= 1 << (ms[0] | ms[1])
+                pairs.append(ms[0] | ms[1])
             elif len(ms) > 2:
-                bad |= up_closure2(_points(ms), n)
-        return bad | up_closure(pairs, n)
+                bad |= up_closure2(point_set(ms, n), n)
+        return bad | up_closure(point_set(pairs, n), n)
 
     def colors_inside(self, m: int) -> list[int]:
         """Colors of the members inside the subset with mask m, in lex order."""

@@ -31,6 +31,7 @@ from barriers.barrier import (
     front,
     front_key,
     in_base,
+    point_set,
     make_canonical,
     make_derived,
     make_product,
@@ -178,6 +179,7 @@ def test_front_refuses_walks_past_the_member_cap(monkeypatch):
     # front(schreier, 0..n) has F(n+1) members (Fibonacci): 55 at 0..9.
     assert len(front(Schreier(), range(10))) == 55
     monkeypatch.setattr(barrier, "MAX_MEMBERS", 55)
+    barrier.indexed_front.cache_clear()  # a kept front was walked under the real cap
     assert len(front(Schreier(), range(10))) == 55
     with pytest.raises(ValueError, match="more than 55 members"):
         front(Schreier(), range(11))
@@ -190,7 +192,7 @@ def test_front_cache_matches_subset_filter(name):
     spec = ALL_SPECS[name]
     for ground in (range(11), (0, 2, 3, 5, 8, 9, 10)):
         want = oracles.front_oracle(spec, ground)
-        barrier._walked.cache_clear()
+        barrier.indexed_front.cache_clear()
         first = front(spec, ground)  # walked
         second = front(spec, ground)  # kept
         assert first == want and second is first, (name, ground)
@@ -212,13 +214,6 @@ def test_restrict_and_derived_share_the_front_of_their_normal_form():
     derived = Derived(Schreier(), 2)
     assert front(derived, above) is front(ExactSize(2), above)
     assert front(derived, above) == tuple(s[1:] for s in front(Schreier(), (2, *above)) if s[0] == 2)
-
-
-def test_kept_fronts_are_held_to_the_member_cap(monkeypatch):
-    assert len(front(Schreier(), range(11))) == 89  # walked and kept
-    monkeypatch.setattr(barrier, "MAX_MEMBERS", 55)
-    with pytest.raises(ValueError, match="more than 55 members"):
-        front(Schreier(), range(11))
 
 
 # --- structural invariants -----------------------------------------------------
@@ -259,6 +254,22 @@ def test_check_sperner_matches_the_pairwise_definition(name):
 def test_check_sperner_on_random_families(sets):
     members = [tuple(sorted(a)) for a in sets]
     assert check_sperner(members) == oracles.slow_sperner(members)
+
+
+def test_check_sperner_on_repeated_and_empty_members():
+    # a member listed twice is one point, so it contains no second member;
+    # the empty member lies inside every other; members are read as sets
+    for members in ([(0, 2), (1,), (0, 2)], [(), ()], [(), (1,)], [(1,), (), (1,)], [(2, 3), (2,), (2, 3)],
+                    [(1, 1), (2, 3)]):
+        assert check_sperner(members) == oracles.slow_sperner(members), members
+    assert check_sperner([(0, 2), (1,), (0, 2)]) and not check_sperner([(), (1,)])
+
+
+@given(st.integers(0, 8), st.data())
+def test_point_set_is_the_set_of_its_masks(n, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=5)) if masks else []  # repeats
+    assert point_set(masks, n) == sum(1 << m for m in set(masks))
 
 
 @given(st.integers(0, 8), st.data())
@@ -554,7 +565,7 @@ def test_exact_size_blocks_fold_in_normal_forms():
 
 def test_exact_size_walk_stops_past_the_member_cap(monkeypatch):
     monkeypatch.setattr(barrier, "MAX_MEMBERS", 10)
-    barrier._walked.cache_clear()
+    barrier.indexed_front.cache_clear()
     with pytest.raises(ValueError, match="more than 10 members"):
         front(ExactSize(2), range(10))  # 45 members
     out = []
@@ -575,6 +586,6 @@ def test_walks_skip_branches_that_cannot_fit(monkeypatch):
         return real(r, x)
 
     monkeypatch.setattr(barrier, "_d", counting_d)
-    barrier._walked.cache_clear()
+    barrier.indexed_front.cache_clear()
     assert front(Product(Canonical(Ordinal.from_int(3)), Canonical(parse_ordinal("w + 1"))), range(13)) == ()
     assert len(calls) < 2000

@@ -270,6 +270,36 @@ def test_diag_stages_past_the_coordinate_cap_exit_2(capsys):
     assert err.startswith("error: ") and "65536" in err and err.count("\n") == 1
 
 
+def _nested(key: str, leaf: str, depth: int) -> str:
+    for _ in range(depth):
+        leaf = f'{{"{key}": {leaf}}}'
+    return leaf
+
+
+def _nested_ordinal(depth: int) -> str:
+    out = "w"
+    for _ in range(depth):
+        out = f"w^({out})"
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--barrier", _nested("plus", '"schreier"', 500), "--ground", "0..6"],
+        ["check", "--barrier", _nested("plus", '"schreier"', 3000), "--ground", "0..6"],
+        ["solve", "--property", "mono", "--barrier", "schreier", "--coloring",
+         '{"table": ' + "[" * 3000 + "]" * 3000 + "}", "--ground", "0..6"],
+        ["ordertype", "--barrier", "canonical:" + _nested_ordinal(400)],
+    ],
+    ids=["plus-500", "barrier-json-3000", "coloring-json-3000", "ordinal-400"],
+)
+def test_deeply_nested_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input nested too deeply\n" and captured.out == ""
+
+
 def test_diag_rainbow_collision_on_a_long_stage(capsys):
     # the stage from 6 has 22 coordinates; its colors would have about 2^22 bits
     family = '[{"e":2,"set":{"prefix":[1],"tail":{"start":3,"step":3}},"delay":5}]'

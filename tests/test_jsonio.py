@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, front
-from barriers.coloring import PartialColoringError
+from barriers.coloring import PartialColoringError, table_coloring
 from barriers.jsonio import (
     coloring_from_json,
     family_from_json,
@@ -20,7 +20,7 @@ from barriers.jsonio import (
     spec_to_json,
 )
 from barriers.ordinals import OMEGA
-from barriers.seqs import GroundSet, Tail
+from barriers.seqs import GroundSet, Tail, as_seq
 
 from conftest import EXTRA_POOL, SPEC_POOL
 
@@ -103,6 +103,45 @@ def test_malformed_table_messages(row, message):
     with pytest.raises(ValueError) as exc:
         coloring_from_json(ExactSize(1), {"table": table})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((2, 1), "sequence must be strictly increasing, got (2, 1)"),
+        ((1, 1), "sequence must be strictly increasing, got (1, 1)"),
+        ((1, -2), "sequence entries must be naturals, got -2"),
+        ((-1, 3), "sequence entries must be naturals, got -1"),
+        ((1, 2.5), "sequence entries must be naturals, got 2.5"),
+        ((1, "2"), "sequence entries must be naturals, got '2'"),
+    ],
+    ids=["decreasing", "repeated", "negative", "negative-first", "float", "string"],
+)
+def test_table_key_messages(key, message):
+    # The bad key is named alone, and first after good keys and before
+    # other bad ones.
+    for table in ({(0, 1): 4, key: 0}, {(0, 1): 4, key: 0, (3, 2): 5}):
+        with pytest.raises(ValueError) as exc:
+            table_coloring(ExactSize(2), table)
+        assert str(exc.value) == message
+
+
+@given(st.dictionaries(st.tuples() | st.lists(st.integers(-1, 5), max_size=4).map(tuple), st.integers(0, 3)))
+def test_table_keys_are_checked_as_by_as_seq(table):
+    try:
+        want = {as_seq(k): v for k, v in table.items()}
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            table_coloring(ExactSize(1), table)
+        assert str(got.value) == str(exc)
+    else:
+        f = table_coloring(ExactSize(1), table)
+        assert {k: f.rule(k) for k in want} == want
+
+
+def test_table_keys_need_not_be_tuples():
+    f = table_coloring(ExactSize(2), {range(1, 3): 4, (0, 2): 5})
+    assert (f((1, 2)), f((0, 2))) == (4, 5)
 
 
 def test_table_keeps_the_last_row_of_a_sequence():

@@ -463,7 +463,7 @@ def test_reports_do_not_depend_on_the_kept_fronts():
     kept = [check_reduction(red, f, ground, 2) for red, f in cases]
     fresh = []
     for red, f in cases:
-        barrier._walked.cache_clear()
+        barrier.indexed_front.cache_clear()
         front_masks.cache_clear()
         fresh.append(check_reduction(red, f, ground, 2))
     assert [r.to_json() for r in kept] == [r.to_json() for r in fresh]
