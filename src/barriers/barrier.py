@@ -550,6 +550,8 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
         raise ValueError(f"{seq} is not a member")
+    if not in_base(spec, k):
+        raise NotInBaseError(f"{k} is not in the base")
     if k in seq:
         raise ValueError(f"{k} already occurs in {seq}")
     if k >= seq[-1]:
@@ -559,9 +561,8 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
 
 def _variant(spec: BarrierSpec, seq: Seq, k: int) -> Seq:
     """:func:`variant` past its argument checks: k lies below max(seq) and
-    outside the member seq."""
-    if not in_base(spec, k):
-        raise NotInBaseError(f"{k} is not in the base")
+    outside the member seq.  The step reads k, so a k outside the base
+    raises NotInBaseError there."""
     out = step(spec, insert_sorted(seq, k))
     if out is None or k not in out:
         raise InternalInvariantError(f"BUG: no variant of {seq} through {k}")

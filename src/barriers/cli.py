@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
+    except RecursionError:  # the library's recursions are bounded by the input's nesting depth
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     if args.json:

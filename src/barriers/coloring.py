@@ -10,8 +10,6 @@ where it matters, never assumed.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, compress, count
-from operator import ge
 from typing import Callable, Iterable, Mapping
 
 from .barrier import BarrierSpec, enum_rank, front
@@ -59,30 +57,13 @@ class Coloring:
         return f"Coloring({self.name!r})"
 
 
-def _increasing_naturals(keys: list) -> bool:
-    """as_seq's checks (a tuple of ints, none negative, strictly increasing)
-    in a few passes over all keys at once: a non-increasing pair of
-    neighbors in the flattened keys must straddle two keys."""
-    if not {tuple} >= set(map(type, keys)):
-        return False
-    flat = list(chain.from_iterable(keys))
-    return (
-        {int} >= set(map(type, flat))
-        and min(flat, default=0) >= 0
-        and set(accumulate(map(len, keys))).issuperset(compress(count(1), map(ge, flat, flat[1:])))
-    )
-
-
 def table_coloring(
     barrier: BarrierSpec,
     table: Mapping[Seq, int],
     name: str = "table",
     declared_bound: int | None = None,
 ) -> Coloring:
-    if _increasing_naturals(list(table)) and {int} >= set(map(type, table.values())):
-        fixed = dict(table)
-    else:  # as_seq key by key raises its message for the first bad key
-        fixed = {as_seq(k): int(v) for k, v in table.items()}
+    fixed = {as_seq(k): int(v) for k, v in table.items()}
 
     def rule(s: Seq) -> int:
         try:

@@ -144,7 +144,8 @@ class FreeToMonoColoring(Coloring):
                 self.depth[cur] = 0
                 break
             # The (v+1)-variant of cur: v + 1 lies below max(cur) and outside
-            # it (see _terminal), so variant's argument checks are skipped.
+            # it (see _terminal), and the step raises NotInBaseError at v + 1
+            # if it lies outside the base, so variant's checks are skipped.
             chain.append(cur)
             cur = _variant(self.barrier, cur, v + 1)
         value = self.memo[cur]

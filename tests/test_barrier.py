@@ -337,6 +337,10 @@ def test_variant_errors():
         variant(Schreier(), (2, 4), 1)  # not a member
     with pytest.raises(ValueError):
         variant(Schreier(), (2, 4, 5), 4)  # already present
+    # the base is checked first: 9 lies outside the evens and above max(s)
+    evens = Restrict(ExactSize(2), GroundSet(tail=Tail(0, 2)))
+    with pytest.raises(barrier.NotInBaseError, match=r"^9 is not in the base$"):
+        variant(evens, (4, 8), 9)
 
 
 def test_append_variant():

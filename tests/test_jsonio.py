@@ -20,7 +20,7 @@ from barriers.jsonio import (
     spec_to_json,
 )
 from barriers.ordinals import OMEGA
-from barriers.seqs import GroundSet, Tail, as_seq
+from barriers.seqs import GroundSet, Tail
 
 from conftest import EXTRA_POOL, SPEC_POOL
 
@@ -124,24 +124,6 @@ def test_table_key_messages(key, message):
         with pytest.raises(ValueError) as exc:
             table_coloring(ExactSize(2), table)
         assert str(exc.value) == message
-
-
-@given(st.dictionaries(st.tuples() | st.lists(st.integers(-1, 5), max_size=4).map(tuple), st.integers(0, 3)))
-def test_table_keys_are_checked_as_by_as_seq(table):
-    try:
-        want = {as_seq(k): v for k, v in table.items()}
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            table_coloring(ExactSize(1), table)
-        assert str(got.value) == str(exc)
-    else:
-        f = table_coloring(ExactSize(1), table)
-        assert {k: f.rule(k) for k in want} == want
-
-
-def test_table_keys_need_not_be_tuples():
-    f = table_coloring(ExactSize(2), {range(1, 3): 4, (0, 2): 5})
-    assert (f((1, 2)), f((0, 2))) == (4, 5)
 
 
 def test_table_keeps_the_last_row_of_a_sequence():
