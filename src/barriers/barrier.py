@@ -31,22 +31,26 @@ branch ends in one ``ExactSize`` block (``Canonical(w)`` after x is
 ``ExactSize(k)`` residual is emitted whole, as the k-subsets of the rest of
 the ground; at any other node the child loop stops at the first child whose
 residual needs more coordinates than are left (:func:`_need`, a lower bound
-on member length that never decreases as the child grows, since only
-Schreier and limit canonical residuals read the coordinate and both grow
-with it).  A front is walked once per (normal form, base) pair and the
-last :data:`FRONT_CACHE` fronts are kept, since a uniform check sends many
-instances through one barrier and ground.  The density probe is a fold
-over the front: a subset's stream stops at its shortest member prefix, so
-each member stands for the subsets it starts.  :func:`check_sperner` is
-the two-point closure (:func:`up_closure2`) of the members' masks.
+on the length of the members whose coordinates start at the next one of the
+ground; it never decreases as the child grows, since only Schreier and limit
+canonical residuals read the coordinate and both grow with it).
+:func:`step` reads a stream through the same residuals and counts down an
+exact-size one.  A front is walked once per (normal form, base) pair and
+the last :data:`FRONT_CACHE` fronts and their masks (:func:`front_masks`)
+are kept, since a uniform check sends many instances through one barrier
+and ground.  Both barrier axioms are read off the masks: Sperner is the
+two-point closure (:func:`up_closure2`) of their point set, and the density
+probe is a fold over them, since a subset's stream stops at its shortest
+member prefix, so each member stands for the subsets it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice
+from operator import and_, neg
 from typing import Iterable, Iterator, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
@@ -82,12 +86,14 @@ __all__ = [
     "FRONT_CACHE",
     "front_key",
     "indexed_front",
+    "front_masks",
     "classify",
     "step",
     "front",
+    "sperner_of_masks",
     "check_sperner",
     "DensityReport",
-    "density_of_front",
+    "density_of_masks",
     "density_probe",
     "variant",
     "append_variant",
@@ -371,18 +377,38 @@ MAX_MEMBERS = 1 << 20  # members of one front walk
 FRONT_CACHE = 64  # (normal form, base) pairs whose fronts stay indexed
 
 
-def _need(r: BarrierSpec) -> int:
-    """A lower bound on the length of every member of the normal form r:
-    k for ExactSize(k), the sum of the factors' bounds for a product, one
-    more than the inner's under plus, and 1 for Schreier and an infinite
-    canonical index."""
-    if type(r) is ExactSize:
-        return r.size
-    if type(r) is Product:
-        return _need(r.left) + _need(r.right)
-    if type(r) is Plus:
-        return _need(r.inner) + 1
-    return 1
+def _need(r: BarrierSpec, lo: int, room: int) -> int:
+    """A lower bound on the length of every member of the normal form r whose
+    coordinates are all at least ``lo``, cut short once it passes ``room``
+    (the value returned then is still a lower bound, above ``room``).  k
+    for ExactSize(k), lo + 1 for Schreier, 1 plus the residual's bound
+    after lo, from lo + 1, for an infinite canonical index, 1 plus the
+    inner's bound from lo - 1 under plus, and for a product the left bound
+    a plus the right bound from lo + a (a left member of length a ends at
+    lo + a - 1 or above).  Loops along right factors, plus and canonical
+    residuals, so it recurses only into left factors, as deep as the
+    spec's nesting."""
+    total = 0
+    while total <= room:
+        t = type(r)
+        if t is ExactSize:
+            return total + r.size
+        if t is Product:
+            left = _need(r.left, lo, room - total)
+            total += left
+            lo += left
+            r = r.right
+        elif t is Schreier:
+            return total + (lo + 1 if lo > 0 else 1)
+        elif t is Plus:
+            total += 1
+            lo -= 1
+            r = r.inner
+        else:  # an infinite canonical index reads lo, then lo + 1 on
+            total += 1
+            r = _d(r, lo)
+            lo += 1
+    return total
 
 
 def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
@@ -395,10 +421,11 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
     are ``prefix + t`` for the k-subsets t of g[start:], in lex order, cut
     off past MAX_MEMBERS.  Any other residual takes the children g[j] in
     turn and stops at the first whose residual needs more coordinates
-    (:func:`_need`) than the n-1-j left above g[j].  Stopping there skips
-    no member: the need of the residual after x never decreases as x grows,
-    since only Schreier (after x: x more) and a limit canonical index (after
-    x: one more chain factor) read x, and sums and +1 keep the order."""
+    (:func:`_need`, from the next coordinate g[j+1] on) than the n-1-j left
+    above g[j].  Stopping there skips no member: the bound never decreases
+    as x grows, since the residual after x needs no fewer coordinates (only
+    Schreier, after x: x more, and a limit canonical index, after x: one
+    more chain factor, read x) and a larger lo never lowers a bound."""
     if type(r) is ExactSize:
         out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), MAX_MEMBERS + 1 - len(out)))
         if len(out) > MAX_MEMBERS:
@@ -407,7 +434,7 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
     last = len(g) - 1
     for j in range(start, len(g)):
         child = _d(r, g[j])
-        if _need(child) > last - j:
+        if _need(child, g[j + 1] if j < last else g[j] + 1, last - j) > last - j:
             return
         _walk(child, g, j + 1, prefix + (g[j],), out)
 
@@ -429,6 +456,17 @@ def indexed_front(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=FRONT_CACHE)
+def front_masks(r: BarrierSpec, g: Seq) -> tuple[int, ...]:
+    """The masks of the members of ``indexed_front(r, g)``, in their order
+    (``g[i]`` at bit ``n-1-i``, so a member's last element is its mask's
+    low bit), computed in C-level passes once per (normal form, base)
+    while the pair stays among the last :data:`FRONT_CACHE` used."""
+    n = len(g)
+    bit = {x: 1 << n - 1 - i for i, x in enumerate(g)}
+    return tuple(map(sum, map(partial(map, bit.__getitem__), indexed_front(r, g))))
+
+
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
     """Classify a strictly increasing sequence against the barrier."""
     seq = as_seq(s)
@@ -448,11 +486,14 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
     Returns None (inconclusive) when a finite stream runs out while still a
     proper prefix.  Raises NotInBaseError when the stream leaves the base.
     Along any infinite increasing stream inside the base, Density guarantees
-    termination.  No stream element past the member is read.
+    termination.  No stream element past the member is read.  Once the
+    residual is ExactSize(k), the member ends k coordinates later, so they
+    are counted down with no residual built.
     """
     r = _norm(spec)
     if r is EMPTY:
         return ()
+    left = r.size if type(r) is ExactSize else -1  # coordinates to go, once known
     cur: list[int] = []
     for x in stream:
         if cur and x <= cur[-1]:
@@ -460,8 +501,14 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
         if not in_base(spec, x):
             raise NotInBaseError(f"{x} is not in the base")
         cur.append(x)
-        r = _d(r, x)
-        if r is EMPTY:
+        if left > 0:
+            left -= 1
+        else:
+            r = _d(r, x)
+            if type(r) is not ExactSize:
+                continue
+            left = r.size
+        if not left:
             return tuple(cur)
     return None
 
@@ -476,20 +523,26 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
     return indexed_front(*front_key(spec, ground))
 
 
+def sperner_of_masks(masks: Iterable[int], n: int) -> bool:
+    """True iff no mask over range(n) strictly contains another: a mask lies
+    in :func:`up_closure2` of the :func:`point_set` iff it contains a
+    second, distinct mask.  2n big-int shift-ORs whatever the number of
+    masks."""
+    points = point_set(masks, n)
+    return not points & up_closure2(points, n)
+
+
 def check_sperner(members: Iterable[Seq]) -> bool:
-    """True iff no member strictly contains another as a set: a member's
-    mask over the n coordinates the members use lies in :func:`up_closure2`
-    of their :func:`point_set` iff it contains a second, distinct member.
-    2n big-int shift-ORs whatever the number of members; more than
-    :data:`MAX_GROUND` coordinates raise ValueError."""
+    """True iff no member strictly contains another as a set, read off the
+    members' masks over the n coordinates they use (:func:`sperner_of_masks`);
+    more than :data:`MAX_GROUND` coordinates raise ValueError."""
     members = list(members)
     union = sorted({x for s in members for x in s})
     n = len(union)
     if n > MAX_GROUND:
         raise ValueError(f"the members use {n} coordinates; Sperner checks are limited to {MAX_GROUND}")
     bit = {x: 1 << i for i, x in enumerate(union)}
-    points = point_set((sum(map(bit.__getitem__, set(s))) for s in members), n)
-    return not points & up_closure2(points, n)
+    return sperner_of_masks((sum(map(bit.__getitem__, set(s))) for s in members), n)
 
 
 @dataclass(frozen=True)
@@ -506,17 +559,16 @@ class DensityReport:
         }
 
 
-def density_of_front(members: Iterable[Seq], g: Seq) -> DensityReport:
-    """The density probe of a front, read off its members.
+def density_of_masks(masks: tuple[int, ...], n: int) -> DensityReport:
+    """The density probe of a front, read off its :func:`front_masks` over
+    a base of n elements.
 
-    ``g`` is the base of the ground set and ``members`` the front inside it.
     A subset's stream stops at its shortest member prefix, so a member ending
-    at g[j] is reached by exactly the 2^(n-1-j) subsets it starts, and the
-    member () of the family {()} by all 2^n - 1 nonempty subsets.
+    at g[j] is reached by exactly the 2^(n-1-j) subsets it starts, which is
+    its mask's low bit, and the member () of the family {()} by all
+    2^n - 1 nonempty subsets.
     """
-    n = len(g)
-    pos = {x: j for j, x in enumerate(g)}
-    hit = sum(1 << (n - 1 - pos[s[-1]]) if s else (1 << n) - 1 for s in members)
+    hit = (1 << n) - 1 if masks == (0,) else sum(map(and_, masks, map(neg, masks)))
     return DensityReport(hit=hit, inconclusive=(1 << n) - 1 - hit, violations=())
 
 
@@ -524,7 +576,7 @@ def density_probe(spec: BarrierSpec, ground: Iterable[int]) -> DensityReport:
     """Stream every nonempty subset of the ground set through the stop rule.
 
     ``hit`` counts subsets that reach a member, ``inconclusive`` those that
-    run out first; both are read off the front (:func:`density_of_front`).
+    run out first; both are read off the front (:func:`density_of_masks`).
     ``violations`` stays in the report schema but is always empty: a stream
     stops at its first member, so no subset can overrun without one.
     Non-base ground elements are dropped up front, matching the Density
@@ -532,7 +584,7 @@ def density_probe(spec: BarrierSpec, ground: Iterable[int]) -> DensityReport:
     :data:`MAX_GROUND` elements raises ValueError.
     """
     g = capped_base(spec, ground)
-    return density_of_front(front(spec, g), g)
+    return density_of_masks(front_masks(_norm(spec), g), len(g))
 
 
 # --- variants ----------------------------------------------------------

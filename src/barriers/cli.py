@@ -27,13 +27,15 @@ from .barrier import (
     BarrierSpec,
     InternalInvariantError,
     OrderTypeUnsupportedError,
+    _norm,
     capped_base,
-    check_sperner,
     classify,
-    density_of_front,
+    density_of_masks,
     front,
+    front_masks,
     order_type,
     spec_label,
+    sperner_of_masks,
     variant,
 )
 from .coloring import Coloring
@@ -110,8 +112,9 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
     ground = parse_ground_arg(args.ground)
     g = capped_base(spec, ground)
     members = front(spec, g)
-    sperner_ok = check_sperner(members)
-    density = density_of_front(members, g)
+    masks = front_masks(_norm(spec), g)
+    sperner_ok = sperner_of_masks(masks, len(g))
+    density = density_of_masks(masks, len(g))
     ok = sperner_ok and not density.violations
     report = {
         "command": "check",

@@ -126,13 +126,24 @@ class OracleFamily:
                 return entry
         return None
 
+    def _correct_entry(self, e: int, stage: Seq) -> OracleEntry | None:
+        """Entry e if the approximation at this stage is correct for it:
+        min(stage) passes the entry's delay."""
+        entry = self.get(e)
+        return entry if entry is not None and stage and stage[0] > entry.delay else None
+
     def g(self, e: int, x: int, stage: Seq) -> int:
         """Total {0,1} approximation: correct once min(stage) passes the
         entry's delay, 0 in every other situation."""
-        entry = self.get(e)
-        if entry is None or not stage or stage[0] <= entry.delay:
-            return 0
-        return int(x in entry.members)
+        entry = self._correct_entry(e, stage)
+        return int(entry is not None and x in entry.members)
+
+
+def _positives(fam: OracleFamily, e: int, stage: Seq) -> tuple[int, ...]:
+    """The numbers x < min(stage) with g(e, x, stage) = 1, in order, read
+    off the entry once."""
+    entry = fam._correct_entry(e, stage)
+    return () if entry is None else entry.members.elements_below(stage[0])
 
 
 def f_approx(fam: OracleFamily, e: int, i: int, stage: Seq) -> tuple[int, ...] | None:
@@ -142,10 +153,8 @@ def f_approx(fam: OracleFamily, e: int, i: int, stage: Seq) -> tuple[int, ...] |
     if not stage:
         return None
     need = pair(e, i) + 1
-    xs = [x for x in range(stage[0]) if fam.g(e, x, stage) == 1]
-    if len(xs) < need:
-        return None
-    return tuple(xs[:need])
+    xs = _positives(fam, e, stage)
+    return tuple(xs[:need]) if len(xs) >= need else None
 
 
 # --- staged colorings --------------------------------------------------------
@@ -156,14 +165,20 @@ def _thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
 
     Substages 0..min(stage)-1 are read as pair codes (e, i); a substage with
     a defined approximation claims its least still-uncolored member and
-    colors it i.  The closing substage colors everything left with 1.
+    colors it i.  The closing substage colors everything left with 1.  The
+    approximation at substage u = pair(e, i) is the first u + 1 numbers of
+    entry e's positives below min(stage) (:func:`f_approx`), which are read
+    once per entry.
     """
     s1 = stage[0]
+    positives: dict[int, tuple[int, ...]] = {}
     colors: dict[int, int] = {}
     for u in range(s1):
         e, i = unpair(u)
-        approx = f_approx(fam, e, i, stage)
-        if approx is None:
+        if e not in positives:
+            positives[e] = _positives(fam, e, stage)
+        approx = positives[e][: u + 1]
+        if len(approx) <= u:
             continue
         free = [m for m in approx if m not in colors]
         if free:
@@ -185,7 +200,7 @@ def _rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
     s1 = stage[0]
     owner: dict[int, int] = {}
     for e in range(s1):
-        cands = [x for x in range(s1) if x not in owner and fam.g(e, x, stage) == 1]
+        cands = [x for x in _positives(fam, e, stage) if x not in owner]
         if len(cands) >= 2:
             owner[cands[0]] = owner[cands[1]] = cands[0]
     return {l: owner.get(l, l) for l in range(s1)}

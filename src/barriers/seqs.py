@@ -9,6 +9,7 @@ set can stand in for an infinite subset of the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, dropwhile, takewhile
 from typing import Iterable, Iterator
 
 Seq = tuple[int, ...]
@@ -115,26 +116,16 @@ class GroundSet:
 
     def elements(self) -> Iterator[int]:
         """All members in increasing order; infinite when there is a tail."""
-        yield from self.prefix
-        if self.tail is not None:
-            x = self.tail.start
-            while True:
-                yield x
-                x += self.tail.step
+        if self.tail is None:
+            return iter(self.prefix)
+        return chain(self.prefix, count(self.tail.start, self.tail.step))
 
     def elements_below(self, stop: int) -> tuple[int, ...]:
-        out = []
-        for x in self.elements():
-            if x >= stop:
-                break
-            out.append(x)
-        return tuple(out)
+        return tuple(takewhile(stop.__gt__, self.elements()))
 
     def stream_from(self, lo: int) -> Iterator[int]:
         """Members >= lo in increasing order."""
-        for x in self.elements():
-            if x >= lo:
-                yield x
+        return dropwhile(lo.__gt__, self.elements())
 
     def finite_tuple(self) -> tuple[int, ...]:
         if not self.is_finite:

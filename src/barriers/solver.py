@@ -18,11 +18,11 @@ rainbow class of more than two members by a zeta count saturated at 2
 per member.  The members and their masks do not depend on the
 coloring: they are walked and computed once per (normal form, base) pair
 and kept in bounded caches (:func:`barriers.barrier.indexed_front`,
-:func:`front_masks`), since a uniform check sends many instances through the
-same barrier and ground.  With
-``g[i]`` at bit ``n-1-i`` of a mask, the subsets of one size go in lex order
-exactly as their masks go down, so with the size layers (:func:`size_layers`)
-an answer is read off the bitset without a loop over subsets: ``find`` takes
+:func:`barriers.barrier.front_masks`), since a uniform check sends many
+instances through the same barrier and ground.  With ``g[i]`` at bit
+``n-1-i`` of a mask, the subsets of one size go in lex order exactly as
+their masks go down, so with the size layers (:func:`size_layers`) an
+answer is read off the bitset without a loop over subsets: ``find`` takes
 the highest clean mask of the first nonempty layer from ``min_size`` on, and
 ``check_reduction`` intersects the clean target masks with the preimage of
 the source violations (:func:`drop_preimage`).  Because the bitsets have 2^n
@@ -40,12 +40,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .barrier import (
-    FRONT_CACHE,
     MAX_GROUND,
-    BarrierSpec,
     capped_base,
     _norm,
     front,
+    front_masks,
     has_sets,
     in_base,
     indexed_front,
@@ -64,7 +63,6 @@ __all__ = [
     "verify_rainbow",
     "default_universe",
     "MAX_GROUND",
-    "front_masks",
     "FrontIndex",
     "find",
 ]
@@ -168,15 +166,6 @@ def drop_preimage(s: int, n: int, end: str) -> int:
 def _positions(g: tuple[int, ...]) -> dict[int, int]:
     n = len(g)
     return {x: n - 1 - i for i, x in enumerate(g)}
-
-
-@lru_cache(maxsize=FRONT_CACHE)
-def front_masks(r: BarrierSpec, g: tuple[int, ...]) -> tuple[int, ...]:
-    """The masks of the members of ``indexed_front(r, g)``, in their order
-    (``g[i]`` at bit ``n-1-i``), computed once per (normal form, base) while
-    the pair stays among the last :data:`FRONT_CACHE` used."""
-    pos = _positions(g)
-    return tuple(sum(1 << pos[x] for x in s) for s in indexed_front(r, g))
 
 
 class FrontIndex:

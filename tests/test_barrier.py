@@ -26,10 +26,12 @@ from barriers.barrier import (
     append_variant,
     check_sperner,
     classify,
+    density_of_masks,
     density_probe,
     enum_rank,
     front,
     front_key,
+    front_masks,
     in_base,
     point_set,
     make_canonical,
@@ -38,6 +40,7 @@ from barriers.barrier import (
     make_restrict,
     order_type,
     rank_key,
+    sperner_of_masks,
     step,
     up_closure,
     up_closure2,
@@ -47,7 +50,6 @@ from barriers.cli import main
 from barriers.jsonio import spec_to_json
 from barriers.ordinals import OMEGA, Ordinal, mul, omega_pow, parse_ordinal
 from barriers.seqs import GroundSet, Tail, lex_cmp, seq_plus
-from barriers.solver import front_masks
 
 import oracles
 
@@ -89,6 +91,57 @@ def test_step_examples():
     assert step(Canonical(Ordinal.from_int(1)), (7,)) == (7,)
     assert step(ExactSize(3), (4, 9)) is None  # inconclusive, not an error
     assert step(ExactSize(0), (5, 6)) == ()
+    # inside an exact-size block (canonical:w after 2 is exact:3): the same
+    # checks on every coordinate, and nothing read past the member
+
+    def stream(xs):
+        yield from xs
+        raise AssertionError("read past the member")
+
+    assert step(Canonical(OMEGA), stream((2, 5, 6, 9))) == (2, 5, 6, 9)
+    assert step(Plus(ExactSize(2)), stream((1, 4, 6))) == (1, 4, 6)
+    assert step(Canonical(OMEGA), (2, 5, 6)) is None
+    with pytest.raises(ValueError, match="got 7 after 7"):
+        step(Canonical(OMEGA), (3, 4, 7, 7, 8, 9, 10))
+    with pytest.raises(barrier.NotInBaseError, match="7 is not in the base"):
+        step(make_restrict(Canonical(OMEGA), GroundSet(tail=Tail(0, 2))), (2, 4, 7, 8))
+
+
+def _step_by_prefixes(spec, xs):
+    """step by its definition: the stream's checks on each coordinate read,
+    then the shortest prefix that classify calls a member.  Returns the
+    outcome (a member, None, or the error's type and message) and the
+    number of coordinates read."""
+    if classify(spec, ()) is ELEMENT:
+        return (), 0
+    for i, x in enumerate(xs):
+        if i and x <= xs[i - 1]:
+            return (ValueError, f"stream must be strictly increasing, got {x} after {xs[i - 1]}"), i + 1
+        if not in_base(spec, x):
+            return (barrier.NotInBaseError, f"{x} is not in the base"), i + 1
+        if classify(spec, xs[: i + 1]) is ELEMENT:
+            return tuple(xs[: i + 1]), i + 1
+    return None, len(xs)
+
+
+@given(st.sampled_from(sorted(ALL_SPECS)), st.sets(st.integers(0, 14), max_size=10), st.data())
+def test_step_matches_its_definition(name, xs, data):
+    # increasing streams, some with one number slipped in anywhere (also
+    # inside an exact-size block: canonical:w after 3 is exact:6): the same
+    # outcome, the same error at the same coordinate, nothing read past it
+    spec = ALL_SPECS[name]
+    xs = sorted(xs)
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(xs)))
+        xs.insert(at, data.draw(st.integers(0, 14)))
+    want, reads = _step_by_prefixes(spec, xs)
+    stream = iter(xs)
+    try:
+        got = step(spec, stream)
+    except ValueError as exc:
+        got = (type(exc), str(exc))
+    assert got == want, (name, xs)
+    assert len(xs) - len(list(stream)) == reads, (name, xs)
 
 
 def test_front_examples():
@@ -248,6 +301,26 @@ def test_check_sperner_matches_the_pairwise_definition(name):
             injected = members + (extra,)
             assert oracles.slow_sperner(injected) is False
             assert check_sperner(injected) is False
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS) + ["{()}"])
+def test_axioms_read_off_the_kept_masks(name):
+    # `check` reads Sperner and density off front_masks: on dense, sparse
+    # and empty bases, against the pairwise definition and the per-member
+    # fold (a member ending at g[j] starts 2^(n-1-j) subsets, the member ()
+    # of {()} all 2^n - 1 nonempty ones)
+    spec = barrier.EMPTY if name == "{()}" else ALL_SPECS[name]
+    for ground in (range(11), (0, 2, 3, 5, 8, 9, 10), ()):
+        members = front(spec, ground)
+        r, g = front_key(spec, ground)
+        masks, n = front_masks(r, g), len(g)
+        assert sperner_of_masks(masks, n) == oracles.slow_sperner(members) is True, (name, ground)
+        full = (1 << n) - 1
+        if masks and masks[0] != full:  # a set strictly above a member
+            assert not sperner_of_masks(masks + (full,), n)
+        hit = sum(1 << n - 1 - g.index(s[-1]) if s else full for s in members)
+        assert density_of_masks(masks, n) == density_probe(spec, ground), (name, ground)
+        assert (density_of_masks(masks, n).hit, density_of_masks(masks, n).inconclusive) == (hit, full - hit)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=12))
@@ -521,39 +594,52 @@ def test_composite_fronts_match_subset_filter(spec, xs):
     assert front(spec, xs) == oracles.front_oracle(spec, xs)
 
 
-def _shortest_below(r, g, start):
+def _shortest_below(r, g, start, room):
     """Length of the shortest member of residual r inside g[start:] (None if
     there is none), by the unpruned walk; checks the length bound at every
-    node on the way: it is at most that length, and the children's bounds
-    never decrease along g."""
+    node on the way, with ``room`` at least len(g): from lo = g[start] it is
+    at most that length, and the children's bounds, each from the coordinate
+    after the child's, never decrease along g (cut at room + 1, past which
+    the bound stops counting)."""
     if r is barrier.EMPTY:
         return 0
     best, needs = None, []
     for j in range(start, len(g)):
         child = barrier._d(r, g[j])
-        needs.append(barrier._need(child))
-        below = _shortest_below(child, g, j + 1)
+        lo = g[j + 1] if j + 1 < len(g) else g[j] + 1
+        needs.append(min(barrier._need(child, lo, room), room + 1))
+        below = _shortest_below(child, g, j + 1, room)
         if below is not None and (best is None or below + 1 < best):
             best = below + 1
     assert needs == sorted(needs), (r, g[start:], needs)
-    assert best is None or barrier._need(r) <= best, (r, g[start:], best)
+    assert best is None or barrier._need(r, g[start], room) <= best, (r, g[start:], best)
     return best
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_length_bound_is_a_monotone_lower_bound(name):
     # the premise of stopping a walk's child loop at the first child that
-    # cannot fit in what is left of the ground
-    r, g = front_key(ALL_SPECS[name], range(11))
-    _shortest_below(r, g, 0)
+    # cannot fit in what is left of the ground, on a dense ground and on
+    # sparse ones, where the next coordinate lies far above the last
+    for ground in (range(11), (0, 3, 7, 12, 20, 31, 40), (1, 2, 5, 9, 17, 26, 33, 40), (6, 19, 40)):
+        r, g = front_key(ALL_SPECS[name], ground)
+        _shortest_below(r, g, 0, len(g))
 
 
 def test_length_bound_values():
-    need = barrier._need
-    assert need(barrier.EMPTY) == 0 and need(ExactSize(4)) == 4
-    assert need(Schreier()) == need(Canonical(OMEGA)) == need(Canonical(parse_ordinal("w + 1"))) == 1
-    assert need(Plus(Schreier())) == 2 and need(Plus(Plus(Canonical(OMEGA)))) == 3
-    assert need(Product(Schreier(), Product(Plus(Schreier()), ExactSize(2)))) == 5
+    need, room = barrier._need, 100
+    assert need(barrier.EMPTY, 5, room) == 0 and need(ExactSize(4), 5, room) == 4
+    # Schreier from lo: lo + 1; plus reads its inner one below
+    assert need(Schreier(), 0, room) == 1 and need(Schreier(), 5, room) == 6
+    assert need(Plus(Schreier()), 0, room) == 2 and need(Plus(Schreier()), 3, room) == 4
+    # canonical:w from 3 reads 3, then the 6-sets above it; w+1 reads 3, then w from 4
+    assert need(Canonical(OMEGA), 3, room) == 7 and need(Canonical(parse_ordinal("w + 1")), 3, room) == 12
+    assert need(Plus(Plus(Canonical(OMEGA))), 2, room) == 3
+    # a right factor starts past the shortest left member: 3 from 2, 6 from 5, 2 from 11
+    assert need(Product(Schreier(), Product(Plus(Schreier()), ExactSize(2))), 2, room) == 11
+    # past the room the bound stops counting, and it loops along limit chains
+    assert 9 < need(Canonical(OMEGA), 5, 9) <= 16
+    assert 9 < need(barrier._d(Canonical(parse_ordinal("w^2")), 990), 991, 9)
 
 
 def test_exact_size_blocks_fold_in_normal_forms():
@@ -582,6 +668,10 @@ def test_walks_skip_branches_that_cannot_fit(monkeypatch):
     # no member of product(canonical:3, canonical:w+1) fits in 0..12: after
     # three coordinates come x < y with y >= 4 and then y(y+1)/2 more, 15 in
     # all.  The unpruned walk visits all 2^13 - 1 nodes, 14,380 _d calls.
+    # The walk reads the first child, (0,) (two calls, one per factor), and
+    # its bound from the next coordinate, 1, reads canonical:w+1 from 3 and
+    # canonical:w from 4 (one call each): 2 + 1 + 1 + 10 coordinates
+    # exceed the 12 left, so no other node is visited.
     calls = []
     real = barrier._d
 
@@ -592,4 +682,9 @@ def test_walks_skip_branches_that_cannot_fit(monkeypatch):
     monkeypatch.setattr(barrier, "_d", counting_d)
     barrier.indexed_front.cache_clear()
     assert front(Product(Canonical(Ordinal.from_int(3)), Canonical(parse_ordinal("w + 1"))), range(13)) == ()
-    assert len(calls) < 2000
+    assert calls == [0, 0, 3, 4]
+    # on a sparse ground the bound reads the next coordinate, not x + 1:
+    # after 0 comes schreier, which from 10 needs 11 coordinates, not 4
+    calls.clear()
+    assert front(Product(ExactSize(1), Schreier()), (0, 10, 11, 12)) == ()
+    assert calls == [0, 0]

@@ -270,6 +270,15 @@ def test_diag_stages_past_the_coordinate_cap_exit_2(capsys):
     assert err.startswith("error: ") and "65536" in err and err.count("\n") == 1
 
 
+def test_flat_grounds_with_large_coordinates_exit_0(capsys):
+    # canonical:w^2 after 990 is a product chain of 990 factors; the walk's
+    # length bound loops along it and stops once it passes what is left
+    code, report = run_json(capsys, "check", "--barrier", "canonical:w^2", "--ground", "990..1000")
+    assert code == 0 and report["front_size"] == 0 and report["sperner_ok"] is True
+    code, report = run_json(capsys, "front", "--barrier", "canonical:w^2", "--ground", "990..3000")
+    assert code == 0 and report["count"] == 0
+
+
 def _nested(key: str, leaf: str, depth: int) -> str:
     for _ in range(depth):
         leaf = f'{{"{key}": {leaf}}}'

@@ -78,6 +78,15 @@ def test_g_is_total_and_gated_by_the_delay():
     assert fam.g(0, 3, (4, 5)) == 0
     assert fam.g(5, 2, (4, 5)) == 0  # absent index: default
     assert EMPTY.g(0, 0, (9,)) == 0
+    assert fam.g(0, 2, (3, 5)) == 0  # min(stage) == delay: still the default
+    # the approximations read an entry once; they agree with a scan of g
+    mixed = OracleFamily.of([fam.get(0), OracleEntry(2, GroundSet(prefix=(1,), tail=Tail(4, 3)))])
+    for m in range(1, 12):
+        for e in range(4):
+            xs = [x for x in range(m) if mixed.g(e, x, (m, m + 1)) == 1]
+            for i in range(4):
+                need = pair(e, i) + 1
+                assert f_approx(mixed, e, i, (m, m + 1)) == (tuple(xs[:need]) if len(xs) >= need else None)
 
 
 def test_oracle_family_rejects_duplicates():

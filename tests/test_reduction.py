@@ -19,6 +19,7 @@ from barriers.barrier import (
     Schreier,
     base_members,
     front,
+    front_masks,
     rank_key,
     ranked_up_to,
 )
@@ -37,7 +38,7 @@ from barriers.reduction import (
     ts_fs_backward,
     ts_rt_forward,
 )
-from barriers.solver import MAX_GROUND, front_masks, verify_free, verify_mono, verify_rainbow, verify_thin
+from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
 from conftest import EVENS

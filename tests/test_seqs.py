@@ -60,6 +60,9 @@ def test_ground_set_membership_and_stream():
     mixed = GroundSet(prefix=(1, 3), tail=Tail(10, 5))
     assert 3 in mixed and 10 in mixed and 15 in mixed and 11 not in mixed
     assert mixed.elements_below(16) == (1, 3, 10, 15)
+    stream = mixed.stream_from(2)
+    assert [next(stream) for _ in range(4)] == [3, 10, 15, 20]
+    assert list(GroundSet.of([1, 4, 6]).stream_from(2)) == [4, 6] and GroundSet.of([1]).elements_below(0) == ()
 
 
 def test_ground_set_validation():
