@@ -111,8 +111,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
     g = capped_base(spec, ground)
-    members = front(spec, g)
-    masks = front_masks(_norm(spec), g)
+    masks = front_masks(_norm(spec), g)  # one mask per member of the front
     sperner_ok = sperner_of_masks(masks, len(g))
     density = density_of_masks(masks, len(g))
     ok = sperner_ok and not density.violations
@@ -120,12 +119,12 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
         "command": "check",
         "barrier": spec_label(spec),
         "ground": list(ground),
-        "front_size": len(members),
+        "front_size": len(masks),
         "sperner_ok": sperner_ok,
         "density": density.to_json(),
     }
     text = (
-        f"barrier {report['barrier']} on {list(ground)}: front={len(members)} "
+        f"barrier {report['barrier']} on {list(ground)}: front={len(masks)} "
         f"sperner={'ok' if sperner_ok else 'VIOLATED'} "
         f"density: hit={density.hit} inconclusive={density.inconclusive} "
         f"violations={len(density.violations)}"

@@ -32,6 +32,7 @@ desk-scale map of ts-to-fs, dropping min(H), is :func:`ts_fs_backward`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -87,76 +88,89 @@ class FreeToMonoColoring(Coloring):
         v strictly inside (s_{n-1} - 1, s_n - 1)      -> 0
         otherwise (v = s_n - 1 or v >= s_n)           -> 1
 
-    where s[v+1] is the (v+1)-variant, lexicographically below s.  Values are
-    memoized per member; a hop steps along s with v+1 inserted, without
-    classifying s again, and is asserted to reach a member through v+1 that
-    lies lexicographically below s.  The hop
-    depth below each member (a pure function of the instance, independent of
-    query order) is tracked, and ``max_chain`` holds the largest seen.
-    A call checks that s is a member; the rule trusts its input, like the
-    other forward colorings' rules, since the library hands it only members.
+    where s[v+1] is the (v+1)-variant, lexicographically below s.
 
-    The memo is the only mutable state; every entry is a pure function of
-    the instance, so concurrent queries race only on identical values.
+    The members with one prefix p = s[:-1] share t, v and k = v + 1, so
+    ``memo`` keeps one entry per prefix: k, and the value and hop depth
+    shared by the members of p whose last coordinate lies above k.  Those
+    take 0 when k is in p or above max(p), and hop when k lies below max(p)
+    outside p (for p = (), every member above k hops).  A member at or
+    below k takes 1.  The members of a hop group also share their variant:
+    s + {k} strictly contains s, so the variant is a prefix of p + {k}
+    through k.  It is looked up among the members colored already (in lex
+    order on a ground 0..n it always is one, being lex-below s), and only a
+    miss steps along the member with k inserted, which asserts that it
+    reaches a member through k lex-below s.  The hop depth below each
+    member (a pure function of the instance, independent of query order) is
+    tracked, and ``max_chain`` holds the largest seen.  A call checks that s
+    is a member unless it was colored already; the rule trusts its input,
+    like the other forward colorings' rules, since the library hands it
+    only members.
+
+    The memo and the set of members colored are the only mutable state;
+    every entry is a pure function of the instance, so concurrent queries
+    race only on identical values.
     """
 
     def __init__(self, inner: BarrierSpec, f: Coloring):
         self.inner = inner
         self.f = f
-        self.memo: dict[Seq, int] = {}
-        self.depth: dict[Seq, int] = {}
+        # prefix -> [k, (value, depth) of its members above k, or None while unknown]
+        self.memo: dict[Seq, list] = {}
+        self.colored: set[Seq] = set()
         self.max_chain = 0
         super().__init__(Plus(inner), self._eval, name=f"free-to-mono({f.name})", colors=(0, 1))
 
-    def _terminal(self, s: Seq, t: Seq, v: int) -> int | None:
-        """Value for the non-recursive cases, None when a hop is needed;
-        t = seq_minus(s) and v = f(t)."""
-        n = len(s) - 1
-        if v in t:
-            return 0
-        if v < s[0] - 1 or any(s[i] - 1 < v < s[i + 1] - 1 for i in range(n - 1)):
-            return None
-        if n >= 1 and s[n - 1] - 1 < v < s[n] - 1:
-            return 0
-        return 1
-
     def __call__(self, s: Iterable[int]) -> int:
-        # Memo keys are members or variants of members, so only a miss needs
-        # classifying.
         seq = as_seq(s)
-        if seq not in self.memo and classify(self.barrier, seq) is not ELEMENT:
+        if seq not in self.colored and classify(self.barrier, seq) is not ELEMENT:
             raise ValueError(f"{seq} is not a member of the plus barrier")
         return self._eval(seq)
 
+    def _hop(self, s: Seq, k: int) -> Seq:
+        """The k-variant of the member s, for k outside s and below max(s[:-1])
+        (below s_0 when s[:-1] is empty)."""
+        p = s[:-1]
+        i = bisect_left(p, k)
+        head = p[:i] + (k,)
+        for j in range(i, len(p) + 1):
+            w = head + p[i:j]
+            if w in self.colored:
+                return w
+        # k lies below max(s) and outside s, and the step raises
+        # NotInBaseError at k if it lies outside the base.
+        return _variant(self.barrier, s, k)
+
     def _eval(self, s: Seq) -> int:
         # The rule: s is a member (checked by __call__, or made by the
-        # library).  A memo hit is no deeper than max_chain already.
-        if s in self.memo:
-            return self.memo[s]
-        chain: list[Seq] = []
+        # library).  The chain holds the prefix entries waiting for their
+        # variant's value, with the member that reached each.
+        chain: list[tuple[list, Seq]] = []
         cur = s
-        while cur not in self.memo:
-            t = seq_minus(cur)
-            v = self.f.rule(t)  # t is a member of the inner barrier: no revalidation
-            value = self._terminal(cur, t, v)
-            if value is not None:
-                self.memo[cur] = value
-                self.depth[cur] = 0
+        while True:
+            p = cur[:-1]
+            entry = self.memo.get(p)
+            if entry is None:
+                k = self.f.rule(seq_minus(cur)) + 1  # a member of the inner barrier: no revalidation
+                entry = self.memo[p] = [k, (0, 0) if p and (k in p or k > p[-1]) else None]
+            k, above = entry
+            if cur[-1] <= k:
+                value, depth = 1, 0
                 break
-            # The (v+1)-variant of cur: v + 1 lies below max(cur) and outside
-            # it (see _terminal), and the step raises NotInBaseError at v + 1
-            # if it lies outside the base, so variant's checks are skipped.
-            chain.append(cur)
-            cur = _variant(self.barrier, cur, v + 1)
-        value = self.memo[cur]
-        below = self.depth[cur]
-        for node in reversed(chain):
+            if above is not None:
+                value, depth = above
+                break
+            chain.append((entry, cur))
+            cur = self._hop(cur, k)
+        self.colored.add(cur)
+        for entry, node in reversed(chain):
             value = 1 - value
-            below += 1
-            self.memo[node] = value
-            self.depth[node] = below
-        self.max_chain = max(self.max_chain, self.depth[s])
-        return self.memo[s]
+            depth += 1
+            entry[1] = (value, depth)
+            self.colored.add(node)
+        if depth > self.max_chain:
+            self.max_chain = depth
+        return value
 
 
 def fs_forward(inner: BarrierSpec, f: Coloring) -> FreeToMonoColoring:
@@ -217,8 +231,10 @@ class _ColorClasses:
     those up to the furthest member queried so far.  ``classes`` maps each
     color to its members in rank order, ``place`` each member to its color
     and its index in that list (the number of earlier members of its color).
-    The rank dict of the members up to max(s) decides membership, and the
-    ranked members are colored through ``f.rule``.
+    The rank dict of the members up to the largest max(s) queried decides
+    membership (the members up to a smaller max are a prefix of the rank
+    order), so the ranked members are fetched again only when that max
+    grows, and they are colored through ``f.rule``.
     """
 
     def __init__(self, spec: BarrierSpec, f: Coloring):
@@ -227,14 +243,21 @@ class _ColorClasses:
         self.done = 0  # members colored, a prefix of the rank order
         self.classes: dict[int, list[Seq]] = {}
         self.place: dict[Seq, tuple[int, int]] = {}
+        self.top = -1  # the largest max(s) queried, and its ranked members
+        self.ranked: tuple[Seq, ...] = ()
+        self.rank: dict[Seq, int] = {}
 
     def __call__(self, s: Seq) -> tuple[int, int]:
         if s not in self.place:
             top = max(rank_key(s)[0], 0)
-            rank = rank_positions(self.spec, top).get(s)
+            if top > self.top:
+                self.top = top
+                self.ranked = ranked_up_to(self.spec, top)
+                self.rank = rank_positions(self.spec, top)
+            rank = self.rank.get(s)
             if rank is None:
                 raise ValueError(f"{s} is not a member")
-            ranked = ranked_up_to(self.spec, top)
+            ranked = self.ranked
             while self.done <= rank:
                 t = ranked[self.done]
                 color = self.f.rule(t)
@@ -475,6 +498,15 @@ def check_reduction(
 # --- instance generators ---------------------------------------------------
 
 
+def _tabled_front(spec: BarrierSpec, g: tuple[int, ...]) -> tuple[Seq, ...]:
+    """The members an instance on the base g must color: the front of
+    0..max(g), not only of g.  The fs-to-rt forward reads f at the members
+    its hops reach, and the twin counts at every member of lower rank; both
+    may lie below max(g) and outside g.  On a ground 0..n this is the
+    ground's front."""
+    return front(spec, range(max(g, default=-1) + 1))
+
+
 def random_instance(
     red: Reduction | str,
     spec: BarrierSpec,
@@ -482,13 +514,14 @@ def random_instance(
     seed: int,
     bound: int | None = None,
 ) -> Coloring:
-    """Seeded random table coloring over the ground front, shaped for the
-    reduction: plain colorings for free/thin sources, exactly-bounded color
-    multisets for rainbow sources."""
+    """Seeded random table coloring, shaped for the reduction: plain
+    colorings for free/thin sources, exactly-bounded color multisets for
+    rainbow sources.  It tables the front of 0..max of the ground's base
+    (see :func:`_tabled_front`)."""
     if isinstance(red, str):
         red = REDUCTIONS[red]
     g = base_members(spec, ground)
-    members = front(spec, g)
+    members = _tabled_front(spec, g)
     rng = random.Random(seed)
     if red.needs_bound is not None:
         k = bound if bound is not None else (red.needs_bound or 2)
@@ -506,11 +539,12 @@ def adversarial_instances(
     ground: Iterable[int],
     bound: int | None = None,
 ) -> list[Coloring]:
-    """Deterministic stress instances per reduction."""
+    """Deterministic stress instances per reduction, tabled like
+    :func:`random_instance`."""
     if isinstance(red, str):
         red = REDUCTIONS[red]
     g = base_members(spec, ground)
-    members = front(spec, g)
+    members = _tabled_front(spec, g)
     out: list[Coloring] = []
     if red.needs_bound is not None:
         k = bound if bound is not None else (red.needs_bound or 2)

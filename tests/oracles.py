@@ -180,15 +180,21 @@ def v_to_ordinal(v) -> Ordinal:
 # --- non-memoized forward re-evaluation -------------------------------------
 
 
-def slow_fs(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> int:
+def slow_fs(plus_spec: BarrierSpec, f, s: Seq) -> int:
     """Straight recursive evaluation of the free-to-mono coloring."""
+    return slow_fs_chain(plus_spec, f, s)[0]
+
+
+def slow_fs_chain(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> tuple[int, int]:
+    """The free-to-mono value at s and the number of hops the straight
+    recursion takes below s."""
     assert depth < 500, "runaway recursion"
     t = tuple(x - 1 for x in s[:-1])
     v = f(t)
     n = len(s) - 1
     for i in range(n):
         if v == s[i] - 1:
-            return 0
+            return 0, 0
     hop = None
     if v < s[0] - 1:
         hop = v + 1
@@ -199,10 +205,11 @@ def slow_fs(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> int:
                 break
     if hop is not None:
         nxt = step(plus_spec, insert_sorted(s, hop))
-        return 1 - slow_fs(plus_spec, f, nxt, depth + 1)
+        value, below = slow_fs_chain(plus_spec, f, nxt, depth + 1)
+        return 1 - value, below + 1
     if n >= 1 and s[n - 1] - 1 < v < s[n] - 1:
-        return 0
-    return 1
+        return 0, 0
+    return 1, 0
 
 
 # --- straight-line stage replays ---------------------------------------------

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriers import barrier, reduction
+from barriers import barrier, cli, reduction
 from barriers.barrier import (
     Canonical,
     ExactSize,
@@ -87,6 +87,51 @@ def test_fs_forward_chain_tracking():
     g((5, 9))
     assert g.max_chain >= 2  # (5,9) -> (3,5) -> (1,3)
     assert g((5, 9)) in (0, 1)  # memoized re-query is stable
+
+
+def _ground(data, top: int) -> tuple[int, ...]:
+    """0..top, or a sparse subset of it that keeps top."""
+    if data.draw(st.booleans()):
+        return tuple(range(top + 1))
+    return tuple(sorted(data.draw(st.sets(st.integers(0, top - 1))) | {top}))
+
+
+@given(st.data())
+def test_fs_forward_matches_slow_recursion_in_any_order(data):
+    # The prefix memo and the variant lookup against the straight recursion,
+    # queried in lex order and shuffled.  On a sparse ground the hops reach
+    # members outside it, so the lookup misses and the forward steps.
+    inner = data.draw(st.sampled_from((ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA))))
+    top = data.draw(st.integers(2, 8))
+    ground = _ground(data, top)
+    tabled = front(inner, range(top + 1))
+    colors = data.draw(st.lists(st.integers(0, top + 3), min_size=len(tabled), max_size=len(tabled)))
+    f = table_coloring(inner, dict(zip(tabled, colors)))
+    plus = Plus(inner)
+    members = front(plus, [x + 1 for x in ground])
+    expected = {s: oracles.slow_fs_chain(plus, f, s) for s in members}
+    deepest = max((depth for _, depth in expected.values()), default=0)
+    for order in (members, data.draw(st.permutations(members))):
+        g = fs_forward(inner, f)
+        assert [g(s) for s in order] == [expected[s][0] for s in order]
+        assert g.max_chain == deepest
+
+
+@given(st.data())
+def test_twin_count_forwards_agree_in_any_order(data):
+    # The rank order is fetched again only when the queried max grows, so a
+    # shuffled order must color every member as the lex order does.
+    spec = data.draw(st.sampled_from((ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA))))
+    ground = _ground(data, data.draw(st.integers(1, 8)))
+    members = front(spec, ground)
+    seed = data.draw(st.integers(0, 1000))
+    for name, forward in (("rrt-to-rt", rrt_rt_forward), ("rrt2-to-fs", rrt2_fs_forward)):
+        f = random_instance(name, spec, ground, seed=seed)
+        in_lex = forward(spec, f)
+        colors = [in_lex(s) for s in members]
+        shuffled = forward(spec, f)
+        order = data.draw(st.permutations(range(len(members))))
+        assert [shuffled(members[i]) for i in order] == [colors[i] for i in order], name
 
 
 def test_fs_backward():
@@ -519,6 +564,33 @@ def test_free_to_mono_hops_call_no_variant(monkeypatch):
     assert calls == []
 
 
+def test_free_to_mono_hops_look_the_variant_up(monkeypatch):
+    # In lex order on 0..n a hop's variant is a member colored already, so
+    # no hop steps; on a sparse ground the hops that leave it step.
+    steps = []
+    real = reduction._variant
+
+    def counting_variant(spec, s, k):
+        steps.append((s, k))
+        return real(spec, s, k)
+
+    monkeypatch.setattr(reduction, "_variant", counting_variant)
+    chains = []
+    for spec in (ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA)):
+        for seed in range(6):
+            f = random_instance("fs-to-rt", spec, range(9), seed=seed)
+            report = check_reduction("fs-to-rt", f, range(9), 3)
+            assert report.ok and steps == [], (spec, seed)
+            chains.append(report.max_recursion_chain)
+    assert max(chains[:6]) == 1 and max(chains) > 1  # exact:0 hops to (k,), which ends at k
+    sparse = (0, 2, 3, 5, 7, 8)
+    f = random_instance("fs-to-rt", Schreier(), sparse, seed=1)
+    g = fs_forward(Schreier(), f)
+    members = front(g.barrier, [x + 1 for x in sparse])
+    assert [g(s) for s in members] == [oracles.slow_fs(g.barrier, f, s) for s in members]
+    assert steps and all(k - 1 not in sparse for _, k in steps)
+
+
 def test_free_to_mono_hops_outside_the_base_raise():
     # (3, 5) is t = (2,) plus a coordinate; the color -3 lies below
     # s_0 - 1 and sends the hop through -2.
@@ -568,3 +640,22 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
     for bad in ((1,), (2, 3), (0, 1), (1, 2, 3, 4, 5)):  # prefixes, outside the base, an overrun
         with pytest.raises(ValueError, match="not a member of the plus barrier"):
             g(bad)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_cli_reduce_check_on_a_sparse_ground_matches_brute_force(name, capsys):
+    # The CLI's instances table the front of 0..max(ground): the fs-to-rt
+    # hops and the twin counts read f at members outside the ground.
+    red = REDUCTIONS[name]
+    ground = (0, 2, 3, 5, 7, 8)
+    for label, spec in (("schreier", Schreier()), ("exact:2", ExactSize(2))):
+        argv = ["reduce", "--name", name, "--barrier", label, "--ground", "0,2,3,5,7,8",
+                "--random", "2", "--seed", "4", "--adversarial", "--check", "--min-size", "2", "--json"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        report = json.loads(capsys.readouterr().out)
+        fs = [random_instance(red, spec, ground, seed=4 * 100003 + i) for i in range(2)]
+        fs += adversarial_instances(red, spec, ground)
+        expected = [brute_check(red, f, ground, 2) for f in fs]
+        assert report["instances"] == len(fs)
+        assert report["checked_witnesses"] == sum(checked for checked, _ in expected)
+        assert report["counterexamples"] == [c for _, cex in expected for c in cex]
