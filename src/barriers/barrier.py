@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import combinations, islice
-from operator import and_, neg
-from typing import Iterable, Iterator, Union
+from operator import and_, le, neg
+from typing import Callable, Iterable, Iterator, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
 from .seqs import GroundSet, Seq, as_seq, insert_sorted, lex_cmp
@@ -223,9 +223,20 @@ def in_base(spec: BarrierSpec, x: int) -> bool:
     raise TypeError(f"not a barrier spec: {spec!r}")
 
 
+@lru_cache(maxsize=256)
+def _base_test(spec: BarrierSpec) -> Callable[[int], bool]:
+    """``in_base(spec, .)`` as one callable, built once per spec: on a plain
+    base (naturals, see :func:`_plain_base`) under j pluses it is the C-level
+    ``j <= x``; other specs fall back to :func:`in_base`."""
+    j, inner = 0, spec
+    while type(inner) is Plus:
+        j, inner = j + 1, inner.inner
+    return partial(le, j) if _plain_base(inner) else partial(in_base, spec)
+
+
 def base_members(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
     """Ground elements that belong to the base, sorted."""
-    return tuple(sorted(x for x in set(ground) if in_base(spec, x)))
+    return tuple(sorted(filter(_base_test(spec), set(ground))))
 
 
 MAX_GROUND = 20  # base elements of a ground set whose subsets are all scanned
@@ -470,7 +481,7 @@ def front_masks(r: BarrierSpec, g: Seq) -> tuple[int, ...]:
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
     """Classify a strictly increasing sequence against the barrier."""
     seq = as_seq(s)
-    if any(not in_base(spec, x) for x in seq):
+    if not all(map(_base_test(spec), seq)):
         return NOT_IN_BASE
     r = _norm(spec)
     for x in seq:
@@ -494,11 +505,12 @@ def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
     if r is EMPTY:
         return ()
     left = r.size if type(r) is ExactSize else -1  # coordinates to go, once known
+    inside = _base_test(spec)
     cur: list[int] = []
     for x in stream:
         if cur and x <= cur[-1]:
             raise ValueError(f"stream must be strictly increasing, got {x} after {cur[-1]}")
-        if not in_base(spec, x):
+        if not inside(x):
             raise NotInBaseError(f"{x} is not in the base")
         cur.append(x)
         if left > 0:

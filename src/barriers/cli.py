@@ -6,7 +6,8 @@ instances are requested) and prints either a human-readable summary or, with
 --json, a machine-readable report validating against docs/schemas/.
 
 Exit codes: 0 clean, 1 violations or counterexamples found, 2 usage errors,
-3 internal invariant violations (reports tagged BUG).
+3 internal invariant violations and any other unexpected exception (one
+line tagged BUG, so a library bug never reads as a counterexample).
 
 Barrier arguments accept shorthand (``schreier``, ``exact:3``,
 ``canonical:w^2``), inline JSON, or a path to a JSON file.  Ground sets are
@@ -378,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:  # the library's recursions are bounded by the input's nesting depth
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:  # a library bug must not read as a counterexample (exit 1)
+        print(json.dumps({"BUG": f"{type(exc).__name__}: {exc}"}, sort_keys=True))
+        return 3
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

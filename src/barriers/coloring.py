@@ -5,14 +5,18 @@ will ever query.  Colorings come from finite tables (raising on anything
 outside the table) or from named builtin rules, and may declare a bound k
 meaning no color value is taken more than k times; the bound is checked
 where it matters, never assumed.
+
+A coloring answers one member at a time through its ``rule``, and a whole
+front at once through :meth:`Coloring.colors_of`, which a coloring that keeps
+a table, a rank order or a memo answers with its shared work done once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .barrier import BarrierSpec, enum_rank, front
+from .barrier import BarrierSpec, enum_rank, front, rank_positions
 from .seqs import Seq, as_seq
 
 __all__ = [
@@ -43,15 +47,31 @@ class Coloring:
         name: str = "custom",
         declared_bound: int | None = None,
         colors: tuple[int, ...] | None = None,
+        bulk: Callable[[Sequence[Seq]], list[int]] | None = None,
     ):
         self.barrier = barrier
         self.rule = rule
         self.name = name
         self.declared_bound = declared_bound
         self.colors = colors  # optional declared color universe
+        self.bulk = bulk
 
     def __call__(self, s: Iterable[int]) -> int:
         return self.rule(as_seq(s))
+
+    def colors_of(self, members: Sequence[Seq]) -> list[int]:
+        """``[self.rule(s) for s in members]``, for members the library
+        produced.  A ``bulk`` rule may compute the list with the work the
+        members share done once; if it raises anything, the per-member loop
+        runs instead, so the first error and its message are the rule's.
+        Rerunning is safe: a coloring's state is a pure function of the
+        instance."""
+        if self.bulk is not None:
+            try:
+                return self.bulk(members)
+            except Exception:
+                pass
+        return list(map(self.rule, members))
 
     def __repr__(self) -> str:
         return f"Coloring({self.name!r})"
@@ -71,21 +91,31 @@ def table_coloring(
         except KeyError:
             raise PartialColoringError(f"coloring {name!r} has no value for {s}")
 
-    return Coloring(barrier, rule, name=name, declared_bound=declared_bound)
+    return Coloring(
+        barrier, rule, name=name, declared_bound=declared_bound, bulk=lambda ms: list(map(fixed.__getitem__, ms))
+    )
 
 
-def _rank_div(barrier: BarrierSpec, k: int) -> Callable[[Seq], int]:
-    def rule(s: Seq) -> int:
-        return enum_rank(barrier, s) // k
+def _ranks(barrier: BarrierSpec, members: Sequence[Seq]) -> list[int]:
+    """enum_rank of each member, read off one rank dict at the largest max
+    (the ranks up to a smaller max are a prefix), with no classify."""
+    top = max(map(max, filter(None, members)), default=-1)
+    return list(map(rank_positions(barrier, top).__getitem__, members))
 
-    return rule
+
+def _rank_coloring(barrier: BarrierSpec, name: str, op: Callable[[int], int], bound: int | None = None) -> Coloring:
+    return Coloring(
+        barrier,
+        lambda s: op(enum_rank(barrier, s)),
+        name=name,
+        declared_bound=bound,
+        bulk=lambda ms: list(map(op, _ranks(barrier, ms))),
+    )
 
 
-def _rank_mod(barrier: BarrierSpec, m: int) -> Callable[[Seq], int]:
-    def rule(s: Seq) -> int:
-        return enum_rank(barrier, s) % m
-
-    return rule
+def _no_end(name: str) -> NoReturn:
+    """The rules that read an end of the member are undefined on ()."""
+    raise ValueError(f"builtin coloring {name!r} is undefined on the empty member ()")
 
 
 BUILTIN_COLORINGS = ("const", "min", "max-plus-one", "min-parity", "size", "rank", "rank-div", "rank-mod")
@@ -107,25 +137,25 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
         value = _int_param(params, "value", 0)
         return Coloring(barrier, lambda s: value, name=f"const:{value}")
     if name == "min":
-        return Coloring(barrier, lambda s: s[0], name="min")
+        return Coloring(barrier, lambda s: s[0] if s else _no_end(name), name="min")
     if name == "max-plus-one":
-        return Coloring(barrier, lambda s: s[-1] + 1, name="max-plus-one")
+        return Coloring(barrier, lambda s: s[-1] + 1 if s else _no_end(name), name="max-plus-one")
     if name == "min-parity":
-        return Coloring(barrier, lambda s: s[0] % 2, name="min-parity")
+        return Coloring(barrier, lambda s: s[0] % 2 if s else _no_end(name), name="min-parity")
     if name == "size":
         return Coloring(barrier, lambda s: len(s), name="size")
     if name == "rank":
-        return Coloring(barrier, lambda s: enum_rank(barrier, s), name="rank", declared_bound=1)
+        return _rank_coloring(barrier, "rank", int, bound=1)
     if name == "rank-div":
         k = _int_param(params, "k")
         if k < 1:
             raise ValueError("k must be >= 1")
-        return Coloring(barrier, _rank_div(barrier, k), name=f"rank-div:{k}", declared_bound=k)
+        return _rank_coloring(barrier, f"rank-div:{k}", lambda r: r // k, bound=k)
     if name == "rank-mod":
         m = _int_param(params, "m")
         if m < 1:
             raise ValueError("m must be >= 1")
-        return Coloring(barrier, _rank_mod(barrier, m), name=f"rank-mod:{m}")
+        return _rank_coloring(barrier, f"rank-mod:{m}", lambda r: r % m)
     raise ValueError(f"unknown builtin coloring {name!r}")
 
 

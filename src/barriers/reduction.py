@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .barrier import (
     BarrierSpec,
@@ -75,6 +75,12 @@ __all__ = [
 # --- free set from monochromatic ----------------------------------------
 
 
+def _entry(p: Seq, k: int) -> list:
+    """A new memo entry of the prefix p: k, and the value and hop depth of
+    the members of p above k, known (0, 0) when k is in p or above max(p)."""
+    return [k, (0, 0) if p and (k in p or k > p[-1]) else None]
+
+
 class FreeToMonoColoring(Coloring):
     """2-coloring of the plus barrier defined by recursion along the
     lexicographic order, which is well-founded on any barrier.
@@ -105,7 +111,9 @@ class FreeToMonoColoring(Coloring):
     tracked, and ``max_chain`` holds the largest seen.  A call checks that s
     is a member unless it was colored already; the rule trusts its input,
     like the other forward colorings' rules, since the library hands it
-    only members.
+    only members.  A front is colored in one call (:meth:`_bulk`): one
+    ``f.colors_of`` call gives k for every new prefix, and only the first
+    member of each hop group walks its chain.
 
     The memo and the set of members colored are the only mutable state;
     every entry is a pure function of the instance, so concurrent queries
@@ -119,7 +127,7 @@ class FreeToMonoColoring(Coloring):
         self.memo: dict[Seq, list] = {}
         self.colored: set[Seq] = set()
         self.max_chain = 0
-        super().__init__(Plus(inner), self._eval, name=f"free-to-mono({f.name})", colors=(0, 1))
+        super().__init__(Plus(inner), self._eval, name=f"free-to-mono({f.name})", colors=(0, 1), bulk=self._bulk)
 
     def __call__(self, s: Iterable[int]) -> int:
         seq = as_seq(s)
@@ -151,8 +159,8 @@ class FreeToMonoColoring(Coloring):
             p = cur[:-1]
             entry = self.memo.get(p)
             if entry is None:
-                k = self.f.rule(seq_minus(cur)) + 1  # a member of the inner barrier: no revalidation
-                entry = self.memo[p] = [k, (0, 0) if p and (k in p or k > p[-1]) else None]
+                # seq_minus(cur) is a member of the inner barrier: no revalidation
+                entry = self.memo[p] = _entry(p, self.f.rule(seq_minus(cur)) + 1)
             k, above = entry
             if cur[-1] <= k:
                 value, depth = 1, 0
@@ -171,6 +179,30 @@ class FreeToMonoColoring(Coloring):
         if depth > self.max_chain:
             self.max_chain = depth
         return value
+
+    def _bulk(self, members: Sequence[Seq]) -> list[int]:
+        """``map(self._eval, members)`` with the inner colors fetched at once:
+        one ``colors_of`` call at the new prefixes gives their k, each member
+        reads its prefix entry, and only a member whose entry still waits for
+        its value (the first of a hop group) runs ``_eval``.  The entries
+        made here are the ones ``_eval`` would make, so the memo, the
+        members colored and ``max_chain`` end as after the per-member loop
+        (an entry's depth was counted in ``max_chain`` when it was set)."""
+        memo = self.memo
+        prefixes = [s[:-1] for s in members]
+        fresh = [p for p in dict.fromkeys(prefixes) if p not in memo]
+        for p, c in zip(fresh, self.f.colors_of([tuple(map((-1).__add__, p)) for p in fresh])):
+            memo[p] = _entry(p, c + 1)
+        self.colored.update(members)  # a variant lookup that finds a member sooner finds the same variant
+        out = []
+        for s, (k, above) in zip(members, map(memo.__getitem__, prefixes)):  # read as reached: _eval fills entries
+            if s[-1] <= k:
+                out.append(1)
+            elif above is None:
+                out.append(self._eval(s))
+            else:
+                out.append(above[0])
+        return out
 
 
 def fs_forward(inner: BarrierSpec, f: Coloring) -> FreeToMonoColoring:
@@ -192,12 +224,14 @@ def fs_backward(h: Iterable[int]) -> tuple[int, ...]:
 
 def ts_rt_forward(f: Coloring) -> Coloring:
     """Collapse to 2 colors: keep 0, send everything else to 1.  The new
-    coloring validates each query, so its rule hands it to ``f.rule``."""
+    coloring validates each query, so its rule hands it to ``f.rule``, and
+    a front to ``f.colors_of``."""
     return Coloring(
         f.barrier,
         lambda s: 0 if f.rule(s) == 0 else 1,
         name=f"thin-to-mono({f.name})",
         colors=(0, 1),
+        bulk=lambda ms: [0 if c == 0 else 1 for c in f.colors_of(ms)],
     )
 
 
@@ -226,15 +260,17 @@ def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
 
 
 class _ColorClasses:
-    """The members of a barrier in (max, lex) rank order, colored by f one
-    at a time as queries reach them: each member colored once, and only
-    those up to the furthest member queried so far.  ``classes`` maps each
-    color to its members in rank order, ``place`` each member to its color
-    and its index in that list (the number of earlier members of its color).
-    The rank dict of the members up to the largest max(s) queried decides
-    membership (the members up to a smaller max are a prefix of the rank
-    order), so the ranked members are fetched again only when that max
-    grows, and they are colored through ``f.rule``.
+    """The members of a barrier in (max, lex) rank order, colored by f as
+    queries reach them: each member colored once, and only those up to the
+    furthest member queried so far.  ``classes`` maps each color to its
+    members in rank order, ``place`` each member to its color and its index
+    in that list (the number of earlier members of its color).  The rank
+    dict of the members up to the largest max queried decides membership
+    (the members up to a smaller max are a prefix of the rank order), so the
+    ranked members are fetched again only when that max grows.  A query
+    (:meth:`fill`) takes a whole front at once: the rank order is fetched at
+    its largest max, and the rank prefix up to its highest-ranked member is
+    colored by one ``f.colors_of`` call.
     """
 
     def __init__(self, spec: BarrierSpec, f: Coloring):
@@ -249,23 +285,25 @@ class _ColorClasses:
 
     def __call__(self, s: Seq) -> tuple[int, int]:
         if s not in self.place:
-            top = max(rank_key(s)[0], 0)
-            if top > self.top:
-                self.top = top
-                self.ranked = ranked_up_to(self.spec, top)
-                self.rank = rank_positions(self.spec, top)
-            rank = self.rank.get(s)
-            if rank is None:
-                raise ValueError(f"{s} is not a member")
-            ranked = self.ranked
-            while self.done <= rank:
-                t = ranked[self.done]
-                color = self.f.rule(t)
-                cls = self.classes.setdefault(color, [])
-                self.place[t] = (color, len(cls))
-                cls.append(t)
-                self.done += 1
+            self.fill((s,))
         return self.place[s]
+
+    def fill(self, members: Sequence[Seq]) -> None:
+        """Place every member given; a non-member raises ValueError."""
+        top = max(map(max, filter(None, members)), default=0)  # the largest max(s)
+        if top > self.top:
+            self.top = top
+            self.ranked = ranked_up_to(self.spec, top)
+            self.rank = rank_positions(self.spec, top)
+        ranks = list(map(self.rank.get, members))
+        if None in ranks:
+            raise ValueError(f"{members[ranks.index(None)]} is not a member")
+        new = self.ranked[self.done : max(ranks, default=-1) + 1]
+        for t, color in zip(new, self.f.colors_of(new)):
+            cls = self.classes.setdefault(color, [])
+            self.place[t] = (color, len(cls))
+            cls.append(t)
+        self.done += len(new)
 
 
 def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
@@ -288,7 +326,12 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
             )
         return count
 
-    return Coloring(spec, rule, name=f"twin-count({f.name})", colors=tuple(range(k)))
+    def bulk(members: Sequence[Seq]) -> list[int]:
+        place.fill(members)
+        counts = [count for _, count in map(place.place.__getitem__, members)]
+        return counts if max(counts, default=0) < k else list(map(rule, members))  # raises at the first over k
+
+    return Coloring(spec, rule, name=f"twin-count({f.name})", colors=tuple(range(k)), bulk=bulk)
 
 
 def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
@@ -313,7 +356,11 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
             raise InternalInvariantError(f"BUG: member {twin} contained in {s}")
         return min(diff)
 
-    return Coloring(spec, rule, name=f"twin-min({f.name})")
+    def bulk(members: Sequence[Seq]) -> list[int]:
+        place.fill(members)
+        return list(map(rule, members))
+
+    return Coloring(spec, rule, name=f"twin-min({f.name})", bulk=bulk)
 
 
 # --- the reduction registry ----------------------------------------------
@@ -562,9 +609,10 @@ def adversarial_instances(
         return out
     out.append(table_coloring(spec, {s: 0 for s in members}, name="const:0"))
     out.append(table_coloring(spec, {s: max(g, default=0) + 50 for s in members}, name="const:big"))
-    out.append(table_coloring(spec, {s: s[0] for s in members}, name="min"))
-    out.append(table_coloring(spec, {s: s[-1] + 1 for s in members}, name="max-plus-one"))
-    out.append(table_coloring(spec, {s: max(s[0] - 2, 0) for s in members}, name="cascade"))
+    if members != ((),):  # these read an end of each member, and () has none
+        out.append(table_coloring(spec, {s: s[0] for s in members}, name="min"))
+        out.append(table_coloring(spec, {s: s[-1] + 1 for s in members}, name="max-plus-one"))
+        out.append(table_coloring(spec, {s: max(s[0] - 2, 0) for s in members}, name="cascade"))
     if members:
         probe = {s: 0 for s in members}
         top = max(members, key=rank_key)

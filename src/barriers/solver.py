@@ -12,11 +12,14 @@ violate a property form an up-set, the union of the up-sets of a few small
 masks, and :class:`FrontIndex` computes it for all 2^n subsets at once as one
 2^n-bit integer.  The work goes per color class, not per member: a class is
 one 2^n-bit set of points (its members' masks) closed upward by one
-superset-closure, or zeta, pass (:func:`barriers.barrier.up_closure`), and a
-rainbow class of more than two members by a zeta count saturated at 2
-(:func:`barriers.barrier.up_closure2`).  The index calls the coloring once
-per member.  The members and their masks do not depend on the
-coloring: they are walked and computed once per (normal form, base) pair
+superset-closure, or zeta, pass (:func:`barriers.barrier.up_closure`).  A
+rainbow class of m members is violated above the union of any two, so up to
+m = n its pairwise unions join one closure, and a larger class takes a zeta
+count saturated at 2 (:func:`barriers.barrier.up_closure2`).  The index
+colors the whole front in one call (:meth:`Coloring.colors_of`), so a
+coloring that keeps a table, a rank order or a memo does the work its
+members share once per front.  The members and their masks do not depend on
+the coloring: they are walked and computed once per (normal form, base) pair
 and kept in bounded caches (:func:`barriers.barrier.indexed_front`,
 :func:`barriers.barrier.front_masks`), since a uniform check sends many
 instances through the same barrier and ground.  With ``g[i]`` at bit
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, starmap
+from operator import or_
 from typing import Iterable, Iterator
 
 from .barrier import (
@@ -178,8 +183,8 @@ class FrontIndex:
     their masks go down.  Sets of subsets are 2^n-bit integers whose bit H
     stands for the subset H.  The members and masks depend on the normal
     form and the base only and are shared through the front caches; the
-    members, which the library produced itself, are colored through
-    ``f.rule`` without revalidation.
+    members, which the library produced itself, are colored without
+    revalidation, all in one ``f.colors_of`` call.
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
@@ -189,7 +194,7 @@ class FrontIndex:
         self.pos = _positions(g)
         self.members = indexed_front(r, g)
         self.masks = front_masks(r, g)
-        self.colors = [f.rule(s) for s in self.members]
+        self.colors = f.colors_of(self.members)
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)
 
@@ -203,10 +208,10 @@ class FrontIndex:
         points (:func:`point_set` of its member masks), closed upward once
         (:func:`up_closure`), so only a few 2^n-bit integers are alive at
         once: mono marks the masks in the up-sets of two classes, thin those
-        in the up-set of every universe color's class, rainbow those that
-        contain two members of one class, and free closes the points
-        m | bit(c) of the members m whose color c is a ground element
-        outside m."""
+        in the up-set of every universe color's class (none once a color has
+        no member or the intersection is empty), rainbow those that contain
+        two members of one class, and free closes the points m | bit(c) of
+        the members m whose color c is a ground element outside m."""
         n = len(self.g)
         if prop == "free":
             pos = self.pos
@@ -218,7 +223,9 @@ class FrontIndex:
         if prop == "thin":
             bad = self.all
             for c in universe:
-                bad &= up_closure(point_set(classes.get(c, ()), n), n)
+                if not bad or c not in classes:
+                    return 0
+                bad &= up_closure(point_set(classes[c], n), n)
             return bad
         if prop == "mono":
             bad = seen = 0
@@ -227,14 +234,17 @@ class FrontIndex:
                 bad |= seen & x
                 seen |= x
             return bad
-        # rainbow: a class of two members is violated above their union
-        # alone, a larger one wherever two of its members are inside
+        # rainbow: a class of m members is violated above the union of two
+        # of them; up to m = n the C(m, 2) unions join one closure, a larger
+        # class counts its members below each mask
         pairs, bad = [], 0
         for ms in classes.values():
-            if len(ms) == 2:
+            if len(ms) == 2:  # the common case of k-bounded instances, inline
                 pairs.append(ms[0] | ms[1])
-            elif len(ms) > 2:
+            elif len(ms) > n:
                 bad |= up_closure2(point_set(ms, n), n)
+            elif len(ms) > 2:
+                pairs.extend(starmap(or_, combinations(ms, 2)))
         return bad | up_closure(point_set(pairs, n), n)
 
     def colors_inside(self, m: int) -> list[int]:

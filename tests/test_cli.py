@@ -12,6 +12,9 @@ from referencing import Registry, Resource
 
 from barriers import cli
 from barriers.cli import main, parse_ground_arg
+from barriers.coloring import BUILTIN_COLORINGS
+from barriers.reduction import REDUCTIONS
+from barriers.solver import PROPERTIES
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -376,3 +379,38 @@ def test_command_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
     assert got == _outcome(capsys, argv)
+
+
+EMPTY_FRONT_BARRIERS = ("exact:0", "canonical:0", '{"product": ["exact:0", "exact:0"]}')
+
+
+@pytest.mark.parametrize("barrier", EMPTY_FRONT_BARRIERS)
+def test_the_empty_member_never_crashes_the_cli(capsys, barrier):
+    # The front of these barriers is {()}.  The builtins that read an end
+    # of a member are undefined there (exit 2, one line on stderr), the
+    # rest solve, and the stress instances leave out the tables that read
+    # an end.
+    params = {"rank-div": {"k": 2}, "rank-mod": {"m": 3}}
+    for name in BUILTIN_COLORINGS:
+        coloring = json.dumps({"builtin": name, "params": params.get(name, {})})
+        for prop in PROPERTIES:
+            code = main(["solve", "--property", prop, "--barrier", barrier, "--coloring", coloring, "--ground", "0..5"])
+            err = capsys.readouterr().err
+            assert code == (2 if name in ("min", "max-plus-one", "min-parity") else 0), (name, prop, err)
+            assert len(err.splitlines()) == (code == 2), (name, prop, err)
+    for name in REDUCTIONS:
+        code, report = run_json(
+            capsys, "reduce", "--name", name, "--barrier", barrier, "--ground", "0..5",
+            "--random", "1", "--adversarial", "--check",
+        )
+        assert code == 0 and report["counterexamples"] == [], name
+
+
+def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):
+    # A library bug must never read as "counterexamples found" (exit 1).
+    def broken(spec, ground):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr(cli, "front", broken)
+    assert main(["front", "--barrier", "schreier", "--ground", "0..4"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"BUG": "IndexError: tuple index out of range"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -15,6 +16,7 @@ from barriers.barrier import (
     ExactSize,
     NotInBaseError,
     Plus,
+    Product,
     Restrict,
     Schreier,
     base_members,
@@ -23,8 +25,9 @@ from barriers.barrier import (
     rank_key,
     ranked_up_to,
 )
-from barriers.coloring import BoundViolationError, Coloring, table_coloring
-from barriers.ordinals import OMEGA
+from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
+from barriers.diag import OracleEntry, OracleFamily, rainbow_defeater, thin_defeater
+from barriers.ordinals import OMEGA, Ordinal
 from barriers.reduction import (
     REDUCTIONS,
     adversarial_instances,
@@ -41,7 +44,7 @@ from barriers.reduction import (
 from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
-from conftest import EVENS
+from conftest import EVENS, EXTRA_POOL, SPEC_POOL
 
 
 def singles(table):
@@ -659,3 +662,104 @@ def test_cli_reduce_check_on_a_sparse_ground_matches_brute_force(name, capsys):
         assert report["instances"] == len(fs)
         assert report["checked_witnesses"] == sum(checked for checked, _ in expected)
         assert report["counterexamples"] == [c for _, cex in expected for c in cex]
+
+
+# --- a front in one call: colors_of against the per-member rule ----------------
+
+EMPTY_FRONT_SPECS = (ExactSize(0), Canonical(Ordinal.from_int(0)), Product(ExactSize(0), ExactSize(0)))
+PARAMS = {"const": {"value": 3}, "rank-div": {"k": 2}, "rank-mod": {"m": 3}}
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _state(g: Coloring):
+    """The mutable state of a forward: the fs-to-rt memo, the members it
+    colored and its deepest chain, or the twin counts' places."""
+    place = inspect.getclosurevars(g.rule).nonlocals.get("place")
+    return (
+        getattr(g, "memo", None),
+        getattr(g, "colored", None),
+        getattr(g, "max_chain", None),
+        place.place if isinstance(place, reduction._ColorClasses) else None,
+    )
+
+
+def _kinds(spec, ground, data):
+    """(label, make, members): a maker of fresh colorings of one kind, and
+    the members that FrontIndex would hand it (the front inside the
+    ground, or inside the target ground of a forward)."""
+    tabled = front(spec, range(max(ground) + 1))
+    colors = data.draw(st.lists(st.integers(0, 4), min_size=len(tabled), max_size=len(tabled)))
+    full = dict(zip(tabled, colors))
+    gaps = dict(full)
+    if tabled:
+        del gaps[tabled[data.draw(st.integers(0, len(tabled) - 1))]]
+    lying = data.draw(st.sampled_from((1, 2, 3)))
+    members = front(spec, ground)
+    kinds = [
+        ("table", lambda: table_coloring(spec, full), members),
+        ("partial table", lambda: table_coloring(spec, gaps), members),
+    ]
+    kinds += [
+        (name, lambda name=name: builtin_coloring(spec, name, PARAMS.get(name)), members)
+        for name in BUILTIN_COLORINGS
+    ]
+    seed = data.draw(st.integers(0, 99))
+    for name, red in REDUCTIONS.items():
+        if red.needs_bound is not None:
+            k = red.needs_bound or lying
+            sources = {
+                "random": random_instance(red, spec, ground, seed=seed, bound=k),
+                "lying": table_coloring(spec, full, declared_bound=k),
+                "partial": table_coloring(spec, gaps, declared_bound=k),
+            }
+        else:
+            sources = {"table": table_coloring(spec, full), "partial": table_coloring(spec, gaps)}
+        for label, f in sources.items():
+            target = front(red.forward(spec, f).barrier, red.target_ground(ground))
+            kinds.append((f"{name} on {label}", lambda red=red, f=f: red.forward(spec, f), target))
+    return kinds
+
+
+def _agree(label, make, members, data):
+    for order in (members, data.draw(st.permutations(members))):
+        per_member, at_once = make(), make()
+        want = _outcome(lambda: [per_member.rule(s) for s in order])
+        assert _outcome(lambda: at_once.colors_of(order)) == want, label
+        if want[0] == "ok":  # after an error the two may have stopped at different members
+            assert _state(at_once) == _state(per_member), label
+            if per_member.bulk is not None:  # no fallback to the per-member loop
+                assert make().bulk(order) == want[1], label
+
+
+@given(st.data())
+def test_colors_of_is_the_per_member_rule_for_every_kind(data):
+    # Values, errors (type and message) and the forwards' state, for every
+    # coloring kind, on dense and sparse grounds, in lex and shuffled order.
+    spec = data.draw(st.sampled_from([*SPEC_POOL.values(), *EXTRA_POOL.values(), *EMPTY_FRONT_SPECS]))
+    ground = _ground(data, data.draw(st.integers(1, 7)))
+    for label, make, members in _kinds(spec, ground, data):
+        _agree(label, make, members, data)
+
+
+@given(st.data())
+def test_colors_of_is_the_per_member_rule_for_the_staged_defeaters(data):
+    alpha = data.draw(st.sampled_from((Ordinal.from_int(1), Ordinal.from_int(2), OMEGA)))
+    fam = OracleFamily.of([OracleEntry(0, EVENS, data.draw(st.integers(0, 3))), OracleEntry(1, EVENS, 0)])
+    ground = _ground(data, data.draw(st.integers(1, 7)))
+    thin, rainbow = thin_defeater(alpha, fam), rainbow_defeater(alpha, fam)
+    spec = thin.barrier
+    kinds = {
+        "thin": lambda: thin_defeater(alpha, fam),
+        "rainbow": lambda: rainbow_defeater(alpha, fam),
+        "ts-to-rt": lambda: ts_rt_forward(thin),
+        "rrt-to-rt": lambda: rrt_rt_forward(spec, rainbow),
+        "rrt2-to-fs": lambda: rrt2_fs_forward(spec, rainbow),
+    }
+    for label, make in kinds.items():
+        _agree(label, make, front(spec, ground), data)

@@ -284,3 +284,30 @@ def test_find_min_size_out_of_range():
     assert find("mono", f, range(4), 5) is None  # no layer that large
     with pytest.raises(ValueError, match="min_size"):
         find("mono", f, range(4), -1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_rainbow_and_thin_violations_for_every_class_size(n):
+    # One class of m members for m = 1..n+2 (pair unions up to m = n, the
+    # two-plane closure above), the rest in classes of one to three; thin
+    # over every used color, a few of them, and a universe with an unused
+    # color (nothing covers it, so no subset violates).
+    spec = ExactSize(2)
+    members = front(spec, range(n))
+    rng = random.Random(n)
+    for m in range(1, n + 3):
+        order = rng.sample(members, len(members))
+        width = rng.randint(1, 3)
+        table = {s: 0 for s in order[:m]}
+        table.update({s: 1 + i // width for i, s in enumerate(order[m:])})
+        f = table_coloring(spec, table)
+        index = FrontIndex(f, range(n))
+        used = sorted(set(table.values()))
+        checks = {"rainbow": (verify_rainbow, ())}
+        for universe in (used, used[:2], used + [max(used) + 1]):
+            checks[f"thin {universe}"] = (lambda g, h, u=tuple(universe): verify_thin(g, h, u), universe)
+        for label, (check, universe) in checks.items():
+            bad = index.violations(label.split()[0], universe)
+            for mask in range(1 << n):
+                h = [x for x in range(n) if mask >> (n - 1 - x) & 1]
+                assert (bad >> mask & 1) == (not check(f, h)), (m, label, h)
