@@ -35,13 +35,14 @@ on the length of the members whose coordinates start at the next one of the
 ground; it never decreases as the child grows, since only Schreier and limit
 canonical residuals read the coordinate and both grow with it).
 :func:`step` reads a stream through the same residuals and counts down an
-exact-size one.  A front is walked once per (normal form, base) pair and
-the last :data:`FRONT_CACHE` fronts and their masks (:func:`front_masks`)
-are kept, since a uniform check sends many instances through one barrier
-and ground.  Both barrier axioms are read off the masks: Sperner is the
-two-point closure (:func:`up_closure2`) of their point set, and the density
-probe is a fold over them, since a subset's stream stops at its shortest
-member prefix, so each member stands for the subsets it starts.
+exact-size one.  One walk emits a front's members and their masks, once per
+(normal form, base) pair, and the last :data:`FRONT_CACHE` are kept
+(:func:`indexed_front`), since a uniform check sends many instances through
+one barrier and ground.  Both barrier axioms are read off the masks
+(:func:`capped_front`): Sperner is the two-point closure (:func:`up_closure2`)
+of their point set, and the density probe is a fold over them, since a
+subset's stream stops at its shortest member prefix, so each member stands
+for the subsets it starts.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import combinations, islice
 from operator import and_, le, neg
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
 from .seqs import GroundSet, Seq, as_seq, insert_sorted, lex_cmp
@@ -86,7 +87,7 @@ __all__ = [
     "FRONT_CACHE",
     "front_key",
     "indexed_front",
-    "front_masks",
+    "capped_front",
     "classify",
     "step",
     "front",
@@ -422,14 +423,17 @@ def _need(r: BarrierSpec, lo: int, room: int) -> int:
     return total
 
 
-def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> None:
+def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq, mask: int,
+          out: list[Seq], masks: list[int]) -> None:
     """Depth-first walk of the extensions of ``prefix`` by g[start:], r being
-    the residual after ``prefix``.  Appends the members met, in lex order,
-    and raises ValueError past MAX_MEMBERS of them.  By Sperner every
-    extension of a member overruns, so none is walked.
+    the residual after ``prefix`` and ``mask`` its mask (bits[i] for g[i]).
+    Appends the members met, in lex order, to ``out`` and their masks to
+    ``masks``, and raises ValueError past MAX_MEMBERS of them.  By Sperner
+    every extension of a member overruns, so none is walked.
 
     An ExactSize(k) residual (EMPTY included) is emitted whole: its members
-    are ``prefix + t`` for the k-subsets t of g[start:], in lex order, cut
+    are ``prefix + t`` for the k-subsets t of g[start:], in lex order, with
+    masks ``mask`` plus the sums of the same k-subsets of bits[start:], cut
     off past MAX_MEMBERS.  Any other residual takes the children g[j] in
     turn and stops at the first whose residual needs more coordinates
     (:func:`_need`, from the next coordinate g[j+1] on) than the n-1-j left
@@ -438,7 +442,9 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
     Schreier, after x: x more, and a limit canonical index, after x: one
     more chain factor, read x) and a larger lo never lowers a bound."""
     if type(r) is ExactSize:
-        out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), MAX_MEMBERS + 1 - len(out)))
+        room = MAX_MEMBERS + 1 - len(out)
+        out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), room))
+        masks.extend(islice(map(mask.__add__, map(sum, combinations(bits[start:], r.size))), room))
         if len(out) > MAX_MEMBERS:
             raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
         return
@@ -447,7 +453,7 @@ def _walk(r: BarrierSpec, g: Seq, start: int, prefix: Seq, out: list[Seq]) -> No
         child = _d(r, g[j])
         if _need(child, g[j + 1] if j < last else g[j] + 1, last - j) > last - j:
             return
-        _walk(child, g, j + 1, prefix + (g[j],), out)
+        _walk(child, g, bits, j + 1, prefix + (g[j],), mask + bits[j], out, masks)
 
 
 def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Seq]:
@@ -458,24 +464,23 @@ def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Se
 
 
 @lru_cache(maxsize=FRONT_CACHE)
-def indexed_front(r: BarrierSpec, g: Seq) -> tuple[Seq, ...]:
-    """The front of the normal form r inside the sorted base g, walked once
-    per process while the pair stays among the last :data:`FRONT_CACHE`
-    used."""
-    out: list[Seq] = []
-    _walk(r, g, 0, (), out)
-    return tuple(out)
-
-
-@lru_cache(maxsize=FRONT_CACHE)
-def front_masks(r: BarrierSpec, g: Seq) -> tuple[int, ...]:
-    """The masks of the members of ``indexed_front(r, g)``, in their order
-    (``g[i]`` at bit ``n-1-i``, so a member's last element is its mask's
-    low bit), computed in C-level passes once per (normal form, base)
+def indexed_front(r: BarrierSpec, g: Seq) -> tuple[tuple[Seq, ...], tuple[int, ...]]:
+    """The members of the front of the normal form r inside the sorted base
+    g, in lex order, and their masks (``g[i]`` at bit ``n-1-i``, so a
+    member's last element is its mask's low bit), walked once per process
     while the pair stays among the last :data:`FRONT_CACHE` used."""
-    n = len(g)
-    bit = {x: 1 << n - 1 - i for i, x in enumerate(g)}
-    return tuple(map(sum, map(partial(map, bit.__getitem__), indexed_front(r, g))))
+    members: list[Seq] = []
+    masks: list[int] = []
+    _walk(r, g, tuple(1 << len(g) - 1 - i for i in range(len(g))), 0, (), 0, members, masks)
+    return tuple(members), tuple(masks)
+
+
+def capped_front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, tuple[Seq, ...], tuple[int, ...]]:
+    """``(g, members, masks)``: the :func:`capped_base` g of the ground set
+    and the kept front of the spec inside it (:func:`indexed_front`), for
+    the checks that read the masks over g."""
+    g = capped_base(spec, ground)
+    return (g, *indexed_front(_norm(spec), g))
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
@@ -532,7 +537,7 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
     :data:`MAX_MEMBERS` members raises ValueError.  Fronts are kept by
     (normal form, base), see :func:`indexed_front`.
     """
-    return indexed_front(*front_key(spec, ground))
+    return indexed_front(*front_key(spec, ground))[0]
 
 
 def sperner_of_masks(masks: Iterable[int], n: int) -> bool:
@@ -572,8 +577,8 @@ class DensityReport:
 
 
 def density_of_masks(masks: tuple[int, ...], n: int) -> DensityReport:
-    """The density probe of a front, read off its :func:`front_masks` over
-    a base of n elements.
+    """The density probe of a front, read off its masks (:func:`indexed_front`)
+    over a base of n elements.
 
     A subset's stream stops at its shortest member prefix, so a member ending
     at g[j] is reached by exactly the 2^(n-1-j) subsets it starts, which is
@@ -595,8 +600,8 @@ def density_probe(spec: BarrierSpec, ground: Iterable[int]) -> DensityReport:
     quantifier over subsets of the base, and a base of more than
     :data:`MAX_GROUND` elements raises ValueError.
     """
-    g = capped_base(spec, ground)
-    return density_of_masks(front_masks(_norm(spec), g), len(g))
+    g, _, masks = capped_front(spec, ground)
+    return density_of_masks(masks, len(g))
 
 
 # --- variants ----------------------------------------------------------

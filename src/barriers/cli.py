@@ -28,12 +28,9 @@ from .barrier import (
     BarrierSpec,
     InternalInvariantError,
     OrderTypeUnsupportedError,
-    _norm,
-    capped_base,
-    classify,
+    capped_front,
     density_of_masks,
     front,
-    front_masks,
     order_type,
     spec_label,
     sperner_of_masks,
@@ -111,8 +108,7 @@ def cmd_front(args: argparse.Namespace) -> tuple[dict, int, str]:
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
-    g = capped_base(spec, ground)
-    masks = front_masks(_norm(spec), g)  # one mask per member of the front
+    g, _, masks = capped_front(spec, ground)  # one mask per member of the front
     sperner_ok = sperner_of_masks(masks, len(g))
     density = density_of_masks(masks, len(g))
     ok = sperner_ok and not density.violations
@@ -184,6 +180,10 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
 
+    if args.random < 0:
+        raise UsageError(f"--random must be at least 0, got {args.random}")
+    if args.adversarial and not args.random:
+        raise UsageError("--adversarial adds to the --random N instances and needs N >= 1")
     instances: list[Coloring] = []
     if args.random:
         for idx in range(args.random):
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="validate solutions exhaustively")
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--random", type=int, default=0, metavar="N", help="check N seeded random instances")
-    p.add_argument("--adversarial", action="store_true", help="add the stress instances")
+    p.add_argument("--adversarial", action="store_true", help="add the stress instances to the --random ones")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(fn=cmd_reduce)

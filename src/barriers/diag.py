@@ -36,7 +36,6 @@ from .barrier import (
     BarrierSpec,
     Canonical,
     ExactSize,
-    InternalInvariantError,
     Product,
     step,
 )

@@ -19,18 +19,17 @@ count saturated at 2 (:func:`barriers.barrier.up_closure2`).  The index
 colors the whole front in one call (:meth:`Coloring.colors_of`), so a
 coloring that keeps a table, a rank order or a memo does the work its
 members share once per front.  The members and their masks do not depend on
-the coloring: they are walked and computed once per (normal form, base) pair
-and kept in bounded caches (:func:`barriers.barrier.indexed_front`,
-:func:`barriers.barrier.front_masks`), since a uniform check sends many
-instances through the same barrier and ground.  With ``g[i]`` at bit
-``n-1-i`` of a mask, the subsets of one size go in lex order exactly as
-their masks go down, so with the size layers (:func:`size_layers`) an
-answer is read off the bitset without a loop over subsets: ``find`` takes
-the highest clean mask of the first nonempty layer from ``min_size`` on, and
-``check_reduction`` intersects the clean target masks with the preimage of
-the source violations (:func:`drop_preimage`).  Because the bitsets have 2^n
-bits, both refuse a ground whose base has more than :data:`MAX_GROUND`
-elements.
+the coloring: one walk emits both once per (normal form, base) pair and one
+bounded cache keeps them (:func:`barriers.barrier.capped_front`), since a
+uniform check sends many instances through the same barrier and ground.
+With ``g[i]`` at bit ``n-1-i`` of a mask, the subsets of one size go in lex
+order exactly as their masks go down, so with the size layers
+(:func:`size_layers`) an answer is read off the bitset without a loop over
+subsets: ``find`` takes the highest clean mask of the first nonempty layer
+from ``min_size`` on, and ``check_reduction`` intersects the clean target
+masks with the preimage of the source violations (:func:`drop_preimage`).
+Because the bitsets have 2^n bits, both refuse a ground whose base has more
+than :data:`MAX_GROUND` elements.
 
 The ``verify_*`` functions restate each property by its definition, one
 subset at a time; they are the slow reference the index is tested against.
@@ -46,13 +45,10 @@ from typing import Iterable, Iterator
 
 from .barrier import (
     MAX_GROUND,
-    capped_base,
-    _norm,
+    capped_front,
     front,
-    front_masks,
     has_sets,
     in_base,
-    indexed_front,
     point_set,
     up_closure,
     up_closure2,
@@ -182,18 +178,16 @@ class FrontIndex:
     ``n-1-i``, so that the subsets of one size go in lex order exactly as
     their masks go down.  Sets of subsets are 2^n-bit integers whose bit H
     stands for the subset H.  The members and masks depend on the normal
-    form and the base only and are shared through the front caches; the
-    members, which the library produced itself, are colored without
-    revalidation, all in one ``f.colors_of`` call.
+    form and the base only and are shared through the front cache
+    (:func:`barriers.barrier.capped_front`); the members, which the library
+    produced itself, are colored without revalidation, all in one
+    ``f.colors_of`` call.
     """
 
     def __init__(self, f: Coloring, ground: Iterable[int]):
-        self.g = g = capped_base(f.barrier, ground)
-        r = _norm(f.barrier)
-        n = len(g)
-        self.pos = _positions(g)
-        self.members = indexed_front(r, g)
-        self.masks = front_masks(r, g)
+        self.g, self.members, self.masks = capped_front(f.barrier, ground)
+        n = len(self.g)
+        self.pos = _positions(self.g)
         self.colors = f.colors_of(self.members)
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)

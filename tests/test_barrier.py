@@ -5,7 +5,7 @@ from itertools import chain, combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barriers import barrier
 from barriers.barrier import (
@@ -24,6 +24,7 @@ from barriers.barrier import (
     VariantRangeError,
     OrderTypeUnsupportedError,
     append_variant,
+    capped_front,
     check_sperner,
     classify,
     density_of_masks,
@@ -31,7 +32,6 @@ from barriers.barrier import (
     enum_rank,
     front,
     front_key,
-    front_masks,
     in_base,
     point_set,
     make_canonical,
@@ -250,10 +250,45 @@ def test_front_cache_matches_subset_filter(name):
         second = front(spec, ground)  # kept
         assert first == want and second is first, (name, ground)
         assert type(first) is tuple and all(type(s) is tuple for s in first)
-        g = front_key(spec, ground)[1]
-        masks = front_masks(*front_key(spec, ground))
+        g, _, masks = capped_front(spec, ground)
         assert type(masks) is tuple
         assert masks == tuple(sum(1 << len(g) - 1 - g.index(x) for x in s) for s in want)
+
+
+# the three specs whose front is {()}, with the one mask 0
+EMPTY_MEMBER_SPECS = {
+    "exact:0": ExactSize(0),
+    "canonical:0": Canonical(Ordinal.from_int(0)),
+    "product(exact:0, exact:0)": Product(ExactSize(0), ExactSize(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**ALL_SPECS, **EMPTY_MEMBER_SPECS}))
+@settings(max_examples=12)
+@given(ground=st.lists(st.integers(0, 3 * MAX_GROUND), max_size=MAX_GROUND, unique=True))
+@example(ground=list(range(MAX_GROUND)))
+@example(ground=list(range(1, 3 * MAX_GROUND, 3)))
+def test_one_walk_keeps_each_members_mask(name, ground):
+    # the walk carries each prefix's mask next to the prefix: the kept masks
+    # equal the masks computed member by member (g[i] at bit n-1-i) on
+    # sparse grounds up to the ground cap
+    spec = {**ALL_SPECS, **EMPTY_MEMBER_SPECS}[name]
+    g, members, masks = capped_front(spec, ground)
+    assert members == front(spec, ground)
+    assert masks == tuple(sum(1 << len(g) - 1 - g.index(x) for x in s) for s in members)
+    if name in EMPTY_MEMBER_SPECS:
+        assert masks == (0,)
+
+
+def test_capped_front_refuses_bases_past_the_ground_cap():
+    ground = range(MAX_GROUND + 1)
+    with pytest.raises(ValueError) as want:
+        barrier.capped_base(ExactSize(1), ground)
+    with pytest.raises(ValueError) as got:
+        capped_front(ExactSize(1), ground)
+    assert str(got.value) == str(want.value)
+    # the cap counts base elements: 0 is outside the base of plus(exact:1)
+    assert capped_front(Plus(ExactSize(1)), ground)[0] == tuple(range(1, MAX_GROUND + 1))
 
 
 def test_restrict_and_derived_share_the_front_of_their_normal_form():
@@ -305,15 +340,15 @@ def test_check_sperner_matches_the_pairwise_definition(name):
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS) + ["{()}"])
 def test_axioms_read_off_the_kept_masks(name):
-    # `check` reads Sperner and density off front_masks: on dense, sparse
+    # `check` reads Sperner and density off the kept masks: on dense, sparse
     # and empty bases, against the pairwise definition and the per-member
     # fold (a member ending at g[j] starts 2^(n-1-j) subsets, the member ()
     # of {()} all 2^n - 1 nonempty ones)
     spec = barrier.EMPTY if name == "{()}" else ALL_SPECS[name]
     for ground in (range(11), (0, 2, 3, 5, 8, 9, 10), ()):
         members = front(spec, ground)
-        r, g = front_key(spec, ground)
-        masks, n = front_masks(r, g), len(g)
+        g, _, masks = capped_front(spec, ground)
+        n = len(g)
         assert sperner_of_masks(masks, n) == oracles.slow_sperner(members) is True, (name, ground)
         full = (1 << n) - 1
         if masks and masks[0] != full:  # a set strictly above a member
@@ -658,10 +693,12 @@ def test_exact_size_walk_stops_past_the_member_cap(monkeypatch):
     barrier.indexed_front.cache_clear()
     with pytest.raises(ValueError, match="more than 10 members"):
         front(ExactSize(2), range(10))  # 45 members
-    out = []
+    out, masks = [], []
+    bits = tuple(1 << 9 - i for i in range(10))
     with pytest.raises(ValueError, match="more than 10 members"):
-        barrier._walk(ExactSize(2), tuple(range(10)), 0, (), out)
+        barrier._walk(ExactSize(2), tuple(range(10)), bits, 0, (), 0, out, masks)
     assert out == list(combinations(range(10), 2))[:11]  # built only up to the cap
+    assert masks == [bits[a] | bits[b] for a, b in out]  # and the masks with them
 
 
 def test_walks_skip_branches_that_cannot_fit(monkeypatch):

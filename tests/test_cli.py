@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from barriers import cli
 from barriers.cli import main, parse_ground_arg
 from barriers.coloring import BUILTIN_COLORINGS
+from barriers.jsonio import spec_to_json
 from barriers.reduction import REDUCTIONS
 from barriers.solver import PROPERTIES
+
+from conftest import SPEC_POOL
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -157,6 +163,23 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["front", "--barrier", "schreier"])  # argparse: missing --ground
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("random", ["-1", "-2"])
+def test_reduce_refuses_a_negative_random(capsys, random):
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--random", random]
+    for extra in ([], ["--check"], ["--adversarial", "--check"]):
+        assert main(base + extra) == 2, extra
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: --random must be at least 0, got {random}\n", extra
+
+
+def test_reduce_refuses_adversarial_without_random(capsys):
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--adversarial", "--check"]
+    for extra in (["--coloring", '{"builtin":"min"}'], ["--random", "0"], []):
+        assert main(base + extra) == 2, extra
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and "--adversarial" in out.err, extra
 
 
 @pytest.mark.parametrize(
@@ -414,3 +437,49 @@ def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):
     monkeypatch.setattr(cli, "front", broken)
     assert main(["front", "--barrier", "schreier", "--ground", "0..4"]) == 3
     assert json.loads(capsys.readouterr().out) == {"BUG": "IndexError: tuple index out of range"}
+
+
+# --- the CLI contract over drawn commands -------------------------------------
+
+_POOL_BARRIERS = [json.dumps(spec_to_json(spec)) for spec in SPEC_POOL.values()] + list(EMPTY_FRONT_BARRIERS)
+_PARAMS = {"rank-div": {"k": 2}, "rank-mod": {"m": 3}}
+_GROUNDS = st.one_of(
+    st.just("0..0"),  # empty
+    st.integers(0, 30).map(lambda a: f"{a}..{a + 1}"),  # singleton
+    st.integers(2, 8).map(lambda n: f"0..{n}"),  # dense
+    st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True).map(lambda xs: ",".join(map(str, xs))),  # sparse
+    st.tuples(st.integers(1, 40), st.integers(2, 8)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),  # offset
+)
+_SOLVE = st.builds(
+    lambda prop, name: ["solve", "--property", prop, "--coloring",
+                        json.dumps({"builtin": name, "params": _PARAMS.get(name, {})})],
+    st.sampled_from(PROPERTIES), st.sampled_from(BUILTIN_COLORINGS),
+)
+_REDUCE = st.builds(
+    lambda name, random, adversarial, check: ["reduce", "--name", name, "--random", str(random)]
+    + ["--adversarial"] * adversarial + ["--check"] * check,
+    st.sampled_from(sorted(REDUCTIONS)), st.sampled_from([-1, 0, 1, 2]), st.booleans(), st.booleans(),
+)
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_SOLVE, _REDUCE), st.sampled_from(_POOL_BARRIERS), _GROUNDS, st.booleans())
+def test_drawn_commands_keep_the_cli_contract(command, barrier, ground, as_json):
+    # Exit 0, 1 or 2, never a BUG (3); a usage error is one stderr line; a
+    # JSON report validates; and a second identical call prints the same bytes.
+    argv = command + ["--barrier", barrier, "--ground", ground] + ["--json"] * as_json
+    first = _captured(argv)
+    code, out, err = first
+    assert code in (0, 1, 2), (argv, out, err)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+    elif as_json:
+        VALIDATOR.validate(json.loads(out))
+    assert _captured(argv) == first, argv

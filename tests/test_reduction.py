@@ -21,7 +21,6 @@ from barriers.barrier import (
     Schreier,
     base_members,
     front,
-    front_masks,
     rank_key,
     ranked_up_to,
 )
@@ -513,7 +512,6 @@ def test_reports_do_not_depend_on_the_kept_fronts():
     fresh = []
     for red, f in cases:
         barrier.indexed_front.cache_clear()
-        front_masks.cache_clear()
         fresh.append(check_reduction(red, f, ground, 2))
     assert [r.to_json() for r in kept] == [r.to_json() for r in fresh]
     for (red, f), report in zip(cases, kept):
