@@ -466,12 +466,13 @@ def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Se
 @lru_cache(maxsize=FRONT_CACHE)
 def indexed_front(r: BarrierSpec, g: Seq) -> tuple[tuple[Seq, ...], tuple[int, ...]]:
     """The members of the front of the normal form r inside the sorted base
-    g, in lex order, and their masks (``g[i]`` at bit ``n-1-i``, so a
-    member's last element is its mask's low bit), walked once per process
+    g in lex order and their masks (``g[i]`` at bit ``n-1-i``; all 0 past
+    :data:`MAX_GROUND` elements, where none is read), walked once per process
     while the pair stays among the last :data:`FRONT_CACHE` used."""
     members: list[Seq] = []
     masks: list[int] = []
-    _walk(r, g, tuple(1 << len(g) - 1 - i for i in range(len(g))), 0, (), 0, members, masks)
+    n = len(g)
+    _walk(r, g, tuple(1 << n - 1 - i for i in range(n)) if n <= MAX_GROUND else (0,) * n, 0, (), 0, members, masks)
     return tuple(members), tuple(masks)
 
 

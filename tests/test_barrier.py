@@ -280,6 +280,18 @@ def test_one_walk_keeps_each_members_mask(name, ground):
         assert masks == (0,)
 
 
+def test_fronts_of_long_grounds_carry_no_wide_masks():
+    # masks are only read over capped bases, so a base past the ground cap
+    # keeps 0 masks instead of n-bit ones: a million-element ground costs
+    # no more than its base
+    barrier.indexed_front.cache_clear()
+    assert front(ExactSize(0), range(10**6)) == ((),)
+    g = tuple(range(10**5))
+    members, masks = barrier.indexed_front(ExactSize(1), g)
+    assert members == tuple((x,) for x in g) and not any(masks)
+    assert barrier.indexed_front(ExactSize(1), g[:MAX_GROUND])[1] == tuple(1 << MAX_GROUND - 1 - i for i in range(MAX_GROUND))
+
+
 def test_capped_front_refuses_bases_past_the_ground_cap():
     ground = range(MAX_GROUND + 1)
     with pytest.raises(ValueError) as want:

@@ -303,6 +303,14 @@ def test_flat_grounds_with_large_coordinates_exit_0(capsys):
     assert code == 0 and report["front_size"] == 0 and report["sperner_ok"] is True
     code, report = run_json(capsys, "front", "--barrier", "canonical:w^2", "--ground", "990..3000")
     assert code == 0 and report["count"] == 0
+    # a long ground keeps no wide masks (the walk's masks are only read over
+    # capped bases), so a one-member front of a million elements and the
+    # 200000 singletons of 0..200000 come back at once; these reports are
+    # read without the schema, which takes seconds to walk them
+    code, out = run(capsys, "front", "--barrier", "exact:0", "--ground", "0..1000000", "--json")
+    assert code == 0 and json.loads(out)["count"] == 1
+    code, out = run(capsys, "front", "--barrier", "exact:1", "--ground", "0..200000", "--json")
+    assert code == 0 and json.loads(out)["count"] == 200000
 
 
 def _nested(key: str, leaf: str, depth: int) -> str:
