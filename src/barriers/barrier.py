@@ -14,13 +14,16 @@ Classification of a sequence ``s`` over the base yields exactly one of:
 * ``OVERRUN``        a strict initial segment of s is a member,
 * ``NOT_IN_BASE``    some coordinate of s lies outside the base.
 
-Classification reads ``s`` one coordinate at a time through residuals
-(Brzozowski derivatives): the residual of a family after x is the family of
-all t with (x,) + t a member, and for every constructor it is again a
-constructor.  In normal form the one-member family {()} is always the object
-``EMPTY``, so ``s`` is a member iff its residual is ``EMPTY`` and overruns iff
-a shorter prefix already reached it.  Base membership is checked separately,
-against the original spec.
+Sequences are read one coordinate at a time through residuals (Brzozowski
+derivatives): the residual of a family after x is the family of all t with
+(x,) + t a member, and for every constructor it is again a constructor.  In
+normal form the one-member family {()} is always the object ``EMPTY``, so a
+prefix is a member iff its residual is ``EMPTY``.  :func:`step` is the one
+fold of residuals along a finite sequence (an exact-size residual is counted
+down, with no residual built) and returns the shortest member prefix;
+:func:`classify` reads its answer off that prefix (none, all of ``s`` or a
+shorter one).  Base membership is checked separately, against the original
+spec, and wins over an overrun.
 
 Normal forms fold exact-size blocks: a-sets followed by b-sets are the
 (a+b)-sets, and Plus of the k-sets is the (k+1)-sets, so every canonical
@@ -33,16 +36,16 @@ the ground; at any other node the child loop stops at the first child whose
 residual needs more coordinates than are left (:func:`_need`, a lower bound
 on the length of the members whose coordinates start at the next one of the
 ground; it never decreases as the child grows, since only Schreier and limit
-canonical residuals read the coordinate and both grow with it).
-:func:`step` reads a stream through the same residuals and counts down an
-exact-size one.  One walk emits a front's members and their masks, once per
-(normal form, base) pair, and the last :data:`FRONT_CACHE` are kept
-(:func:`indexed_front`), since a uniform check sends many instances through
-one barrier and ground.  Both barrier axioms are read off the masks
-(:func:`capped_front`): Sperner is the two-point closure (:func:`up_closure2`)
-of their point set, and the density probe is a fold over them, since a
-subset's stream stops at its shortest member prefix, so each member stands
-for the subsets it starts.
+canonical residuals read the coordinate and both grow with it).  One walk
+emits a front's members and their masks, once per (normal form, base) pair,
+and the last :data:`FRONT_CACHE` are kept (:func:`indexed_front`), since a
+uniform check sends many instances through one barrier and ground.  Both
+barrier axioms are read off the masks (:func:`capped_front`): Sperner is the
+two-point closure (:func:`up_closure2`) of their point set, and the density
+probe is a fold over them, since a subset's stream stops at its shortest
+member prefix, so each member stands for the subsets it starts.  Ranks in the
+(max, lex) enumeration are read in batches off one rank dict
+(:func:`rank_of`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import combinations, islice
 from operator import and_, le, neg
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
 from .seqs import GroundSet, Seq, as_seq, insert_sorted, lex_cmp
@@ -106,6 +109,7 @@ __all__ = [
     "rank_key",
     "ranked_up_to",
     "rank_positions",
+    "rank_of",
     "enum_rank",
     "spec_label",
 ]
@@ -485,16 +489,15 @@ def capped_front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, tuple[S
 
 
 def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
-    """Classify a strictly increasing sequence against the barrier."""
+    """Classify a strictly increasing sequence against the barrier, off its
+    shortest member prefix (:func:`step`)."""
     seq = as_seq(s)
     if not all(map(_base_test(spec), seq)):
         return NOT_IN_BASE
-    r = _norm(spec)
-    for x in seq:
-        if r is EMPTY:
-            return OVERRUN
-        r = _d(r, x)
-    return ELEMENT if r is EMPTY else PROPER_PREFIX
+    member = step(spec, seq)
+    if member is None:
+        return PROPER_PREFIX
+    return ELEMENT if len(member) == len(seq) else OVERRUN
 
 
 def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
@@ -750,6 +753,17 @@ def rank_positions(spec: BarrierSpec, top: int) -> dict[Seq, int]:
     """Member -> rank for every member with max coordinate <= top, so a
     sequence with max <= top that is missing is not a member."""
     return {s: i for i, s in enumerate(ranked_up_to(spec, top))}
+
+
+def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:
+    """``(top, ranks)``: the largest max of the members and the enum_rank of
+    each, read off one rank dict at that max (the ranks up to a smaller max
+    are a prefix) with no classify.  The first non-member raises ValueError."""
+    top = max(map(max, filter(None, members)), default=-1)
+    ranks = list(map(rank_positions(spec, top).get, members))
+    if None in ranks:
+        raise ValueError(f"{members[ranks.index(None)]} is not a member")
+    return top, ranks
 
 
 def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:

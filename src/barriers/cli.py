@@ -182,6 +182,8 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
 
     if args.random < 0:
         raise UsageError(f"--random must be at least 0, got {args.random}")
+    if not args.check and (args.random > 1 or args.adversarial):
+        raise UsageError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
     if args.adversarial and not args.random:
         raise UsageError("--adversarial adds to the --random N instances and needs N >= 1")
     instances: list[Coloring] = []
@@ -382,10 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a library bug must not read as a counterexample (exit 1)
         print(json.dumps({"BUG": f"{type(exc).__name__}: {exc}"}, sort_keys=True))
         return 3
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(report, sort_keys=True) if args.json else text, flush=True)
+    except BrokenPipeError:  # the reader is gone; the exit flush writes to devnull, quietly
+        sys.stdout = open(os.devnull, "w")
     return code
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .barrier import BarrierSpec, enum_rank, front, rank_positions
+from .barrier import BarrierSpec, enum_rank, front, rank_of
 from .seqs import Seq, as_seq
 
 __all__ = [
@@ -96,20 +96,13 @@ def table_coloring(
     )
 
 
-def _ranks(barrier: BarrierSpec, members: Sequence[Seq]) -> list[int]:
-    """enum_rank of each member, read off one rank dict at the largest max
-    (the ranks up to a smaller max are a prefix), with no classify."""
-    top = max(map(max, filter(None, members)), default=-1)
-    return list(map(rank_positions(barrier, top).__getitem__, members))
-
-
 def _rank_coloring(barrier: BarrierSpec, name: str, op: Callable[[int], int], bound: int | None = None) -> Coloring:
     return Coloring(
         barrier,
         lambda s: op(enum_rank(barrier, s)),
         name=name,
         declared_bound=bound,
-        bulk=lambda ms: list(map(op, _ranks(barrier, ms))),
+        bulk=lambda ms: list(map(op, rank_of(barrier, ms)[1])),
     )
 
 

@@ -46,7 +46,7 @@ from .barrier import (
     front,
     base_members,
     rank_key,
-    rank_positions,
+    rank_of,
     ranked_up_to,
     spec_label,
 )
@@ -264,13 +264,11 @@ class _ColorClasses:
     queries reach them: each member colored once, and only those up to the
     furthest member queried so far.  ``classes`` maps each color to its
     members in rank order, ``place`` each member to its color and its index
-    in that list (the number of earlier members of its color).  The rank
-    dict of the members up to the largest max queried decides membership
-    (the members up to a smaller max are a prefix of the rank order), so the
-    ranked members are fetched again only when that max grows.  A query
-    (:meth:`fill`) takes a whole front at once: the rank order is fetched at
-    its largest max, and the rank prefix up to its highest-ranked member is
-    colored by one ``f.colors_of`` call.
+    in that list (the number of earlier members of its color).  A query
+    (:meth:`fill`) takes a whole front at once: its ranks are read in one
+    batch (:func:`rank_of`), and the rank order up to its largest max, from
+    the kept :func:`ranked_up_to`, is colored up to its highest-ranked member
+    by one ``f.colors_of`` call.
     """
 
     def __init__(self, spec: BarrierSpec, f: Coloring):
@@ -279,9 +277,6 @@ class _ColorClasses:
         self.done = 0  # members colored, a prefix of the rank order
         self.classes: dict[int, list[Seq]] = {}
         self.place: dict[Seq, tuple[int, int]] = {}
-        self.top = -1  # the largest max(s) queried, and its ranked members
-        self.ranked: tuple[Seq, ...] = ()
-        self.rank: dict[Seq, int] = {}
 
     def __call__(self, s: Seq) -> tuple[int, int]:
         if s not in self.place:
@@ -290,15 +285,8 @@ class _ColorClasses:
 
     def fill(self, members: Sequence[Seq]) -> None:
         """Place every member given; a non-member raises ValueError."""
-        top = max(map(max, filter(None, members)), default=0)  # the largest max(s)
-        if top > self.top:
-            self.top = top
-            self.ranked = ranked_up_to(self.spec, top)
-            self.rank = rank_positions(self.spec, top)
-        ranks = list(map(self.rank.get, members))
-        if None in ranks:
-            raise ValueError(f"{members[ranks.index(None)]} is not a member")
-        new = self.ranked[self.done : max(ranks, default=-1) + 1]
+        top, ranks = rank_of(self.spec, members)
+        new = ranked_up_to(self.spec, top)[self.done : max(ranks, default=-1) + 1]
         for t, color in zip(new, self.f.colors_of(new)):
             cls = self.classes.setdefault(color, [])
             self.place[t] = (color, len(cls))

@@ -36,8 +36,8 @@ from barriers.seqs import GroundSet, Tail, lex_cmp
 import oracles
 from conftest import SPEC_POOL
 
-GROUND_AXIOMS = tuple(range(13))  # [0..12]
-GROUND_REDUCTIONS = tuple(range(9))  # [0..8]
+GROUND_AXIOMS = tuple(range(20))  # [0..19]
+GROUND_REDUCTIONS = tuple(range(15))  # [0..14]
 MIN_WITNESS_SIZE = 3
 RANDOM_INSTANCES = 100
 BASE_SEED = 20240801
@@ -253,7 +253,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_barrier_axioms(battery):
     c = battery["criterion_1"]
-    _report(1, c["ok"], f"{len(c['specs'])} specs on [0..12], sperner + density clean")
+    _report(1, c["ok"], f"{len(c['specs'])} specs on [{GROUND_AXIOMS[0]}..{GROUND_AXIOMS[-1]}], sperner + density clean")
     assert c["ok"], c
 
 

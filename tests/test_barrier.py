@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 from itertools import chain, combinations
 from math import comb
 
@@ -40,6 +42,7 @@ from barriers.barrier import (
     make_restrict,
     order_type,
     rank_key,
+    rank_of,
     sperner_of_masks,
     step,
     up_closure,
@@ -581,6 +584,33 @@ def test_enum_rank_prefix_finite():
     r = enum_rank(Schreier(), s)
     earlier = [t for t in front(Schreier(), range(5)) if rank_key(t) < rank_key(s)]
     assert r == len(earlier)
+
+
+@pytest.mark.parametrize("name", sorted({**ALL_SPECS, **EMPTY_MEMBER_SPECS}))
+def test_rank_of_a_batch_equals_enum_rank(name):
+    # one rank dict at the batch's largest max ranks every member as
+    # enum_rank does member by member, whatever the batch's order
+    spec = {**ALL_SPECS, **EMPTY_MEMBER_SPECS}[name]
+    members = list(front(spec, range(11)))
+    shuffled = random.Random(0).sample(members, len(members))
+    for batch in (members, shuffled):
+        top, ranks = rank_of(spec, batch)
+        assert ranks == [enum_rank(spec, s) for s in batch], name
+        assert top == max((s[-1] for s in batch if s), default=-1)
+
+
+@pytest.mark.parametrize(
+    "spec, batch, first",
+    [
+        (Schreier(), [(1, 2), (2, 3), (3, 4), (0,)], (2, 3)),  # proper prefixes
+        (Plus(Schreier()), [(1, 2), (0, 2), (1, 3, 4)], (0, 2)),  # outside the base, then an overrun
+    ],
+)
+def test_rank_of_names_the_first_non_member(spec, batch, first):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first))} is not a member$"):
+        rank_of(spec, batch)
+    with pytest.raises(ValueError):
+        enum_rank(spec, first)
 
 
 def test_in_base():

@@ -174,6 +174,21 @@ def test_reduce_refuses_a_negative_random(capsys, random):
         assert out.out == "" and out.err == f"error: --random must be at least 0, got {random}\n", extra
 
 
+def test_reduce_without_check_refuses_more_than_one_instance(capsys):
+    # without --check reduce prints the forward table of one instance, so
+    # it builds no others; a negative --random keeps its own message
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5"]
+    for extra in (["--random", "2"], ["--random", "1", "--adversarial"], ["--adversarial"]):
+        assert main(base + extra) == 2, extra
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and "--check" in out.err, extra
+    assert main(base + ["--random", "-1", "--adversarial"]) == 2
+    assert capsys.readouterr().err == "error: --random must be at least 0, got -1\n"
+    code, report = run_json(capsys, *base, "--random", "1")
+    assert code == 0 and report["forward_table"]
+    assert main(base + ["--random", "2", "--adversarial", "--check"]) == 0
+
+
 def test_reduce_refuses_adversarial_without_random(capsys):
     base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--adversarial", "--check"]
     for extra in (["--coloring", '{"builtin":"min"}'], ["--random", "0"], []):
@@ -435,6 +450,19 @@ def test_the_empty_member_never_crashes_the_cli(capsys, barrier):
             "--random", "1", "--adversarial", "--check",
         )
         assert code == 0 and report["counterexamples"] == [], name
+
+
+def test_a_closed_stdout_exits_with_the_commands_code_and_no_traceback():
+    # the report (about 164 KB) is far past a pipe buffer, so the write
+    # meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "barriers", "front", "--barrier", "schreier", "--ground", "0..20", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert b"Traceback" not in err and err == b"", err
 
 
 def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):

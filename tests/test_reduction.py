@@ -121,8 +121,9 @@ def test_fs_forward_matches_slow_recursion_in_any_order(data):
 
 @given(st.data())
 def test_twin_count_forwards_agree_in_any_order(data):
-    # The rank order is fetched again only when the queried max grows, so a
-    # shuffled order must color every member as the lex order does.
+    # Each query reads the rank order up to its own max, which may lie below
+    # an earlier query's, so a shuffled order must color every member as
+    # the lex order does.
     spec = data.draw(st.sampled_from((ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA))))
     ground = _ground(data, data.draw(st.integers(1, 8)))
     members = front(spec, ground)
