@@ -44,8 +44,8 @@ barrier axioms are read off the masks (:func:`capped_front`): Sperner is the
 two-point closure (:func:`up_closure2`) of their point set, and the density
 probe is a fold over them, since a subset's stream stops at its shortest
 member prefix, so each member stands for the subsets it starts.  Ranks in the
-(max, lex) enumeration are read in batches off one rank dict
-(:func:`rank_of`).
+(max, lex) enumeration are read off one cached rank table per barrier and top
+(:func:`ranked_up_to`), in batches by :func:`rank_of`.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ __all__ = [
     "make_restrict",
     "rank_key",
     "ranked_up_to",
-    "rank_positions",
     "rank_of",
     "enum_rank",
     "spec_label",
@@ -316,11 +315,13 @@ EMPTY = ExactSize(0)
 
 def _prod(left: BarrierSpec, right: BarrierSpec) -> BarrierSpec:
     """Product(left, right) of two normal forms, in normal form: an EMPTY
-    left factor drops, and an exact-size left factor absorbs an exact-size
-    right factor or head (a-sets followed by b-sets above them are the
+    factor drops, and an exact-size left factor absorbs an exact-size right
+    factor or head (a-sets followed by b-sets above them are the
     (a+b)-sets)."""
     if left is EMPTY:
         return right
+    if right is EMPTY:
+        return left
     if type(left) is ExactSize:
         if type(right) is ExactSize:
             return ExactSize(left.size + right.size)
@@ -743,24 +744,19 @@ def rank_key(s: Seq) -> tuple[int, Seq]:
 
 
 @lru_cache(maxsize=256)
-def ranked_up_to(spec: BarrierSpec, top: int) -> tuple[Seq, ...]:
-    """All members with max coordinate <= top, sorted by rank."""
-    return tuple(sorted(front(spec, range(top + 1)), key=rank_key))
-
-
-@lru_cache(maxsize=256)
-def rank_positions(spec: BarrierSpec, top: int) -> dict[Seq, int]:
-    """Member -> rank for every member with max coordinate <= top, so a
-    sequence with max <= top that is missing is not a member."""
-    return {s: i for i, s in enumerate(ranked_up_to(spec, top))}
+def ranked_up_to(spec: BarrierSpec, top: int) -> dict[Seq, int]:
+    """The rank table up to top: member -> rank for every member with max
+    coordinate <= top, its keys in rank order, so a sequence with max <= top
+    that is missing is not a member."""
+    return {s: i for i, s in enumerate(sorted(front(spec, range(top + 1)), key=rank_key))}
 
 
 def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:
     """``(top, ranks)``: the largest max of the members and the enum_rank of
-    each, read off one rank dict at that max (the ranks up to a smaller max
+    each, read off the rank table at that max (the ranks up to a smaller max
     are a prefix) with no classify.  The first non-member raises ValueError."""
     top = max(map(max, filter(None, members)), default=-1)
-    ranks = list(map(rank_positions(spec, top).get, members))
+    ranks = list(map(ranked_up_to(spec, top).get, members))
     if None in ranks:
         raise ValueError(f"{members[ranks.index(None)]} is not a member")
     return top, ranks
@@ -771,7 +767,7 @@ def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
         raise ValueError(f"{seq} is not a member")
-    return rank_positions(spec, rank_key(seq)[0])[seq]
+    return ranked_up_to(spec, rank_key(seq)[0])[seq]
 
 
 # --- labels --------------------------------------------------------------

@@ -27,7 +27,6 @@ from . import __version__
 from .barrier import (
     BarrierSpec,
     InternalInvariantError,
-    OrderTypeUnsupportedError,
     capped_front,
     density_of_masks,
     front,
@@ -56,8 +55,11 @@ def _load_json_arg(text: str) -> Any:
     if text.startswith(("{", "[", '"')):
         return json.loads(text)
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        try:
+            with open(text) as fh:
+                return json.load(fh)
+        except OSError as exc:  # a directory, say: the argument is at fault, not the library
+            raise UsageError(f"cannot read {text!r}: {exc.strerror}")
     return text  # shorthand string
 
 
@@ -132,10 +134,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int, str]:
 def cmd_variant(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
     seq = parse_seq_arg(args.seq)
-    try:
-        out = variant(spec, seq, args.k)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc))
+    out = variant(spec, seq, args.k)
     report = {
         "command": "variant",
         "barrier": spec_label(spec),
@@ -148,10 +147,7 @@ def cmd_variant(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 def cmd_ordertype(args: argparse.Namespace) -> tuple[dict, int, str]:
     spec = parse_barrier_arg(args.barrier)
-    try:
-        ot = order_type(spec)
-    except OrderTypeUnsupportedError as exc:
-        raise UsageError(str(exc))
+    ot = order_type(spec)
     report = {"command": "ordertype", "barrier": spec_label(spec), "order_type": str(ot)}
     return report, 0, str(ot)
 
@@ -375,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(json.dumps({"BUG": str(exc)}, sort_keys=True))
         return 3
-    except (UsageError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # the library's recursions are bounded by the input's nesting depth

@@ -83,7 +83,10 @@ def table_coloring(
     name: str = "table",
     declared_bound: int | None = None,
 ) -> Coloring:
-    fixed = {as_seq(k): int(v) for k, v in table.items()}
+    fixed = {as_seq(k): v for k, v in table.items()}
+    for v in table.values():
+        if type(v) is not int:  # bool included, as in the JSON path
+            raise ValueError(f"a color must be an integer, got {v!r}")
 
     def rule(s: Seq) -> int:
         try:

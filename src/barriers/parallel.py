@@ -1,35 +1,6 @@
-"""Order-preserving map with an environment-controlled worker pool.
-
-The degree is read from the BARRIERS_JOBS environment variable (default 1,
-i.e. serial).  Results keep the input order, so callers stay deterministic
-regardless of the degree.
-"""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-JOBS_ENV = "BARRIERS_JOBS"
-
-A = TypeVar("A")
-B = TypeVar("B")
+"""Serial map, kept only because ``benchmarks/spans.py`` imports this module
+and wraps :func:`pmap`; it goes with the benchmark change that drops that span."""
 
 
-def degree() -> int:
-    raw = os.environ.get(JOBS_ENV, "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}")
-    return max(n, 1)
-
-
-def pmap(fn: Callable[[A], B], items: Iterable[A]) -> Sequence[B]:
-    jobs = degree()
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def pmap(fn, items):
+    return [fn(x) for x in items]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .barrier import (
@@ -266,9 +267,10 @@ class _ColorClasses:
     members in rank order, ``place`` each member to its color and its index
     in that list (the number of earlier members of its color).  A query
     (:meth:`fill`) takes a whole front at once: its ranks are read in one
-    batch (:func:`rank_of`), and the rank order up to its largest max, from
-    the kept :func:`ranked_up_to`, is colored up to its highest-ranked member
-    by one ``f.colors_of`` call.
+    batch (:func:`rank_of`) off the rank table at its largest max
+    (:func:`ranked_up_to`), and the table's members from the first uncolored
+    one up to its highest-ranked member are colored by one ``f.colors_of``
+    call.
     """
 
     def __init__(self, spec: BarrierSpec, f: Coloring):
@@ -286,7 +288,7 @@ class _ColorClasses:
     def fill(self, members: Sequence[Seq]) -> None:
         """Place every member given; a non-member raises ValueError."""
         top, ranks = rank_of(self.spec, members)
-        new = ranked_up_to(self.spec, top)[self.done : max(ranks, default=-1) + 1]
+        new = list(islice(ranked_up_to(self.spec, top), self.done, max(ranks, default=-1) + 1))
         for t, color in zip(new, self.f.colors_of(new)):
             cls = self.classes.setdefault(color, [])
             self.place[t] = (color, len(cls))

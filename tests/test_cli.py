@@ -248,6 +248,20 @@ def test_coloring_file_argument(tmp_path, capsys):
     assert code == 0 and report["witness"] is not None
 
 
+def test_a_path_argument_that_cannot_be_read_exits_2(tmp_path, capsys):
+    # a directory exists but cannot be read as JSON: a usage error naming
+    # the path, not a BUG line
+    d = str(tmp_path)
+    for argv in (
+        ["check", "--barrier", d, "--ground", "0..5"],
+        ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", d, "--ground", "0..5"],
+        ["diag", "--kind", "thin", "--alpha", "w", "--family", d, "--verify", "e=0,i=0"],
+    ):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and repr(d) in out.err, argv
+
+
 @pytest.mark.parametrize(
     "params",
     [{"k": None}, {"k": "2"}, {"k": 2.5}, {"k": True}, {}],

@@ -126,6 +126,22 @@ def test_table_key_messages(key, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("color", [2.9, True, "3"], ids=["float", "bool", "string"])
+def test_table_colors_must_be_integers(color):
+    # No color is coerced: int() would make 2.9 a 2, True a 1 and "3" a 3.
+    # The message is the JSON path's, and a bad key is still named first.
+    message = f"a color must be an integer, got {color!r}"
+    with pytest.raises(ValueError) as exc:
+        table_coloring(ExactSize(1), {(0,): 0, (1,): color, (2,): 0.5})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        coloring_from_json(ExactSize(1), {"table": [[[0], 0], [[1], color], [[2], 0.5]]})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        table_coloring(ExactSize(1), {(0,): color, (1, 0): 0})
+    assert str(exc.value) == "sequence must be strictly increasing, got (1, 0)"
+
+
 def test_table_keeps_the_last_row_of_a_sequence():
     f = coloring_from_json(ExactSize(2), {"table": [[[0, 1], 4], [[0, 2], 5], [[0, 1], 6]]})
     assert (f((0, 1)), f((0, 2))) == (6, 5)
