@@ -197,7 +197,8 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
         f = instances[0]
         g = red.forward(spec, f)
         tg = red.target_ground(ground)
-        table = [[list(s), g(s)] for s in front(g.barrier, tg)]
+        members = front(g.barrier, tg)
+        table = [[list(s), c] for s, c in zip(members, g.colors_of(members))]
         report = {
             "command": "reduce",
             "name": red.name,

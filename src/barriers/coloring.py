@@ -6,9 +6,10 @@ outside the table) or from named builtin rules, and may declare a bound k
 meaning no color value is taken more than k times; the bound is checked
 where it matters, never assumed.
 
-A coloring answers one member at a time through its ``rule``, and a whole
-front at once through :meth:`Coloring.colors_of`, which a coloring that keeps
-a table, a rank order or a memo answers with its shared work done once.
+A coloring is one batch function from a sequence of members to their
+colors.  A single query is a batch of one, and :meth:`Coloring.colors_of`
+colors a whole front in one batch, so a coloring that keeps a table, a rank
+order or a memo does the work its members share once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .barrier import BarrierSpec, enum_rank, front, rank_of
+from .barrier import BarrierSpec, front, rank_of
 from .seqs import Seq, as_seq
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
 class PartialColoringError(KeyError):
     """The coloring was queried outside its table."""
 
+    __str__ = Exception.__str__  # the message, not the repr KeyError prints
+
 
 class BoundViolationError(ValueError):
     """A declared k-bound was violated on a queried front."""
@@ -43,35 +46,29 @@ class Coloring:
     def __init__(
         self,
         barrier: BarrierSpec,
-        rule: Callable[[Seq], int],
+        batch: Callable[[Sequence[Seq]], list[int]],
         name: str = "custom",
         declared_bound: int | None = None,
         colors: tuple[int, ...] | None = None,
-        bulk: Callable[[Sequence[Seq]], list[int]] | None = None,
     ):
         self.barrier = barrier
-        self.rule = rule
+        self.batch = batch  # members -> their colors, in order
         self.name = name
         self.declared_bound = declared_bound
         self.colors = colors  # optional declared color universe
-        self.bulk = bulk
 
     def __call__(self, s: Iterable[int]) -> int:
-        return self.rule(as_seq(s))
+        return self.batch((as_seq(s),))[0]
 
     def colors_of(self, members: Sequence[Seq]) -> list[int]:
-        """``[self.rule(s) for s in members]``, for members the library
-        produced.  A ``bulk`` rule may compute the list with the work the
-        members share done once; if it raises anything, the per-member loop
-        runs instead, so the first error and its message are the rule's.
-        Rerunning is safe: a coloring's state is a pure function of the
-        instance."""
-        if self.bulk is not None:
-            try:
-                return self.bulk(members)
-            except Exception:
-                pass
-        return list(map(self.rule, members))
+        """The colors of members the library produced, from one ``batch``
+        call.  If it raises anything, the members run again as batches of
+        one, so the first failing member's error and message win.  Rerunning
+        is safe: a coloring's state is a pure function of the instance."""
+        try:
+            return self.batch(members)
+        except Exception:
+            return [self.batch((s,))[0] for s in members]
 
     def __repr__(self) -> str:
         return f"Coloring({self.name!r})"
@@ -87,26 +84,26 @@ def table_coloring(
     for v in table.values():
         if type(v) is not int:  # bool included, as in the JSON path
             raise ValueError(f"a color must be an integer, got {v!r}")
+    return _table_coloring(barrier, fixed, name, declared_bound)
 
-    def rule(s: Seq) -> int:
+
+def _table_coloring(
+    barrier: BarrierSpec, fixed: dict[Seq, int], name: str, declared_bound: int | None = None
+) -> Coloring:
+    """The coloring that looks members up in ``fixed``, whose keys are
+    sequences and whose values are integers already."""
+
+    def batch(members: Sequence[Seq]) -> list[int]:
         try:
-            return fixed[s]
-        except KeyError:
-            raise PartialColoringError(f"coloring {name!r} has no value for {s}")
+            return list(map(fixed.__getitem__, members))
+        except KeyError as exc:
+            raise PartialColoringError(f"coloring {name!r} has no value for {exc.args[0]}") from None
 
-    return Coloring(
-        barrier, rule, name=name, declared_bound=declared_bound, bulk=lambda ms: list(map(fixed.__getitem__, ms))
-    )
+    return Coloring(barrier, batch, name=name, declared_bound=declared_bound)
 
 
 def _rank_coloring(barrier: BarrierSpec, name: str, op: Callable[[int], int], bound: int | None = None) -> Coloring:
-    return Coloring(
-        barrier,
-        lambda s: op(enum_rank(barrier, s)),
-        name=name,
-        declared_bound=bound,
-        bulk=lambda ms: list(map(op, rank_of(barrier, ms)[1])),
-    )
+    return Coloring(barrier, lambda ms: list(map(op, rank_of(barrier, ms)[1])), name=name, declared_bound=bound)
 
 
 def _no_end(name: str) -> NoReturn:
@@ -131,15 +128,15 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
     params = dict(params or {})
     if name == "const":
         value = _int_param(params, "value", 0)
-        return Coloring(barrier, lambda s: value, name=f"const:{value}")
+        return Coloring(barrier, lambda ms: [value] * len(ms), name=f"const:{value}")
     if name == "min":
-        return Coloring(barrier, lambda s: s[0] if s else _no_end(name), name="min")
+        return Coloring(barrier, lambda ms: [s[0] if s else _no_end(name) for s in ms], name="min")
     if name == "max-plus-one":
-        return Coloring(barrier, lambda s: s[-1] + 1 if s else _no_end(name), name="max-plus-one")
+        return Coloring(barrier, lambda ms: [s[-1] + 1 if s else _no_end(name) for s in ms], name="max-plus-one")
     if name == "min-parity":
-        return Coloring(barrier, lambda s: s[0] % 2 if s else _no_end(name), name="min-parity")
+        return Coloring(barrier, lambda ms: [s[0] % 2 if s else _no_end(name) for s in ms], name="min-parity")
     if name == "size":
-        return Coloring(barrier, lambda s: len(s), name="size")
+        return Coloring(barrier, lambda ms: list(map(len, ms)), name="size")
     if name == "rank":
         return _rank_coloring(barrier, "rank", int, bound=1)
     if name == "rank-div":
@@ -157,7 +154,7 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
 
 def color_usage(f: Coloring, ground: Iterable[int]) -> Counter:
     """Multiplicity of each color over the front inside the ground set."""
-    return Counter(f(s) for s in front(f.barrier, ground))
+    return Counter(f.colors_of(front(f.barrier, ground)))
 
 
 def check_bounded(f: Coloring, ground: Iterable[int]) -> tuple[bool, int]:

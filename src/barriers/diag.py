@@ -222,7 +222,7 @@ class StagedColoring(Coloring):
         barrier = Product(ExactSize(1), Canonical(alpha))
         super().__init__(
             barrier,
-            self._eval,
+            lambda ms: list(map(self._eval, ms)),
             name=f"{kind}-defeater",
             declared_bound=2 if kind == "rainbow" else None,
         )

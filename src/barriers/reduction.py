@@ -13,9 +13,9 @@ lies above the source ground.  The five reductions shipped here:
     rrt-to-rt   rainbow (k-bdd)   <=  k-color monochromatic
     rrt2-to-fs  rainbow (2-bdd)   <=  free set
 
-Forward colorings are demand-driven rules closing over the instance and the
-barrier only, so they are uniform: no ground set is consulted beyond the
-queried member.  ``check_reduction`` validates a reduction exhaustively on a
+Forward colorings are demand-driven batch functions closing over the
+instance and the barrier only, so they are uniform: no ground set is
+consulted beyond the queried members.  ``check_reduction`` validates a reduction exhaustively on a
 finite ground set: every subset that solves the target instance must map back
 to a solution of the source instance.  It works on the subset lattice of
 :mod:`barriers.solver`: the target solutions and the preimage of the source
@@ -51,7 +51,7 @@ from .barrier import (
     ranked_up_to,
     spec_label,
 )
-from .coloring import BoundViolationError, Coloring, table_coloring
+from .coloring import BoundViolationError, Coloring, _table_coloring
 from .seqs import Seq, as_seq, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
@@ -110,11 +110,11 @@ class FreeToMonoColoring(Coloring):
     reaches a member through k lex-below s.  The hop depth below each
     member (a pure function of the instance, independent of query order) is
     tracked, and ``max_chain`` holds the largest seen.  A call checks that s
-    is a member unless it was colored already; the rule trusts its input,
-    like the other forward colorings' rules, since the library hands it
-    only members.  A front is colored in one call (:meth:`_bulk`): one
-    ``f.colors_of`` call gives k for every new prefix, and only the first
-    member of each hop group walks its chain.
+    is a member unless it was colored already; the batch (:meth:`_batch`)
+    trusts its input, like the other forward colorings' batches, since the
+    library hands it only members.  One ``f.colors_of`` call gives k for
+    every new prefix of a batch, and only the first member of each hop
+    group walks its chain (:meth:`_eval`).
 
     The memo and the set of members colored are the only mutable state;
     every entry is a pure function of the instance, so concurrent queries
@@ -128,7 +128,7 @@ class FreeToMonoColoring(Coloring):
         self.memo: dict[Seq, list] = {}
         self.colored: set[Seq] = set()
         self.max_chain = 0
-        super().__init__(Plus(inner), self._eval, name=f"free-to-mono({f.name})", colors=(0, 1), bulk=self._bulk)
+        super().__init__(Plus(inner), self._batch, name=f"free-to-mono({f.name})", colors=(0, 1))
 
     def __call__(self, s: Iterable[int]) -> int:
         seq = as_seq(s)
@@ -151,9 +151,9 @@ class FreeToMonoColoring(Coloring):
         return _variant(self.barrier, s, k)
 
     def _eval(self, s: Seq) -> int:
-        # The rule: s is a member (checked by __call__, or made by the
-        # library).  The chain holds the prefix entries waiting for their
-        # variant's value, with the member that reached each.
+        # s is a member (checked by __call__, or made by the library).  The
+        # chain holds the prefix entries waiting for their variant's value,
+        # with the member that reached each.
         chain: list[tuple[list, Seq]] = []
         cur = s
         while True:
@@ -161,7 +161,7 @@ class FreeToMonoColoring(Coloring):
             entry = self.memo.get(p)
             if entry is None:
                 # seq_minus(cur) is a member of the inner barrier: no revalidation
-                entry = self.memo[p] = _entry(p, self.f.rule(seq_minus(cur)) + 1)
+                entry = self.memo[p] = _entry(p, self.f.batch((seq_minus(cur),))[0] + 1)
             k, above = entry
             if cur[-1] <= k:
                 value, depth = 1, 0
@@ -181,7 +181,7 @@ class FreeToMonoColoring(Coloring):
             self.max_chain = depth
         return value
 
-    def _bulk(self, members: Sequence[Seq]) -> list[int]:
+    def _batch(self, members: Sequence[Seq]) -> list[int]:
         """``map(self._eval, members)`` with the inner colors fetched at once:
         one ``colors_of`` call at the new prefixes gives their k, each member
         reads its prefix entry, and only a member whose entry still waits for
@@ -224,15 +224,9 @@ def fs_backward(h: Iterable[int]) -> tuple[int, ...]:
 
 
 def ts_rt_forward(f: Coloring) -> Coloring:
-    """Collapse to 2 colors: keep 0, send everything else to 1.  The new
-    coloring validates each query, so its rule hands it to ``f.rule``, and
-    a front to ``f.colors_of``."""
+    """Collapse to 2 colors: keep 0, send everything else to 1."""
     return Coloring(
-        f.barrier,
-        lambda s: 0 if f.rule(s) == 0 else 1,
-        name=f"thin-to-mono({f.name})",
-        colors=(0, 1),
-        bulk=lambda ms: [0 if c == 0 else 1 for c in f.colors_of(ms)],
+        f.barrier, lambda ms: [0 if c == 0 else 1 for c in f.batch(ms)], name=f"thin-to-mono({f.name})", colors=(0, 1)
     )
 
 
@@ -254,7 +248,7 @@ def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
     ground front, the two collapse colors, and the ground elements themselves
     (the omitted color produced by ts-to-fs is a ground element)."""
     g = tuple(ground)
-    return _thin_palette((f(s) for s in front(f.barrier, g)), g)
+    return _thin_palette(f.colors_of(front(f.barrier, g)), g)
 
 
 # --- rainbow from monochromatic / free set -------------------------------
@@ -266,8 +260,8 @@ class _ColorClasses:
     furthest member queried so far.  ``classes`` maps each color to its
     members in rank order, ``place`` each member to its color and its index
     in that list (the number of earlier members of its color).  A query
-    (:meth:`fill`) takes a whole front at once: its ranks are read in one
-    batch (:func:`rank_of`) off the rank table at its largest max
+    (:meth:`fill`) takes a whole batch at once: its ranks are read in one
+    go (:func:`rank_of`) off the rank table at its largest max
     (:func:`ranked_up_to`), and the table's members from the first uncolored
     one up to its highest-ranked member are colored by one ``f.colors_of``
     call.
@@ -280,13 +274,9 @@ class _ColorClasses:
         self.classes: dict[int, list[Seq]] = {}
         self.place: dict[Seq, tuple[int, int]] = {}
 
-    def __call__(self, s: Seq) -> tuple[int, int]:
-        if s not in self.place:
-            self.fill((s,))
-        return self.place[s]
-
-    def fill(self, members: Sequence[Seq]) -> None:
-        """Place every member given; a non-member raises ValueError."""
+    def fill(self, members: Sequence[Seq]) -> list[tuple[int, int]]:
+        """Place every member given and return their places; a non-member
+        raises ValueError."""
         top, ranks = rank_of(self.spec, members)
         new = list(islice(ranked_up_to(self.spec, top), self.done, max(ranks, default=-1) + 1))
         for t, color in zip(new, self.f.colors_of(new)):
@@ -294,6 +284,7 @@ class _ColorClasses:
             self.place[t] = (color, len(cls))
             cls.append(t)
         self.done += len(new)
+        return list(map(self.place.__getitem__, members))
 
 
 def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
@@ -308,20 +299,15 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
         raise ValueError("instance must declare a bound k >= 1")
     place = _ColorClasses(spec, f)
 
-    def rule(s: Seq) -> int:
-        color, count = place(s)
-        if count >= k:
-            raise BoundViolationError(
-                f"color {color} occurs {count + 1} times up to {s}; declared bound {k}"
-            )
-        return count
+    def batch(members: Sequence[Seq]) -> list[int]:
+        counts = []
+        for s, (color, count) in zip(members, place.fill(members)):
+            if count >= k:
+                raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}; declared bound {k}")
+            counts.append(count)
+        return counts
 
-    def bulk(members: Sequence[Seq]) -> list[int]:
-        place.fill(members)
-        counts = [count for _, count in map(place.place.__getitem__, members)]
-        return counts if max(counts, default=0) < k else list(map(rule, members))  # raises at the first over k
-
-    return Coloring(spec, rule, name=f"twin-count({f.name})", colors=tuple(range(k)), bulk=bulk)
+    return Coloring(spec, batch, name=f"twin-count({f.name})", colors=tuple(range(k)))
 
 
 def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
@@ -334,23 +320,22 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
         raise ValueError("instance must declare bound 2")
     place = _ColorClasses(spec, f)
 
-    def rule(s: Seq) -> int:
-        color, count = place(s)
-        if count > 1:
-            raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}")
-        if not count:
-            return 0
-        twin = place.classes[color][0]
-        diff = set(twin) - set(s)
-        if not diff:
-            raise InternalInvariantError(f"BUG: member {twin} contained in {s}")
-        return min(diff)
+    def batch(members: Sequence[Seq]) -> list[int]:
+        out = []
+        for s, (color, count) in zip(members, place.fill(members)):
+            if count > 1:
+                raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}")
+            if not count:
+                out.append(0)
+                continue
+            twin = place.classes[color][0]
+            diff = set(twin) - set(s)
+            if not diff:
+                raise InternalInvariantError(f"BUG: member {twin} contained in {s}")
+            out.append(min(diff))
+        return out
 
-    def bulk(members: Sequence[Seq]) -> list[int]:
-        place.fill(members)
-        return list(map(rule, members))
-
-    return Coloring(spec, rule, name=f"twin-min({f.name})", bulk=bulk)
+    return Coloring(spec, batch, name=f"twin-min({f.name})")
 
 
 # --- the reduction registry ----------------------------------------------
@@ -494,6 +479,8 @@ def check_reduction(
     """
     if isinstance(red, str):
         red = REDUCTIONS[red]
+    if min_size < 0:
+        raise ValueError(f"min_size must be >= 0, got {min_size}")
     if red.needs_bound is not None:
         if f.declared_bound is None:
             raise ValueError(f"{red.name} needs a declared bound")
@@ -564,10 +551,10 @@ def random_instance(
         k = bound if bound is not None else (red.needs_bound or 2)
         colors = [i // k for i in range(len(members))]
         rng.shuffle(colors)
-        return table_coloring(spec, dict(zip(members, colors)), name=f"random:{seed}", declared_bound=k)
+        return _table_coloring(spec, dict(zip(members, colors)), name=f"random:{seed}", declared_bound=k)
     top = (max(g) if g else 0) + 4
     colors = [rng.randrange(top) for _ in members]
-    return table_coloring(spec, dict(zip(members, colors)), name=f"random:{seed}")
+    return _table_coloring(spec, dict(zip(members, colors)), name=f"random:{seed}")
 
 
 def adversarial_instances(
@@ -587,25 +574,25 @@ def adversarial_instances(
         k = bound if bound is not None else (red.needs_bound or 2)
         n = len(members)
         out.append(
-            table_coloring(spec, {s: i for i, s in enumerate(members)}, name="injective", declared_bound=k)
+            _table_coloring(spec, {s: i for i, s in enumerate(members)}, name="injective", declared_bound=k)
         )
         out.append(
-            table_coloring(spec, {s: i // k for i, s in enumerate(members)}, name="adjacent-twins", declared_bound=k)
+            _table_coloring(spec, {s: i // k for i, s in enumerate(members)}, name="adjacent-twins", declared_bound=k)
         )
         stride = max(1, (n + k - 1) // k)
         out.append(
-            table_coloring(spec, {s: i % stride for i, s in enumerate(members)}, name="far-twins", declared_bound=k)
+            _table_coloring(spec, {s: i % stride for i, s in enumerate(members)}, name="far-twins", declared_bound=k)
         )
         return out
-    out.append(table_coloring(spec, {s: 0 for s in members}, name="const:0"))
-    out.append(table_coloring(spec, {s: max(g, default=0) + 50 for s in members}, name="const:big"))
+    out.append(_table_coloring(spec, {s: 0 for s in members}, name="const:0"))
+    out.append(_table_coloring(spec, {s: max(g, default=0) + 50 for s in members}, name="const:big"))
     if members != ((),):  # these read an end of each member, and () has none
-        out.append(table_coloring(spec, {s: s[0] for s in members}, name="min"))
-        out.append(table_coloring(spec, {s: s[-1] + 1 for s in members}, name="max-plus-one"))
-        out.append(table_coloring(spec, {s: max(s[0] - 2, 0) for s in members}, name="cascade"))
+        out.append(_table_coloring(spec, {s: s[0] for s in members}, name="min"))
+        out.append(_table_coloring(spec, {s: s[-1] + 1 for s in members}, name="max-plus-one"))
+        out.append(_table_coloring(spec, {s: max(s[0] - 2, 0) for s in members}, name="cascade"))
     if members:
         probe = {s: 0 for s in members}
         top = max(members, key=rank_key)
         probe[top] = min(x for x in g if x != 0) if len(g) > 1 else 0
-        out.append(table_coloring(spec, probe, name="top-probe"))
+        out.append(_table_coloring(spec, probe, name="top-probe"))
     return out

@@ -16,7 +16,7 @@ superset-closure, or zeta, pass (:func:`barriers.barrier.up_closure`).  A
 rainbow class of m members is violated above the union of any two, so up to
 m = n its pairwise unions join one closure, and a larger class takes a zeta
 count saturated at 2 (:func:`barriers.barrier.up_closure2`).  The index
-colors the whole front in one call (:meth:`Coloring.colors_of`), so a
+colors the whole front as one batch (:meth:`Coloring.colors_of`), so a
 coloring that keeps a table, a rank order or a memo does the work its
 members share once per front.  The members and their masks do not depend on
 the coloring: one walk emits both once per (normal form, base) pair and one
@@ -122,7 +122,7 @@ def _universe(f: Coloring, used: Iterable[int]) -> tuple[int, ...]:
 
 def default_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
     """Colors used on the ground front plus the coloring's declared palette."""
-    return _universe(f, (f(s) for s in front(f.barrier, ground)))
+    return _universe(f, f.colors_of(front(f.barrier, ground)))
 
 
 # --- the subset lattice ---------------------------------------------------

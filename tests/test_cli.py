@@ -197,6 +197,24 @@ def test_reduce_refuses_adversarial_without_random(capsys):
         assert out.out == "" and len(out.err.splitlines()) == 1 and "--adversarial" in out.err, extra
 
 
+def test_a_negative_min_size_is_refused_by_solve_and_reduce(capsys):
+    solve = ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", '{"builtin":"min"}',
+             "--ground", "0..4"]
+    reduce = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--random", "1", "--check"]
+    for argv in (solve, reduce, reduce + ["--json"]):
+        for size in ("-1", "-5"):
+            assert main(argv + ["--min-size", size]) == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == f"error: min_size must be >= 0, got {size}\n", argv
+
+
+def test_a_table_gap_is_one_error_line_without_quotes(capsys):
+    argv = ["solve", "--property", "mono", "--barrier", "exact:2", "--coloring", '{"table": []}', "--ground", "0..4"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: coloring 'table' has no value for (0, 1)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -439,11 +439,11 @@ def test_misaligned_target_ground_raises():
 def counting(coloring):
     calls = []
 
-    def rule(s):
-        calls.append(s)
-        return coloring(s)
+    def batch(ms):
+        calls.extend(ms)
+        return coloring.colors_of(ms)
 
-    return Coloring(coloring.barrier, rule, name=coloring.name, declared_bound=coloring.declared_bound), calls
+    return Coloring(coloring.barrier, batch, name=coloring.name, declared_bound=coloring.declared_bound), calls
 
 
 def twin_definition(spec, f, s):
@@ -663,7 +663,7 @@ def test_cli_reduce_check_on_a_sparse_ground_matches_brute_force(name, capsys):
         assert report["counterexamples"] == [c for _, cex in expected for c in cex]
 
 
-# --- a front in one call: colors_of against the per-member rule ----------------
+# --- a front in one call: colors_of against batches of one ----------------------
 
 EMPTY_FRONT_SPECS = (ExactSize(0), Canonical(Ordinal.from_int(0)), Product(ExactSize(0), ExactSize(0)))
 PARAMS = {"const": {"value": 3}, "rank-div": {"k": 2}, "rank-mod": {"m": 3}}
@@ -679,7 +679,7 @@ def _outcome(fn):
 def _state(g: Coloring):
     """The mutable state of a forward: the fs-to-rt memo, the members it
     colored and its deepest chain, or the twin counts' places."""
-    place = inspect.getclosurevars(g.rule).nonlocals.get("place")
+    place = inspect.getclosurevars(g.batch).nonlocals.get("place")
     return (
         getattr(g, "memo", None),
         getattr(g, "colored", None),
@@ -728,12 +728,11 @@ def _kinds(spec, ground, data):
 def _agree(label, make, members, data):
     for order in (members, data.draw(st.permutations(members))):
         per_member, at_once = make(), make()
-        want = _outcome(lambda: [per_member.rule(s) for s in order])
+        want = _outcome(lambda: [per_member.batch((s,))[0] for s in order])
         assert _outcome(lambda: at_once.colors_of(order)) == want, label
         if want[0] == "ok":  # after an error the two may have stopped at different members
             assert _state(at_once) == _state(per_member), label
-            if per_member.bulk is not None:  # no fallback to the per-member loop
-                assert make().bulk(order) == want[1], label
+            assert make().batch(order) == want[1], label  # one batch alone, no rerun
 
 
 @given(st.data())

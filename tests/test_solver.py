@@ -99,7 +99,7 @@ def test_find_free_excludes_successors():
 
 
 def test_find_thin_uses_declared_universe():
-    f = Coloring(ExactSize(1), lambda s: 0, name="zero", colors=(0, 1))
+    f = Coloring(ExactSize(1), lambda ms: [0] * len(ms), name="zero", colors=(0, 1))
     w = find("thin", f, range(3), 2)
     assert w is not None and w.detail == 1  # omits the declared color 1
 
