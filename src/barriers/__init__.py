@@ -44,9 +44,9 @@ from .coloring import Coloring, builtin_coloring, check_bounded, table_coloring
 from .solver import Witness, find, verify_free, verify_mono, verify_rainbow, verify_thin
 from .reduction import (
     REDUCTIONS,
+    FreeToMonoColoring,
     check_reduction,
     fs_backward,
-    fs_forward,
     rrt2_fs_forward,
     rrt_rt_forward,
     ts_fs_backward,

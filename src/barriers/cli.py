@@ -35,7 +35,6 @@ from .barrier import (
     sperner_of_masks,
     variant,
 )
-from .coloring import Coloring
 from .diag import StagedColoring, rainbow_defeater, thin_defeater, verify_defeat_rainbow, verify_defeat_thin
 from .jsonio import coloring_from_json, family_from_json, spec_from_json
 from .ordinals import parse_ordinal
@@ -182,20 +181,26 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
         raise UsageError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
     if args.adversarial and not args.random:
         raise UsageError("--adversarial adds to the --random N instances and needs N >= 1")
-    instances: list[Coloring] = []
-    if args.random:
-        for idx in range(args.random):
-            instances.append(random_instance(red, spec, ground, seed=args.seed * 100003 + idx))
-        if args.adversarial:
-            instances.extend(adversarial_instances(red, spec, ground))
-    elif args.coloring:
-        instances.append(coloring_from_json(spec, _load_json_arg(args.coloring)))
-    else:
+    if not (args.random or args.coloring):
         raise UsageError("reduce needs --coloring or --random N")
+    if args.min_size is not None and not args.check:
+        raise UsageError("--min-size bounds the witnesses of --check and needs --check")
+    if args.coloring and args.random:
+        raise UsageError("--coloring and --random N each give the instances; give one of them")
+    if args.seed is not None and not args.random:
+        raise UsageError("--seed seeds the --random N instances and needs N >= 1")
+    seed = args.seed or 0
+    min_size = 3 if args.min_size is None else args.min_size
+    if args.random:
+        instances = [random_instance(red, spec, ground, seed=seed * 100003 + idx) for idx in range(args.random)]
+        if args.adversarial:
+            instances += adversarial_instances(red, spec, ground)
+    else:
+        instances = [coloring_from_json(spec, _load_json_arg(args.coloring))]
 
     if not args.check:
         f = instances[0]
-        g = red.forward(spec, f)
+        g = red.forward(f)
         tg = red.target_ground(ground)
         members = front(g.barrier, tg)
         table = [[list(s), c] for s, c in zip(members, g.colors_of(members))]
@@ -211,15 +216,15 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
         lines += [f"  {tuple(row[0])} -> {row[1]}" for row in table]
         return report, 0, "\n".join(lines)
 
-    reports = [check_reduction(red, f, ground, args.min_size) for f in instances]
+    reports = [check_reduction(red, f, ground, min_size) for f in instances]
     total_cex = sum(len(r.counterexamples) for r in reports)
     report = {
         "command": "reduce",
         "name": red.name,
         "barrier": spec_label(spec),
         "ground": list(ground),
-        "min_size": args.min_size,
-        "seed": args.seed if args.random else None,
+        "min_size": min_size,
+        "seed": seed if args.random else None,
         "instances": len(reports),
         "checked_witnesses": sum(r.checked_witnesses for r in reports),
         "counterexamples": [c for r in reports for c in r.counterexamples],
@@ -233,11 +238,19 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
     return report, 0 if total_cex == 0 else 1, text
 
 
-def _parse_verify(text: str) -> dict[str, int]:
+def _parse_verify(text: str, kind: str) -> dict[str, int]:
+    """The key=value pairs of --verify: each a key the kind reads (e and i
+    for thin, e for rainbow), given once."""
+    keys = ("e", "i") if kind == "thin" else ("e",)
     out: dict[str, int] = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        out[key.strip()] = int(value)
+        key = key.strip()
+        if key not in keys:
+            raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {key!r}")
+        if key in out:
+            raise UsageError(f"--verify gives {key} twice")
+        out[key] = int(value)
     return out
 
 
@@ -245,7 +258,7 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     alpha = parse_ordinal(args.alpha)
     family = family_from_json(_load_json_arg(args.family))
     col: StagedColoring = (thin_defeater if args.kind == "thin" else rainbow_defeater)(alpha, family)
-    params = _parse_verify(args.verify)
+    params = _parse_verify(args.verify, args.kind)
     if "e" not in params:
         raise UsageError("--verify needs e=<index>")
     if args.kind == "thin":
@@ -318,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", help="JSON (inline or path)")
     p.add_argument("--ground", required=True)
     p.add_argument("--check", action="store_true", help="validate solutions exhaustively")
-    p.add_argument("--min-size", type=int, default=3)
+    p.add_argument("--min-size", type=int, help="with --check, the least witness size (default 3)")
     p.add_argument("--random", type=int, default=0, metavar="N", help="check N seeded random instances")
     p.add_argument("--adversarial", action="store_true", help="add the stress instances to the --random ones")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="with --random N, the seed of the instances (default 0)")
     add_common(p)
     p.set_defaults(fn=cmd_reduce)
 

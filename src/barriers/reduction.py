@@ -13,14 +13,16 @@ lies above the source ground.  The five reductions shipped here:
     rrt-to-rt   rainbow (k-bdd)   <=  k-color monochromatic
     rrt2-to-fs  rainbow (2-bdd)   <=  free set
 
-Forward colorings are demand-driven batch functions closing over the
-instance and the barrier only, so they are uniform: no ground set is
-consulted beyond the queried members.  ``check_reduction`` validates a reduction exhaustively on a
-finite ground set: every subset that solves the target instance must map back
-to a solution of the source instance.  It works on the subset lattice of
-:mod:`barriers.solver`: the target solutions and the preimage of the source
-violations under the backward map are 2^n-bit sets, and the counterexamples
-are their intersection.
+A forward map takes the instance alone: the barrier is part of the instance
+(``f.barrier``), and the forward coloring is a demand-driven batch function
+closing over the instance only, so it is uniform: no ground set is consulted
+beyond the queried members.  ``check_reduction`` validates a reduction
+exhaustively on a finite ground set: every subset that solves the target
+instance must map back to a solution of the source instance.  It works on
+the subset lattice of :mod:`barriers.solver`: the target solutions and the
+preimage of the source violations under the backward map are 2^n-bit sets,
+and the counterexamples are their intersection.  Its report carries only
+its results.
 
 Desk-scale note for fs-to-rt: a finite monochromatic front constrains the
 recursion only below its largest element (the recursion at a member needs a
@@ -49,7 +51,6 @@ from .barrier import (
     rank_key,
     rank_of,
     ranked_up_to,
-    spec_label,
 )
 from .coloring import BoundViolationError, Coloring, _table_coloring
 from .seqs import Seq, as_seq, seq_minus
@@ -57,7 +58,6 @@ from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
     "FreeToMonoColoring",
-    "fs_forward",
     "fs_backward",
     "ts_rt_forward",
     "ts_fs_backward",
@@ -83,8 +83,9 @@ def _entry(p: Seq, k: int) -> list:
 
 
 class FreeToMonoColoring(Coloring):
-    """2-coloring of the plus barrier defined by recursion along the
-    lexicographic order, which is well-founded on any barrier.
+    """The instance map of fs-to-rt: a free-set instance f becomes the
+    2-coloring of the plus barrier of ``f.barrier`` defined by recursion along
+    the lexicographic order, which is well-founded on any barrier.
 
     For a member s = (s_0,...,s_n) of the plus barrier, let t be s with the
     last coordinate dropped and the rest shifted down, and v = f(t):
@@ -121,14 +122,13 @@ class FreeToMonoColoring(Coloring):
     race only on identical values.
     """
 
-    def __init__(self, inner: BarrierSpec, f: Coloring):
-        self.inner = inner
+    def __init__(self, f: Coloring):
         self.f = f
         # prefix -> [k, (value, depth) of its members above k, or None while unknown]
         self.memo: dict[Seq, list] = {}
         self.colored: set[Seq] = set()
         self.max_chain = 0
-        super().__init__(Plus(inner), self._batch, name=f"free-to-mono({f.name})", colors=(0, 1))
+        super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})", colors=(0, 1))
 
     def __call__(self, s: Iterable[int]) -> int:
         seq = as_seq(s)
@@ -206,12 +206,6 @@ class FreeToMonoColoring(Coloring):
         return out
 
 
-def fs_forward(inner: BarrierSpec, f: Coloring) -> FreeToMonoColoring:
-    """Instance map of fs-to-rt: a free-set instance on the inner barrier
-    becomes a 2-coloring of its plus barrier."""
-    return FreeToMonoColoring(inner, f)
-
-
 def fs_backward(h: Iterable[int]) -> tuple[int, ...]:
     """Solution map of fs-to-rt at the infinite level: pointwise decrement."""
     hs = tuple(sorted(set(h)))
@@ -255,7 +249,7 @@ def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
 
 
 class _ColorClasses:
-    """The members of a barrier in (max, lex) rank order, colored by f as
+    """The members of f's barrier in (max, lex) rank order, colored by f as
     queries reach them: each member colored once, and only those up to the
     furthest member queried so far.  ``classes`` maps each color to its
     members in rank order, ``place`` each member to its color and its index
@@ -267,8 +261,7 @@ class _ColorClasses:
     call.
     """
 
-    def __init__(self, spec: BarrierSpec, f: Coloring):
-        self.spec = spec
+    def __init__(self, f: Coloring):
         self.f = f
         self.done = 0  # members colored, a prefix of the rank order
         self.classes: dict[int, list[Seq]] = {}
@@ -277,8 +270,8 @@ class _ColorClasses:
     def fill(self, members: Sequence[Seq]) -> list[tuple[int, int]]:
         """Place every member given and return their places; a non-member
         raises ValueError."""
-        top, ranks = rank_of(self.spec, members)
-        new = list(islice(ranked_up_to(self.spec, top), self.done, max(ranks, default=-1) + 1))
+        top, ranks = rank_of(self.f.barrier, members)
+        new = list(islice(ranked_up_to(self.f.barrier, top), self.done, max(ranks, default=-1) + 1))
         for t, color in zip(new, self.f.colors_of(new)):
             cls = self.classes.setdefault(color, [])
             self.place[t] = (color, len(cls))
@@ -287,7 +280,7 @@ class _ColorClasses:
         return list(map(self.place.__getitem__, members))
 
 
-def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
+def rrt_rt_forward(f: Coloring) -> Coloring:
     """Count agreeing predecessors: g(s) = |{t before s : f(t) = f(s)}|,
     "before" in the (max, lex) rank order.
 
@@ -297,7 +290,7 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     k = f.declared_bound
     if k is None or k < 1:
         raise ValueError("instance must declare a bound k >= 1")
-    place = _ColorClasses(spec, f)
+    place = _ColorClasses(f)
 
     def batch(members: Sequence[Seq]) -> list[int]:
         counts = []
@@ -307,10 +300,10 @@ def rrt_rt_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
             counts.append(count)
         return counts
 
-    return Coloring(spec, batch, name=f"twin-count({f.name})", colors=tuple(range(k)))
+    return Coloring(f.barrier, batch, name=f"twin-count({f.name})", colors=tuple(range(k)))
 
 
-def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
+def rrt2_fs_forward(f: Coloring) -> Coloring:
     """g(s) = min(t \\ s) for the unique earlier twin t of s, else 0.
 
     Uniqueness holds because f is 2-bounded; t \\ s is nonempty because
@@ -318,7 +311,7 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
     """
     if f.declared_bound != 2:
         raise ValueError("instance must declare bound 2")
-    place = _ColorClasses(spec, f)
+    place = _ColorClasses(f)
 
     def batch(members: Sequence[Seq]) -> list[int]:
         out = []
@@ -335,7 +328,7 @@ def rrt2_fs_forward(spec: BarrierSpec, f: Coloring) -> Coloring:
             out.append(min(diff))
         return out
 
-    return Coloring(spec, batch, name=f"twin-min({f.name})")
+    return Coloring(f.barrier, batch, name=f"twin-min({f.name})")
 
 
 # --- the reduction registry ----------------------------------------------
@@ -351,7 +344,7 @@ class Reduction:
     name: str
     source_property: str
     target_property: str
-    forward: Callable[[BarrierSpec, Coloring], Coloring]
+    forward: Callable[[Coloring], Coloring]
     drop: tuple[str, ...] = ()
     shift: int = 0
     needs_bound: int | None = None  # 2 = exactly 2-bounded, 0 = any declared k
@@ -392,7 +385,7 @@ REDUCTIONS: dict[str, Reduction] = {
         name="fs-to-rt",
         source_property="free",
         target_property="mono",
-        forward=fs_forward,
+        forward=FreeToMonoColoring,
         drop=("max",),
         shift=1,
     ),
@@ -400,13 +393,13 @@ REDUCTIONS: dict[str, Reduction] = {
         name="ts-to-rt",
         source_property="thin",
         target_property="mono",
-        forward=lambda spec, f: ts_rt_forward(f),
+        forward=ts_rt_forward,
     ),
     "ts-to-fs": Reduction(
         name="ts-to-fs",
         source_property="thin",
         target_property="free",
-        forward=lambda spec, f: f,
+        forward=lambda f: f,
         drop=("min",),
     ),
     "rrt-to-rt": Reduction(
@@ -431,11 +424,6 @@ REDUCTIONS: dict[str, Reduction] = {
 
 @dataclass(frozen=True)
 class ReductionReport:
-    name: str
-    barrier: str
-    coloring: str
-    ground: tuple[int, ...]
-    min_size: int
     checked_witnesses: int
     counterexamples: tuple[dict, ...]
     max_recursion_chain: int
@@ -444,19 +432,6 @@ class ReductionReport:
     @property
     def ok(self) -> bool:
         return not self.counterexamples
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "barrier": self.barrier,
-            "coloring": self.coloring,
-            "ground": list(self.ground),
-            "min_size": self.min_size,
-            "checked_witnesses": self.checked_witnesses,
-            "counterexamples": list(self.counterexamples),
-            "max_recursion_chain": self.max_recursion_chain,
-            "forward_max_color": self.forward_max_color,
-        }
 
 
 def check_reduction(
@@ -488,7 +463,7 @@ def check_reduction(
             raise ValueError(f"{red.name} needs bound {red.needs_bound}")
 
     g = base_members(f.barrier, ground)
-    gvals = red.forward(f.barrier, f)
+    gvals = red.forward(f)
     target = FrontIndex(gvals, red.target_ground(g))
     source = FrontIndex(f, g)
     if target.g != red.target_ground(source.g):
@@ -507,11 +482,6 @@ def check_reduction(
             {"witness": list(h), "solution": list(red.backward(h)), "property": red.source_property}
         )
     return ReductionReport(
-        name=red.name,
-        barrier=spec_label(f.barrier),
-        coloring=f.name,
-        ground=g,
-        min_size=min_size,
         checked_witnesses=sum((clean & layer).bit_count() for layer in layers),
         counterexamples=tuple(counterexamples),
         max_recursion_chain=getattr(gvals, "max_chain", 0),

@@ -51,6 +51,14 @@ def run_json(capsys, *argv) -> tuple[int, dict]:
     return code, report
 
 
+def _usage_error(capsys, argv) -> str:
+    """Run argv, which must exit 2 with one stderr line and nothing on stdout."""
+    assert main(argv) == 2, argv
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1, (argv, out)
+    return out.err
+
+
 def test_ground_ranges_are_half_open():
     assert parse_ground_arg("0..6") == (0, 1, 2, 3, 4, 5)
     assert parse_ground_arg("4,1,9") == (1, 4, 9)
@@ -146,6 +154,18 @@ def test_diag_command(capsys):
     assert code == 0 and report["result"]["found"]["numbers"] == [0, 2]
 
 
+@pytest.mark.parametrize(
+    "kind, verify",
+    [("rainbow", "e=0,i=5,x=3"), ("rainbow", "e=0,i=1"), ("rainbow", "e=0,e=1"), ("thin", "e=0,i=1,x=2"),
+     ("thin", "e=0,i=1,i=2"), ("thin", "e=0,e=0,i=1")],
+)
+def test_diag_verify_takes_only_the_keys_its_kind_reads(capsys, kind, verify):
+    # thin reads e and i, rainbow reads e; the report must not echo a key
+    # that was never read
+    family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
+    _usage_error(capsys, ["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify, "--json"])
+
+
 def test_diag_bound_too_small_still_exits_clean(capsys):
     family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}}])
     code, report = run_json(
@@ -195,6 +215,38 @@ def test_reduce_refuses_adversarial_without_random(capsys):
         assert main(base + extra) == 2, extra
         out = capsys.readouterr()
         assert out.out == "" and len(out.err.splitlines()) == 1 and "--adversarial" in out.err, extra
+
+
+def test_reduce_refuses_min_size_without_check(capsys):
+    # --min-size bounds the witnesses of --check; the forward table ignores it
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..3"]
+    for instance in (["--random", "1"], ["--coloring", '{"builtin":"min"}']):
+        for size in ("-5", "3"):
+            assert "--min-size" in _usage_error(capsys, base + instance + ["--min-size", size])
+    default = run(capsys, *base, "--random", "2", "--check", "--json")
+    assert default == run(capsys, *base, "--random", "2", "--check", "--json", "--min-size", "3")
+    assert json.loads(default[1])["min_size"] == 3
+
+
+def test_reduce_refuses_a_coloring_with_random(capsys):
+    # both name the instances; with --random N >= 1 the coloring went unchecked
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--check"]
+    for coloring in ('{"table": []}', '{"builtin":"min"}'):
+        for random in ("1", "3"):
+            assert "--coloring" in _usage_error(capsys, base + ["--random", random, "--coloring", coloring])
+    code, report = run_json(capsys, *base, "--random", "0", "--coloring", '{"builtin":"min"}')
+    assert code == 0 and report["instances"] == 1 and report["seed"] is None
+
+
+def test_reduce_refuses_a_seed_without_random(capsys):
+    base = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5"]
+    for extra in (["--coloring", '{"builtin":"min"}'], ["--coloring", '{"builtin":"min"}', "--check"],
+                  ["--random", "0", "--coloring", '{"builtin":"min"}']):
+        for seed in ("0", "7"):
+            assert "--seed" in _usage_error(capsys, base + extra + ["--seed", seed])
+    default = run(capsys, *base, "--random", "2", "--check", "--json")
+    assert default == run(capsys, *base, "--random", "2", "--check", "--json", "--seed", "0")
+    assert json.loads(default[1])["seed"] == 0
 
 
 def test_a_negative_min_size_is_refused_by_solve_and_reduce(capsys):

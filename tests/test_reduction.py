@@ -23,6 +23,7 @@ from barriers.barrier import (
     front,
     rank_key,
     ranked_up_to,
+    spec_label,
 )
 from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
 from barriers.diag import OracleEntry, OracleFamily, rainbow_defeater, thin_defeater
@@ -31,8 +32,8 @@ from barriers.reduction import (
     REDUCTIONS,
     adversarial_instances,
     check_reduction,
+    FreeToMonoColoring,
     fs_backward,
-    fs_forward,
     random_instance,
     rrt2_fs_forward,
     rrt_rt_forward,
@@ -54,19 +55,19 @@ def singles(table):
 
 
 def test_fs_forward_case_values():
-    g = fs_forward(ExactSize(1), singles({0: 5, 1: 1}))
+    g = FreeToMonoColoring(singles({0: 5, 1: 1}))
     assert g((2, 5)) == 0  # the color names a shifted coordinate
-    g = fs_forward(ExactSize(1), singles({0: 5, 1: 3}))
+    g = FreeToMonoColoring(singles({0: 5, 1: 3}))
     assert g((2, 5)) == 0  # strictly inside the last gap
-    g = fs_forward(ExactSize(1), singles({0: 5, 1: 0}))
+    g = FreeToMonoColoring(singles({0: 5, 1: 0}))
     assert g((2, 5)) == 0  # one hop: 1 - g((1, 2)) = 1 - 1
     assert g((1, 2)) == 1
-    g = fs_forward(ExactSize(1), singles({0: 5, 1: 4}))
+    g = FreeToMonoColoring(singles({0: 5, 1: 4}))
     assert g((2, 5)) == 1  # literal reading: the value s_n - 1 lands in "otherwise"
 
 
 def test_fs_forward_rejects_non_members():
-    g = fs_forward(ExactSize(1), singles({0: 0}))
+    g = FreeToMonoColoring(singles({0: 0}))
     with pytest.raises(ValueError):
         g((2, 2))
     with pytest.raises(ValueError):
@@ -78,14 +79,14 @@ def test_fs_forward_matches_slow_reevaluation():
         plus = Plus(inner)
         for seed in range(12):
             f = random_instance("fs-to-rt", inner, range(8), seed=seed)
-            g = fs_forward(inner, f)
+            g = FreeToMonoColoring(f)
             for s in front(plus, range(1, 9)):
                 assert g(s) == oracles.slow_fs(plus, f, s), (inner, seed, s)
 
 
 def test_fs_forward_chain_tracking():
     f = singles({0: 99, **{x: x - 2 for x in range(1, 9)}})
-    g = fs_forward(ExactSize(1), f)
+    g = FreeToMonoColoring(f)
     g((5, 9))
     assert g.max_chain >= 2  # (5,9) -> (3,5) -> (1,3)
     assert g((5, 9)) in (0, 1)  # memoized re-query is stable
@@ -114,7 +115,7 @@ def test_fs_forward_matches_slow_recursion_in_any_order(data):
     expected = {s: oracles.slow_fs_chain(plus, f, s) for s in members}
     deepest = max((depth for _, depth in expected.values()), default=0)
     for order in (members, data.draw(st.permutations(members))):
-        g = fs_forward(inner, f)
+        g = FreeToMonoColoring(f)
         assert [g(s) for s in order] == [expected[s][0] for s in order]
         assert g.max_chain == deepest
 
@@ -130,9 +131,9 @@ def test_twin_count_forwards_agree_in_any_order(data):
     seed = data.draw(st.integers(0, 1000))
     for name, forward in (("rrt-to-rt", rrt_rt_forward), ("rrt2-to-fs", rrt2_fs_forward)):
         f = random_instance(name, spec, ground, seed=seed)
-        in_lex = forward(spec, f)
+        in_lex = forward(f)
         colors = [in_lex(s) for s in members]
-        shuffled = forward(spec, f)
+        shuffled = forward(f)
         order = data.draw(st.permutations(range(len(members))))
         assert [shuffled(members[i]) for i in order] == [colors[i] for i in order], name
 
@@ -165,32 +166,32 @@ def test_ts_fs_backward():
 
 def test_rrt_rt_forward_counts():
     f = table_coloring(ExactSize(1), {(0,): 7, (1,): 7, (2,): 3}, declared_bound=2)
-    g = rrt_rt_forward(ExactSize(1), f)
+    g = rrt_rt_forward(f)
     assert (g((0,)), g((1,)), g((2,))) == (0, 1, 0)
 
 
 def test_rrt_rt_forward_injective_instance_is_zero():
     members = front(Schreier(), range(7))
     f = table_coloring(Schreier(), {s: i for i, s in enumerate(members)}, declared_bound=2)
-    g = rrt_rt_forward(Schreier(), f)
+    g = rrt_rt_forward(f)
     assert all(g(s) == 0 for s in members)
 
 
 def test_rrt_rt_forward_detects_bound_lies():
     f = table_coloring(ExactSize(1), {(x,): 0 for x in range(5)}, declared_bound=2)
-    g = rrt_rt_forward(ExactSize(1), f)
+    g = rrt_rt_forward(f)
     with pytest.raises(BoundViolationError):
         g((4,))
 
 
 def test_rrt2_fs_forward():
     f = table_coloring(ExactSize(1), {(0,): 4, (1,): 4, (2,): 9}, declared_bound=2)
-    g = rrt2_fs_forward(ExactSize(1), f)
+    g = rrt2_fs_forward(f)
     assert g((0,)) == 0  # no earlier twin
     assert g((1,)) == 0  # min((0) \ (1))
     assert g((2,)) == 0
     h = table_coloring(ExactSize(2), {s: i // 2 for i, s in enumerate(front(ExactSize(2), range(5)))}, declared_bound=2)
-    gg = rrt2_fs_forward(ExactSize(2), h)
+    gg = rrt2_fs_forward(h)
     twins = [s for s in front(ExactSize(2), range(5)) if gg(s) != 0]
     assert twins  # some member names a coordinate of its earlier twin
 
@@ -225,7 +226,7 @@ def test_check_reduction_fs_trims_the_top_of_the_witness():
     report = check_reduction("fs-to-rt", f, range(9), 3)
     assert not report.counterexamples
     # Untrimmed, the same witnesses would fail: exhibit one.
-    g = fs_forward(ExactSize(1), f)
+    g = FreeToMonoColoring(f)
     h = (2, 5, 9)
     assert verify_mono(g, h)
     assert not verify_free(f, fs_backward(h))
@@ -260,16 +261,6 @@ def test_check_reduction_requires_declared_bound():
         check_reduction("rrt2-to-fs", f2, range(5), 2)
 
 
-def test_report_json_shape():
-    f = random_instance("ts-to-rt", ExactSize(1), range(6), seed=0)
-    report = check_reduction("ts-to-rt", f, range(6), 2)
-    data = report.to_json()
-    assert data["name"] == "ts-to-rt"
-    assert data["counterexamples"] == []
-    assert isinstance(data["checked_witnesses"], int)
-    assert isinstance(data["max_recursion_chain"], int)
-
-
 def test_random_instances_are_seed_deterministic():
     a = random_instance("fs-to-rt", Schreier(), range(8), seed=42)
     b = random_instance("fs-to-rt", Schreier(), range(8), seed=42)
@@ -293,7 +284,7 @@ def brute_check(red, f, ground, min_size):
     """check_reduction by its definition: every target subset by size then
     lex, both properties checked by verify_* on their own fronts."""
     g = base_members(f.barrier, ground)
-    gvals = red.forward(f.barrier, f)
+    gvals = red.forward(f)
     universe = thin_universe(f, g)
     verify = {
         "mono": verify_mono,
@@ -483,7 +474,7 @@ def test_twin_forwards_color_each_member_once(spec):
             forwards.append((rrt2_fs_forward, lambda s: rrt2_fs_definition(spec, f, s)))
         for forward, definition in forwards:
             counted, calls = counting(f)
-            g = forward(spec, counted)
+            g = forward(counted)
             queries = rng.sample(members, len(members) // 2) * 2
             furthest = -1
             for s in queries:
@@ -514,7 +505,7 @@ def test_reports_do_not_depend_on_the_kept_fronts():
     for red, f in cases:
         barrier.indexed_front.cache_clear()
         fresh.append(check_reduction(red, f, ground, 2))
-    assert [r.to_json() for r in kept] == [r.to_json() for r in fresh]
+    assert kept == fresh
     for (red, f), report in zip(cases, kept):
         want = brute_check(red, f, ground, 2)
         assert (report.checked_witnesses, list(report.counterexamples)) == want, (red.name, f.name)
@@ -538,7 +529,7 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
         rrt2_fs_forward: lambda s: rrt2_fs_definition(spec, f, s),
     }
     for forward, definition in definitions.items():
-        g = forward(spec, f)
+        g = forward(f)
         for s in front(spec, ground):
             assert g(s) == definition(s), (forward.__name__, s)
         with pytest.raises(ValueError, match="not a member"):
@@ -587,7 +578,7 @@ def test_free_to_mono_hops_look_the_variant_up(monkeypatch):
     assert max(chains[:6]) == 1 and max(chains) > 1  # exact:0 hops to (k,), which ends at k
     sparse = (0, 2, 3, 5, 7, 8)
     f = random_instance("fs-to-rt", Schreier(), sparse, seed=1)
-    g = fs_forward(Schreier(), f)
+    g = FreeToMonoColoring(f)
     members = front(g.barrier, [x + 1 for x in sparse])
     assert [g(s) for s in members] == [oracles.slow_fs(g.barrier, f, s) for s in members]
     assert steps and all(k - 1 not in sparse for _, k in steps)
@@ -596,13 +587,13 @@ def test_free_to_mono_hops_look_the_variant_up(monkeypatch):
 def test_free_to_mono_hops_outside_the_base_raise():
     # (3, 5) is t = (2,) plus a coordinate; the color -3 lies below
     # s_0 - 1 and sends the hop through -2.
-    negative = fs_forward(ExactSize(1), singles({x: -3 for x in range(8)}))
+    negative = FreeToMonoColoring(singles({x: -3 for x in range(8)}))
     with pytest.raises(NotInBaseError):
         negative((3, 5))
     # (5, 7) is t = (4,) over the evens; the color 1 sends the hop through 2,
     # and 2 is in the plus barrier's base only if 1 is in the evens.
     evens = Restrict(ExactSize(1), EVENS)
-    odd = fs_forward(evens, table_coloring(evens, {(x,): 1 for x in range(0, 10, 2)}))
+    odd = FreeToMonoColoring(table_coloring(evens, {(x,): 1 for x in range(0, 10, 2)}))
     with pytest.raises(NotInBaseError):
         odd((5, 7))
 
@@ -628,12 +619,23 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
                 report = check_reduction(r, f, range(7), 2)
                 assert calls == [], (spec, f.name)
                 assert (report.checked_witnesses, list(report.counterexamples)) == brute_check(r, f, range(7), 2)
-                reports.append(report.to_json())
-    # the reports as computed when the rule classified every memo miss
+                reports.append({
+                    "name": r.name,
+                    "barrier": spec_label(spec),
+                    "coloring": f.name,
+                    "ground": list(range(7)),
+                    "min_size": 2,
+                    "checked_witnesses": report.checked_witnesses,
+                    "counterexamples": list(report.counterexamples),
+                    "max_recursion_chain": report.max_recursion_chain,
+                    "forward_max_color": report.forward_max_color,
+                })
+    # the reports, one row each with the call that made it, as computed when
+    # the rule classified every memo miss
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "d683a2cabb289c3ccc05ff7014e2437a33c977997d0968cd93dbb2acae75d89d"
 
-    g = fs_forward(Schreier(), random_instance("fs-to-rt", Schreier(), range(8), seed=4))
+    g = FreeToMonoColoring(random_instance("fs-to-rt", Schreier(), range(8), seed=4))
     member = front(Plus(Schreier()), range(1, 9))[5]
     calls.clear()
     assert g(member) == oracles.slow_fs(Plus(Schreier()), g.f, member)
@@ -720,8 +722,8 @@ def _kinds(spec, ground, data):
         else:
             sources = {"table": table_coloring(spec, full), "partial": table_coloring(spec, gaps)}
         for label, f in sources.items():
-            target = front(red.forward(spec, f).barrier, red.target_ground(ground))
-            kinds.append((f"{name} on {label}", lambda red=red, f=f: red.forward(spec, f), target))
+            target = front(red.forward(f).barrier, red.target_ground(ground))
+            kinds.append((f"{name} on {label}", lambda red=red, f=f: red.forward(f), target))
     return kinds
 
 
@@ -756,8 +758,8 @@ def test_colors_of_is_the_per_member_rule_for_the_staged_defeaters(data):
         "thin": lambda: thin_defeater(alpha, fam),
         "rainbow": lambda: rainbow_defeater(alpha, fam),
         "ts-to-rt": lambda: ts_rt_forward(thin),
-        "rrt-to-rt": lambda: rrt_rt_forward(spec, rainbow),
-        "rrt2-to-fs": lambda: rrt2_fs_forward(spec, rainbow),
+        "rrt-to-rt": lambda: rrt_rt_forward(rainbow),
+        "rrt2-to-fs": lambda: rrt2_fs_forward(rainbow),
     }
     for label, make in kinds.items():
         _agree(label, make, front(spec, ground), data)
