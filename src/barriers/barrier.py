@@ -764,10 +764,7 @@ def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:
 
 def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
     """Position of a member in the (max, lex) enumeration of the barrier."""
-    seq = as_seq(s)
-    if classify(spec, seq) is not ELEMENT:
-        raise ValueError(f"{seq} is not a member")
-    return ranked_up_to(spec, rank_key(seq)[0])[seq]
+    return rank_of(spec, [as_seq(s)])[1][0]
 
 
 # --- labels --------------------------------------------------------------

@@ -250,7 +250,10 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
             raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {key!r}")
         if key in out:
             raise UsageError(f"--verify gives {key} twice")
-        out[key] = int(value)
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise UsageError(f"--verify {key} must be an integer, got {value!r}") from None
     return out
 
 

@@ -9,7 +9,10 @@ where it matters, never assumed.
 A coloring is one batch function from a sequence of members to their
 colors.  A single query is a batch of one, and :meth:`Coloring.colors_of`
 colors a whole front in one batch, so a coloring that keeps a table, a rank
-order or a memo does the work its members share once.
+order or a memo does the work its members share once.  A call is checked to
+be a member of the barrier, whatever the kind of coloring, and raises
+ValueError otherwise; a batch trusts its input, since the library hands it
+only members.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .barrier import BarrierSpec, front, rank_of
+from .barrier import ELEMENT, BarrierSpec, classify, front, rank_of
 from .seqs import Seq, as_seq
 
 __all__ = [
@@ -58,7 +61,10 @@ class Coloring:
         self.colors = colors  # optional declared color universe
 
     def __call__(self, s: Iterable[int]) -> int:
-        return self.batch((as_seq(s),))[0]
+        seq = as_seq(s)
+        if classify(self.barrier, seq) is not ELEMENT:
+            raise ValueError(f"{seq} is not a member")
+        return self.batch((seq,))[0]
 
     def colors_of(self, members: Sequence[Seq]) -> list[int]:
         """The colors of members the library produced, from one ``batch``

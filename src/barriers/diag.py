@@ -259,8 +259,6 @@ class StagedColoring(Coloring):
         return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
 
     def _eval(self, s: Seq) -> int:
-        if len(s) < 2 or s[0] >= s[1]:
-            raise ValueError(f"{s} is not of the form (m) + stage with m < min(stage)")
         label = self._replay(s[1:])[s[0]]
         return label if self.kind == "thin" else pair(label, self._code(s[1:]))
 

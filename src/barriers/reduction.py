@@ -34,18 +34,15 @@ desk-scale map of ts-to-fs, dropping min(H), is :func:`ts_fs_backward`.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .barrier import (
     BarrierSpec,
-    ELEMENT,
     InternalInvariantError,
     Plus,
     _variant,
-    classify,
     front,
     base_members,
     rank_key,
@@ -53,7 +50,7 @@ from .barrier import (
     ranked_up_to,
 )
 from .coloring import BoundViolationError, Coloring, _table_coloring
-from .seqs import Seq, as_seq, seq_minus
+from .seqs import Seq, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
@@ -103,58 +100,28 @@ class FreeToMonoColoring(Coloring):
     shared by the members of p whose last coordinate lies above k.  Those
     take 0 when k is in p or above max(p), and hop when k lies below max(p)
     outside p (for p = (), every member above k hops).  A member at or
-    below k takes 1.  The members of a hop group also share their variant:
-    s + {k} strictly contains s, so the variant is a prefix of p + {k}
-    through k.  It is looked up among the members colored already (in lex
-    order on a ground 0..n it always is one, being lex-below s), and only a
-    miss steps along the member with k inserted, which asserts that it
-    reaches a member through k lex-below s.  The hop depth below each
-    member (a pure function of the instance, independent of query order) is
-    tracked, and ``max_chain`` holds the largest seen.  A call checks that s
-    is a member unless it was colored already; the batch (:meth:`_batch`)
-    trusts its input, like the other forward colorings' batches, since the
-    library hands it only members.  One ``f.colors_of`` call gives k for
-    every new prefix of a batch, and only the first member of each hop
-    group walks its chain (:meth:`_eval`).
+    below k takes 1.  A hop steps along the member with k inserted, which
+    asserts that it reaches a member through k lex-below s.  The hop depth
+    below each member (a pure function of the instance, independent of
+    query order) is tracked, and ``max_chain`` holds the largest seen.  One
+    ``f.colors_of`` call gives k for every new prefix of a batch
+    (:meth:`_batch`), and only the first member of each hop group walks its
+    chain (:meth:`_eval`).
 
-    The memo and the set of members colored are the only mutable state;
-    every entry is a pure function of the instance, so concurrent queries
-    race only on identical values.
+    The memo is the only mutable state; every entry is a pure function of
+    the instance, so concurrent queries race only on identical values.
     """
 
     def __init__(self, f: Coloring):
         self.f = f
         # prefix -> [k, (value, depth) of its members above k, or None while unknown]
         self.memo: dict[Seq, list] = {}
-        self.colored: set[Seq] = set()
         self.max_chain = 0
         super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})", colors=(0, 1))
 
-    def __call__(self, s: Iterable[int]) -> int:
-        seq = as_seq(s)
-        if seq not in self.colored and classify(self.barrier, seq) is not ELEMENT:
-            raise ValueError(f"{seq} is not a member of the plus barrier")
-        return self._eval(seq)
-
-    def _hop(self, s: Seq, k: int) -> Seq:
-        """The k-variant of the member s, for k outside s and below max(s[:-1])
-        (below s_0 when s[:-1] is empty)."""
-        p = s[:-1]
-        i = bisect_left(p, k)
-        head = p[:i] + (k,)
-        for j in range(i, len(p) + 1):
-            w = head + p[i:j]
-            if w in self.colored:
-                return w
-        # k lies below max(s) and outside s, and the step raises
-        # NotInBaseError at k if it lies outside the base.
-        return _variant(self.barrier, s, k)
-
     def _eval(self, s: Seq) -> int:
-        # s is a member (checked by __call__, or made by the library).  The
-        # chain holds the prefix entries waiting for their variant's value,
-        # with the member that reached each.
-        chain: list[tuple[list, Seq]] = []
+        # The chain holds the prefix entries waiting for their variant's value.
+        chain: list[list] = []
         cur = s
         while True:
             p = cur[:-1]
@@ -169,14 +136,14 @@ class FreeToMonoColoring(Coloring):
             if above is not None:
                 value, depth = above
                 break
-            chain.append((entry, cur))
-            cur = self._hop(cur, k)
-        self.colored.add(cur)
-        for entry, node in reversed(chain):
+            chain.append(entry)
+            # k lies below max(cur) and outside cur; the step raises
+            # NotInBaseError at k if it lies outside the base.
+            cur = _variant(self.barrier, cur, k)
+        for entry in reversed(chain):
             value = 1 - value
             depth += 1
             entry[1] = (value, depth)
-            self.colored.add(node)
         if depth > self.max_chain:
             self.max_chain = depth
         return value
@@ -186,15 +153,14 @@ class FreeToMonoColoring(Coloring):
         one ``colors_of`` call at the new prefixes gives their k, each member
         reads its prefix entry, and only a member whose entry still waits for
         its value (the first of a hop group) runs ``_eval``.  The entries
-        made here are the ones ``_eval`` would make, so the memo, the
-        members colored and ``max_chain`` end as after the per-member loop
-        (an entry's depth was counted in ``max_chain`` when it was set)."""
+        made here are the ones ``_eval`` would make, so the memo and
+        ``max_chain`` end as after the per-member loop (an entry's depth was
+        counted in ``max_chain`` when it was set)."""
         memo = self.memo
         prefixes = [s[:-1] for s in members]
         fresh = [p for p in dict.fromkeys(prefixes) if p not in memo]
         for p, c in zip(fresh, self.f.colors_of([tuple(map((-1).__add__, p)) for p in fresh])):
             memo[p] = _entry(p, c + 1)
-        self.colored.update(members)  # a variant lookup that finds a member sooner finds the same variant
         out = []
         for s, (k, above) in zip(members, map(memo.__getitem__, prefixes)):  # read as reached: _eval fills entries
             if s[-1] <= k:
@@ -347,7 +313,7 @@ class Reduction:
     forward: Callable[[Coloring], Coloring]
     drop: tuple[str, ...] = ()
     shift: int = 0
-    needs_bound: int | None = None  # 2 = exactly 2-bounded, 0 = any declared k
+    needs_bound: int | None = None  # for the instance generators: 2 = exactly 2-bounded, 0 = any declared k
 
     def __post_init__(self) -> None:
         if any(end not in ("min", "max") for end in self.drop):
@@ -449,19 +415,15 @@ def check_reduction(
     counterexample list is empty.  Both fronts are indexed once (see
     :class:`FrontIndex`) and the check is a few operations on their 2^n-bit
     sets, so grounds with more than MAX_GROUND base elements raise
-    ValueError, as does a forward barrier whose base inside the target
-    ground is not ``red.target_ground`` of the source base.
+    ValueError, as do an instance that ``red.forward`` refuses (the rainbow
+    forwards refuse one without the bound they need) and a forward barrier
+    whose base inside the target ground is not ``red.target_ground`` of the
+    source base.
     """
     if isinstance(red, str):
         red = REDUCTIONS[red]
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {min_size}")
-    if red.needs_bound is not None:
-        if f.declared_bound is None:
-            raise ValueError(f"{red.name} needs a declared bound")
-        if red.needs_bound and f.declared_bound != red.needs_bound:
-            raise ValueError(f"{red.name} needs bound {red.needs_bound}")
-
     g = base_members(f.barrier, ground)
     gvals = red.forward(f)
     target = FrontIndex(gvals, red.target_ground(g))

@@ -616,14 +616,17 @@ def test_enum_rank_prefix_finite():
 
 @pytest.mark.parametrize("name", sorted({**ALL_SPECS, **EMPTY_MEMBER_SPECS}))
 def test_rank_of_a_batch_equals_enum_rank(name):
-    # the rank table at the batch's largest max ranks every member as
-    # enum_rank does member by member, whatever the batch's order
+    # the rank table at the batch's largest max ranks every member, and
+    # enum_rank each member alone, at its position in the (max, lex) order
+    # of the front, whatever the batch's order
     spec = {**ALL_SPECS, **EMPTY_MEMBER_SPECS}[name]
     members = list(front(spec, range(11)))
+    position = {s: i for i, s in enumerate(sorted(members, key=rank_key))}
     shuffled = random.Random(0).sample(members, len(members))
     for batch in (members, shuffled):
         top, ranks = rank_of(spec, batch)
-        assert ranks == [enum_rank(spec, s) for s in batch], name
+        assert ranks == [position[s] for s in batch], name
+        assert [enum_rank(spec, s) for s in batch] == ranks, name
         assert top == max((s[-1] for s in batch if s), default=-1)
 
 

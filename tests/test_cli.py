@@ -166,6 +166,13 @@ def test_diag_verify_takes_only_the_keys_its_kind_reads(capsys, kind, verify):
     _usage_error(capsys, ["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify, "--json"])
 
 
+@pytest.mark.parametrize("kind, verify, key", [("rainbow", "e=zero", "e"), ("thin", "e=0,i=one", "i"), ("thin", "e=,i=0", "e")])
+def test_diag_verify_names_a_value_that_is_not_an_integer(capsys, kind, verify, key):
+    family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
+    err = _usage_error(capsys, ["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify])
+    assert f"--verify {key} must be an integer" in err, err
+
+
 def test_diag_bound_too_small_still_exits_clean(capsys):
     family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}}])
     code, report = run_json(

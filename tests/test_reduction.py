@@ -4,14 +4,18 @@ import hashlib
 import inspect
 import json
 import random
+import re
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barriers import barrier, cli, reduction
+from barriers import barrier, cli, coloring, reduction
 from barriers.barrier import (
+    NOT_IN_BASE,
+    OVERRUN,
+    PROPER_PREFIX,
     Canonical,
     ExactSize,
     NotInBaseError,
@@ -20,13 +24,15 @@ from barriers.barrier import (
     Restrict,
     Schreier,
     base_members,
+    classify,
     front,
+    in_base,
     rank_key,
     ranked_up_to,
     spec_label,
 )
 from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
-from barriers.diag import OracleEntry, OracleFamily, rainbow_defeater, thin_defeater
+from barriers.diag import OracleEntry, OracleFamily, StagedColoring, rainbow_defeater, thin_defeater
 from barriers.ordinals import OMEGA, Ordinal
 from barriers.reduction import (
     REDUCTIONS,
@@ -521,7 +527,7 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
         return real(spec, s)
 
     monkeypatch.setattr(barrier, "classify", counting_classify)
-    monkeypatch.setattr(reduction, "classify", counting_classify)
+    monkeypatch.setattr(coloring, "classify", counting_classify)
     spec, ground = Schreier(), range(9)
     f = random_instance("rrt2-to-fs", spec, ground, seed=3)
     definitions = {
@@ -531,9 +537,13 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
     for forward, definition in definitions.items():
         g = forward(f)
         for s in front(spec, ground):
-            assert g(s) == definition(s), (forward.__name__, s)
-        with pytest.raises(ValueError, match="not a member"):
+            want = definition(s)
+            calls.clear()
+            assert g(s) == want, (forward.__name__, s)
+            assert calls == [s]  # the call's own check, none in the forward
+        with pytest.raises(ValueError, match="is not a member"):
             g((2, 3))  # a proper prefix
+    calls.clear()
     for name in ("rrt-to-rt", "rrt2-to-fs"):
         assert check_reduction(name, f, ground, 2).ok
     assert calls == []
@@ -557,9 +567,9 @@ def test_free_to_mono_hops_call_no_variant(monkeypatch):
     assert calls == []
 
 
-def test_free_to_mono_hops_look_the_variant_up(monkeypatch):
-    # In lex order on 0..n a hop's variant is a member colored already, so
-    # no hop steps; on a sparse ground the hops that leave it step.
+def test_free_to_mono_hops_step_to_the_variant(monkeypatch):
+    # Every hop steps along the member with k inserted, once per hop group,
+    # on 0..n and on a sparse ground, where some hops leave the ground.
     steps = []
     real = reduction._variant
 
@@ -572,16 +582,21 @@ def test_free_to_mono_hops_look_the_variant_up(monkeypatch):
     for spec in (ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA)):
         for seed in range(6):
             f = random_instance("fs-to-rt", spec, range(9), seed=seed)
+            steps.clear()
             report = check_reduction("fs-to-rt", f, range(9), 3)
-            assert report.ok and steps == [], (spec, seed)
+            assert report.ok, (spec, seed)
+            assert bool(steps) == (report.max_recursion_chain > 0), (spec, seed)
             chains.append(report.max_recursion_chain)
     assert max(chains[:6]) == 1 and max(chains) > 1  # exact:0 hops to (k,), which ends at k
     sparse = (0, 2, 3, 5, 7, 8)
     f = random_instance("fs-to-rt", Schreier(), sparse, seed=1)
     g = FreeToMonoColoring(f)
     members = front(g.barrier, [x + 1 for x in sparse])
-    assert [g(s) for s in members] == [oracles.slow_fs(g.barrier, f, s) for s in members]
-    assert steps and all(k - 1 not in sparse for _, k in steps)
+    want = [oracles.slow_fs(g.barrier, f, s) for s in members]
+    steps.clear()
+    assert [g(s) for s in members] == want
+    assert len(steps) == sum(1 for _, above in g.memo.values() if above and above[1])  # one per hop group
+    assert any(k - 1 not in sparse for _, k in steps)
 
 
 def test_free_to_mono_hops_outside_the_base_raise():
@@ -602,13 +617,13 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
     # The rule trusts the plus-barrier members that FrontIndex hands it, so a
     # reduction check classifies nothing; a call still refuses non-members.
     calls = []
-    real = reduction.classify
+    real = coloring.classify
 
     def counting_classify(spec, s):
         calls.append(s)
         return real(spec, s)
 
-    monkeypatch.setattr(reduction, "classify", counting_classify)
+    monkeypatch.setattr(coloring, "classify", counting_classify)
     red = REDUCTIONS["fs-to-rt"]
     broken = replace(red, drop=())
     reports = []
@@ -637,12 +652,13 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
 
     g = FreeToMonoColoring(random_instance("fs-to-rt", Schreier(), range(8), seed=4))
     member = front(Plus(Schreier()), range(1, 9))[5]
+    want = oracles.slow_fs(Plus(Schreier()), g.f, member)
     calls.clear()
-    assert g(member) == oracles.slow_fs(Plus(Schreier()), g.f, member)
-    assert g(list(member)) == g(member)
-    assert calls == [member]  # one check on the miss, none on the memo hits
+    assert g(member) == want
+    assert g(list(member)) == want
+    assert calls == [member, member]  # one check per call, on the memo hit too
     for bad in ((1,), (2, 3), (0, 1), (1, 2, 3, 4, 5)):  # prefixes, outside the base, an overrun
-        with pytest.raises(ValueError, match="not a member of the plus barrier"):
+        with pytest.raises(ValueError, match="is not a member"):
             g(bad)
 
 
@@ -679,12 +695,11 @@ def _outcome(fn):
 
 
 def _state(g: Coloring):
-    """The mutable state of a forward: the fs-to-rt memo, the members it
-    colored and its deepest chain, or the twin counts' places."""
+    """The mutable state of a forward: the fs-to-rt memo and its deepest
+    chain, or the twin counts' places."""
     place = inspect.getclosurevars(g.batch).nonlocals.get("place")
     return (
         getattr(g, "memo", None),
-        getattr(g, "colored", None),
         getattr(g, "max_chain", None),
         place.place if isinstance(place, reduction._ColorClasses) else None,
     )
@@ -763,3 +778,38 @@ def test_colors_of_is_the_per_member_rule_for_the_staged_defeaters(data):
     }
     for label, make in kinds.items():
         _agree(label, make, front(spec, ground), data)
+
+
+def _non_members(b, members):
+    """An overrun, a proper prefix and (when the base leaves a number out)
+    a sequence outside the base of the barrier b, off its longest member."""
+    m = max(members, key=len)
+    above = next(x for x in range(m[-1] + 1, m[-1] + 50) if in_base(b, x))
+    bad = {m + (above,): OVERRUN, m[:-1]: PROPER_PREFIX}
+    outside = next((x for x in range(50) if not in_base(b, x)), None)
+    if outside is not None:
+        bad[(outside,)] = NOT_IN_BASE
+    assert {q: classify(b, q) for q in bad} == bad
+    return bad
+
+
+def test_every_coloring_kind_refuses_a_non_member_on_a_call():
+    # A call classifies its query, whatever the kind; a batch trusts it.
+    spec, ground = Restrict(Schreier(), EVENS), range(10)
+    full = front(spec, ground)
+    kinds = [("table", table_coloring(spec, {s: s[-1] % 3 for s in full}), full)]
+    kinds += [(name, builtin_coloring(spec, name, PARAMS.get(name)), full) for name in BUILTIN_COLORINGS]
+    for name, red in REDUCTIONS.items():
+        g = red.forward(random_instance(red, spec, ground, seed=1))
+        kinds.append((name, g, front(g.barrier, red.target_ground(ground))))
+    fam = OracleFamily.of([OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 1)])
+    for alpha in (Ordinal.from_int(1), OMEGA):
+        for g in (thin_defeater(alpha, fam), rainbow_defeater(alpha, fam)):
+            kinds.append((f"{g.name} {alpha}", g, front(g.barrier, range(7))))
+    for label, g, members in kinds:
+        bad = _non_members(g.barrier, members)
+        assert NOT_IN_BASE in bad.values() or isinstance(g, StagedColoring), label  # its base is every natural
+        for q in bad:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(q))} is not a member$"):
+                g(q)
+        assert [g(s) for s in members] == [g.colors_of([s])[0] for s in members], label
