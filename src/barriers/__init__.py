@@ -8,7 +8,7 @@ stage-based diagonalizing colorings evaluated against mock limit oracles.
 """
 
 from .ordinals import OMEGA, ONE, ZERO, Ordinal, add, compare, fund_seq, mul, omega_pow, parse_ordinal
-from .seqs import GroundSet, Seq, Tail, as_seq, lex_cmp, seq_minus, seq_plus
+from .seqs import GroundSet, Seq, Tail, as_seq, seq_minus
 from .barrier import (
     Canonical,
     Classification,
@@ -32,7 +32,6 @@ from .barrier import (
     enum_rank,
     front,
     in_base,
-    make_canonical,
     make_derived,
     make_product,
     make_restrict,
@@ -46,20 +45,17 @@ from .reduction import (
     REDUCTIONS,
     FreeToMonoColoring,
     check_reduction,
-    fs_backward,
     rrt2_fs_forward,
     rrt_rt_forward,
-    ts_fs_backward,
     ts_rt_forward,
 )
 from .diag import (
     OracleEntry,
     OracleFamily,
+    StagedColoring,
     code_seq,
     f_approx,
     pair,
-    rainbow_defeater,
-    thin_defeater,
     unpair,
     verify_defeat_rainbow,
     verify_defeat_thin,

@@ -58,7 +58,7 @@ from operator import and_, le, neg
 from typing import Callable, Iterable, Sequence, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
-from .seqs import GroundSet, Seq, as_seq, insert_sorted, lex_cmp
+from .seqs import GroundSet, Seq, as_seq, insert_sorted
 
 __all__ = [
     "Classification",
@@ -102,7 +102,6 @@ __all__ = [
     "variant",
     "append_variant",
     "order_type",
-    "make_canonical",
     "make_product",
     "make_derived",
     "make_restrict",
@@ -640,7 +639,7 @@ def _variant(spec: BarrierSpec, seq: Seq, k: int) -> Seq:
     out = step(spec, insert_sorted(seq, k))
     if out is None or k not in out:
         raise InternalInvariantError(f"BUG: no variant of {seq} through {k}")
-    if lex_cmp(out, seq) >= 0:
+    if out >= seq:
         raise InternalInvariantError(f"BUG: variant {out} not lex-below {seq}")
     return out
 
@@ -695,12 +694,6 @@ def order_type(spec: BarrierSpec) -> Ordinal:
 
 
 # --- validated constructors ---------------------------------------------
-
-
-def make_canonical(index: Ordinal | int) -> Canonical:
-    if isinstance(index, int):
-        index = Ordinal.from_int(index)
-    return Canonical(index)
 
 
 def _plain_base(spec: BarrierSpec) -> bool:
@@ -763,8 +756,12 @@ def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:
 
 
 def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
-    """Position of a member in the (max, lex) enumeration of the barrier."""
-    return rank_of(spec, [as_seq(s)])[1][0]
+    """Position of a member in the (max, lex) enumeration of the barrier.
+    A non-member raises ValueError before any rank table is built."""
+    seq = as_seq(s)
+    if classify(spec, seq) is not ELEMENT:
+        raise ValueError(f"{seq} is not a member")
+    return rank_of(spec, [seq])[1][0]
 
 
 # --- labels --------------------------------------------------------------

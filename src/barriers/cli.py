@@ -25,6 +25,7 @@ from typing import Any
 
 from . import __version__
 from .barrier import (
+    MAX_MEMBERS,
     BarrierSpec,
     InternalInvariantError,
     capped_front,
@@ -35,7 +36,7 @@ from .barrier import (
     sperner_of_masks,
     variant,
 )
-from .diag import StagedColoring, rainbow_defeater, thin_defeater, verify_defeat_rainbow, verify_defeat_thin
+from .diag import StagedColoring, verify_defeat_rainbow, verify_defeat_thin
 from .jsonio import coloring_from_json, family_from_json, spec_from_json
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
@@ -74,7 +75,10 @@ def parse_ground_arg(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi)))
+            elems = range(int(lo), int(hi))
+            if len(elems) > MAX_MEMBERS:  # refused before the tuple is built
+                raise ValueError(f"a range has more than {MAX_MEMBERS} elements; ranges are limited to that many")
+            return tuple(elems)
         return tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
     except ValueError as exc:
         raise UsageError(f"bad ground set {text!r}: {exc}")
@@ -260,7 +264,7 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
 def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     alpha = parse_ordinal(args.alpha)
     family = family_from_json(_load_json_arg(args.family))
-    col: StagedColoring = (thin_defeater if args.kind == "thin" else rainbow_defeater)(alpha, family)
+    col = StagedColoring(args.kind, alpha, family)
     params = _parse_verify(args.verify, args.kind)
     if "e" not in params:
         raise UsageError("--verify needs e=<index>")

@@ -30,7 +30,6 @@ __all__ = [
     "table_coloring",
     "builtin_coloring",
     "BUILTIN_COLORINGS",
-    "color_usage",
     "check_bounded",
 ]
 
@@ -158,19 +157,13 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
     raise ValueError(f"unknown builtin coloring {name!r}")
 
 
-def color_usage(f: Coloring, ground: Iterable[int]) -> Counter:
-    """Multiplicity of each color over the front inside the ground set."""
-    return Counter(f.colors_of(front(f.barrier, ground)))
-
-
 def check_bounded(f: Coloring, ground: Iterable[int]) -> tuple[bool, int]:
     """Check the declared bound on the front inside the ground set.
 
-    Returns (ok, max multiplicity).  A coloring with no declared bound is
-    vacuously ok.
+    Returns (ok, max multiplicity of a color over the front).  A coloring
+    with no declared bound is vacuously ok.
     """
-    usage = color_usage(f, ground)
-    worst = max(usage.values(), default=0)
+    worst = max(Counter(f.colors_of(front(f.barrier, ground))).values(), default=0)
     if f.declared_bound is None:
         return True, worst
     return worst <= f.declared_bound, worst

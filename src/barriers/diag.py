@@ -51,8 +51,6 @@ __all__ = [
     "OracleFamily",
     "f_approx",
     "StagedColoring",
-    "thin_defeater",
-    "rainbow_defeater",
     "DefeatResult",
     "MAX_STAGE_COORDS",
     "verify_defeat_thin",
@@ -114,10 +112,6 @@ class OracleFamily:
             if entry.e in seen:
                 raise ValueError(f"duplicate oracle index {entry.e}")
             seen.add(entry.e)
-
-    @classmethod
-    def of(cls, entries: Iterable[OracleEntry]) -> "OracleFamily":
-        return cls(tuple(entries))
 
     def get(self, e: int) -> OracleEntry | None:
         for entry in self.entries:
@@ -207,7 +201,10 @@ def _rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
 
 class StagedColoring(Coloring):
     """Coloring of Product(ExactSize(1), Canonical(alpha)) evaluated by a
-    per-stage replay; members are (m) + stage with m < min(stage)."""
+    per-stage replay; members are (m) + stage with m < min(stage).  The
+    "thin" kind plants every color on every declared-infinite set; the
+    "rainbow" kind is 2-bounded, with a planted collision inside every
+    declared set."""
 
     def __init__(self, kind: str, alpha: Ordinal, family: OracleFamily):
         if kind not in ("thin", "rainbow"):
@@ -261,16 +258,6 @@ class StagedColoring(Coloring):
     def _eval(self, s: Seq) -> int:
         label = self._replay(s[1:])[s[0]]
         return label if self.kind == "thin" else pair(label, self._code(s[1:]))
-
-
-def thin_defeater(alpha: Ordinal, family: OracleFamily) -> StagedColoring:
-    """Coloring that plants every color on every declared-infinite set."""
-    return StagedColoring("thin", alpha, family)
-
-
-def rainbow_defeater(alpha: Ordinal, family: OracleFamily) -> StagedColoring:
-    """2-bounded coloring with a planted collision inside every declared set."""
-    return StagedColoring("rainbow", alpha, family)
 
 
 # --- defeat verification ------------------------------------------------------

@@ -198,4 +198,4 @@ def family_from_json(obj: Any) -> OracleFamily:
         delay = _int(row.get("delay", 0), "entry delay")
         members = ground_from_json(_field(row, "set", "an oracle family entry"))
         entries.append(OracleEntry(e=e, members=members, delay=delay))
-    return OracleFamily.of(entries)
+    return OracleFamily(tuple(entries))

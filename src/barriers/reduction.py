@@ -27,8 +27,8 @@ its results.
 Desk-scale note for fs-to-rt: a finite monochromatic front constrains the
 recursion only below its largest element (the recursion at a member needs a
 next element of H after it), so its backward map drops max(H) before
-decrementing.  The pointwise decrement itself is :func:`fs_backward`, and the
-desk-scale map of ts-to-fs, dropping min(H), is :func:`ts_fs_backward`.
+decrementing; the desk-scale map of ts-to-fs drops min(H).  Every solution
+map is :meth:`Reduction.backward`, read off the registry entry.
 """
 
 from __future__ import annotations
@@ -55,12 +55,9 @@ from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
     "FreeToMonoColoring",
-    "fs_backward",
     "ts_rt_forward",
-    "ts_fs_backward",
     "rrt_rt_forward",
     "rrt2_fs_forward",
-    "thin_universe",
     "Reduction",
     "REDUCTIONS",
     "ReductionReport",
@@ -172,14 +169,6 @@ class FreeToMonoColoring(Coloring):
         return out
 
 
-def fs_backward(h: Iterable[int]) -> tuple[int, ...]:
-    """Solution map of fs-to-rt at the infinite level: pointwise decrement."""
-    hs = tuple(sorted(set(h)))
-    if hs and hs[0] < 1:
-        raise ValueError(f"0 cannot occur in a plus-barrier solution: {hs}")
-    return tuple(x - 1 for x in hs)
-
-
 # --- thin set from monochromatic / free set ------------------------------
 
 
@@ -188,27 +177,6 @@ def ts_rt_forward(f: Coloring) -> Coloring:
     return Coloring(
         f.barrier, lambda ms: [0 if c == 0 else 1 for c in f.batch(ms)], name=f"thin-to-mono({f.name})", colors=(0, 1)
     )
-
-
-def ts_fs_backward(x: Iterable[int]) -> tuple[int, ...]:
-    """Drop the minimum of a free solution; the remainder is thin (the
-    dropped element can no longer occur as a color on the sub-front)."""
-    xs = tuple(sorted(set(x)))
-    if len(xs) < 2:
-        raise ValueError(f"need at least 2 elements, got {xs}")
-    return xs[1:]
-
-
-def _thin_palette(used: Iterable[int], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(used) | {0, 1} | set(g)))
-
-
-def thin_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
-    """Color universe for desk-scale thinness checks: colors used on the
-    ground front, the two collapse colors, and the ground elements themselves
-    (the omitted color produced by ts-to-fs is a ground element)."""
-    g = tuple(ground)
-    return _thin_palette(f.colors_of(front(f.barrier, g)), g)
 
 
 # --- rainbow from monochromatic / free set -------------------------------
@@ -433,7 +401,10 @@ def check_reduction(
             f"{red.name}: the forward barrier's base inside the target ground is {list(target.g)}, "
             f"not the source base {list(source.g)} shifted by {red.shift}"
         )
-    universe = _thin_palette(source.colors, g) if red.source_property == "thin" else ()
+    # thinness is checked against the colors used on the source front, the
+    # two collapse colors, and the ground elements themselves (the color
+    # that ts-to-fs omits is a ground element)
+    universe = tuple(sorted(set(source.colors) | {0, 1} | set(g))) if red.source_property == "thin" else ()
     clean = target.all & ~target.violations(red.target_property)
     layers = target.layers[max(min_size, red.min_witness) :]
     bad = clean & red.preimage(source.violations(red.source_property, universe), len(g))

@@ -17,9 +17,7 @@ Seq = tuple[int, ...]
 __all__ = [
     "Seq",
     "as_seq",
-    "seq_plus",
     "seq_minus",
-    "lex_cmp",
     "insert_sorted",
     "Tail",
     "GroundSet",
@@ -37,11 +35,6 @@ def as_seq(values: Iterable[int]) -> Seq:
     return s
 
 
-def seq_plus(s: Seq) -> Seq:
-    """Shift every coordinate up by one."""
-    return tuple(x + 1 for x in s)
-
-
 def seq_minus(s: Seq) -> Seq:
     """Drop the last coordinate, then shift the rest down by one.
 
@@ -52,17 +45,6 @@ def seq_minus(s: Seq) -> Seq:
     if s[0] < 1:
         raise ValueError(f"seq_minus needs min >= 1, got {s}")
     return tuple(x - 1 for x in s[:-1])
-
-
-def lex_cmp(s: Seq, t: Seq) -> int:
-    """First-difference comparison; a strict prefix compares less.
-
-    Two distinct elements of one barrier always differ at some shared
-    position, so the prefix rule never decides between them.
-    """
-    if s == t:
-        return 0
-    return -1 if s < t else 1
 
 
 def insert_sorted(s: Seq, k: int) -> Seq:
@@ -103,10 +85,6 @@ class GroundSet:
     def of(cls, values: Iterable[int]) -> "GroundSet":
         return cls(prefix=tuple(sorted(set(values))))
 
-    @classmethod
-    def from_range(cls, start: int, stop: int) -> "GroundSet":
-        return cls(prefix=tuple(range(start, stop)))
-
     @property
     def is_finite(self) -> bool:
         return self.tail is None
@@ -126,8 +104,3 @@ class GroundSet:
     def stream_from(self, lo: int) -> Iterator[int]:
         """Members >= lo in increasing order."""
         return dropwhile(lo.__gt__, self.elements())
-
-    def finite_tuple(self) -> tuple[int, ...]:
-        if not self.is_finite:
-            raise ValueError("ground set has an infinite tail")
-        return self.prefix

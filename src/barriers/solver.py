@@ -62,7 +62,6 @@ __all__ = [
     "verify_free",
     "verify_thin",
     "verify_rainbow",
-    "default_universe",
     "MAX_GROUND",
     "FrontIndex",
     "find",
@@ -114,15 +113,6 @@ def verify_rainbow(f: Coloring, h: Iterable[int]) -> bool:
     hs = _checked(f, h)
     members = front(f.barrier, hs)
     return len({f(s) for s in members}) == len(members)
-
-
-def _universe(f: Coloring, used: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(used) | set(f.colors or ())))
-
-
-def default_universe(f: Coloring, ground: Iterable[int]) -> tuple[int, ...]:
-    """Colors used on the ground front plus the coloring's declared palette."""
-    return _universe(f, f.colors_of(front(f.barrier, ground)))
 
 
 # --- the subset lattice ---------------------------------------------------
@@ -255,6 +245,8 @@ def find(
 ) -> Witness | None:
     """Smallest (by size, then lex) subset of the ground set of at least
     min_size that verifies the property; None when the search exhausts.
+    A thin search with no universe given takes the colors used on the
+    ground front plus the coloring's declared palette.
 
     Colors every member of the ground front, so a partial table raises
     even where a witness avoids its gaps; grounds with more than
@@ -267,7 +259,7 @@ def find(
     if property != "thin":
         universe = ()
     elif universe is None:
-        universe = _universe(f, index.colors)
+        universe = tuple(sorted(set(index.colors) | set(f.colors or ())))
     else:
         universe = tuple(sorted(set(universe)))
     clean = index.all & ~index.violations(property, universe)

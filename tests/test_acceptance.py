@@ -27,11 +27,10 @@ from barriers.barrier import (
     variant,
 )
 from barriers.coloring import check_bounded
-from barriers.diag import rainbow_defeater, thin_defeater, verify_defeat_rainbow, verify_defeat_thin
-from barriers.diag import OracleEntry, OracleFamily
+from barriers.diag import OracleEntry, OracleFamily, StagedColoring, verify_defeat_rainbow, verify_defeat_thin
 from barriers.ordinals import OMEGA, mul, parse_ordinal
 from barriers.reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
-from barriers.seqs import GroundSet, Tail, lex_cmp
+from barriers.seqs import GroundSet, Tail
 
 import oracles
 from conftest import SPEC_POOL
@@ -103,7 +102,7 @@ def criterion_3() -> dict:
             else:
                 i = max(j for j in range(len(s)) if s[j] < k)
                 want = s[: i + 1] + (k,) + s[i + 1 : s[0]]
-            if got != want or lex_cmp(got, s) != -1:
+            if got != want or not got < s:
                 exceptions.append({"s": list(s), "k": k, "got": list(got), "want": list(want)})
     return {"ok": not exceptions, "members": len(members), "checked": checked, "exceptions": exceptions}
 
@@ -188,13 +187,13 @@ def criterion_7(c5: dict) -> dict:
 
 def criterion_8() -> dict:
     evens = GroundSet(tail=Tail(0, 2))
-    family = OracleFamily.of([OracleEntry(0, evens, 0), OracleEntry(1, evens, 0)])
+    family = OracleFamily((OracleEntry(0, evens, 0), OracleEntry(1, evens, 0)))
     bound = 16
     results = {}
     ok = True
     for alpha_text in ("1", "w"):
         alpha = parse_ordinal(alpha_text)
-        thin = thin_defeater(alpha, family)
+        thin = StagedColoring("thin", alpha, family)
         for e, i in ((0, 0), (0, 1), (1, 0)):
             res = verify_defeat_thin(thin, e, i, bound)
             valid = res.ok
@@ -211,7 +210,7 @@ def criterion_8() -> dict:
                 "witness": res.to_json()["found"],
             }
             ok = ok and valid
-        rainbow = rainbow_defeater(alpha, family)
+        rainbow = StagedColoring("rainbow", alpha, family)
         res = verify_defeat_rainbow(rainbow, 0, bound)
         valid = res.ok
         if valid:

@@ -36,7 +36,6 @@ from barriers.barrier import (
     front_key,
     in_base,
     point_set,
-    make_canonical,
     make_derived,
     make_product,
     make_restrict,
@@ -52,7 +51,7 @@ from barriers.barrier import (
 from barriers.cli import main
 from barriers.jsonio import spec_to_json
 from barriers.ordinals import OMEGA, Ordinal, mul, omega_pow, parse_ordinal
-from barriers.seqs import GroundSet, Tail, lex_cmp, seq_plus
+from barriers.seqs import GroundSet, Tail
 
 import oracles
 
@@ -419,10 +418,10 @@ def test_plus_front_law():
             g = tuple(ground)
             shrunk = tuple(x - 1 for x in g if x >= 1)
             expected = sorted(
-                seq_plus(s) + (m,)
-                for s in front(inner, shrunk)
+                t + (m,)
+                for t in (tuple(x + 1 for x in s) for s in front(inner, shrunk))
                 for m in g
-                if m > max(seq_plus(s), default=0)
+                if m > max(t, default=0)
             )
             assert list(front(Plus(inner), g)) == expected
 
@@ -490,7 +489,7 @@ def test_schreier_variant_facts_small():
                 continue
             v = variant(Schreier(), s, k)
             assert v == schreier_facts_expected(s, k)
-            assert lex_cmp(v, s) == -1
+            assert v < s
 
 
 @given(st.integers(0, 6), st.data())
@@ -504,7 +503,7 @@ def test_variant_is_member_and_lex_smaller(min_val, data):
     v = variant(Canonical(OMEGA), s, k)
     assert classify(Canonical(OMEGA), v) is ELEMENT
     assert k in v
-    assert lex_cmp(v, s) == -1
+    assert v < s
 
 
 # --- order types ------------------------------------------------------------------
@@ -571,8 +570,8 @@ def test_order_type_derived_unsupported():
 # --- constructors ------------------------------------------------------------------
 
 
-def test_make_canonical_accepts_ints():
-    assert classify(make_canonical(2), (3, 7)) is ELEMENT
+def test_canonical_of_an_int_index():
+    assert classify(Canonical(Ordinal.from_int(2)), (3, 7)) is ELEMENT
 
 
 def test_make_derived_examples():
@@ -642,6 +641,14 @@ def test_rank_of_names_the_first_non_member(spec, batch, first):
         rank_of(spec, batch)
     with pytest.raises(ValueError):
         enum_rank(spec, first)
+
+
+@pytest.mark.parametrize("s", [(3000,), (2, 3000, 3001)])  # a proper prefix, an overrun
+def test_enum_rank_refuses_a_non_member_before_ranking(s):
+    # a max this large has a front past MAX_MEMBERS, so the refusal must
+    # come from the classification, not from the rank table
+    with pytest.raises(ValueError, match=f"^{re.escape(str(s))} is not a member$"):
+        enum_rank(ExactSize(2), s)
 
 
 def test_in_base():

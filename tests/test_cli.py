@@ -419,6 +419,13 @@ def test_flat_grounds_with_large_coordinates_exit_0(capsys):
     assert code == 0 and json.loads(out)["count"] == 200000
 
 
+def test_a_ground_range_past_the_member_cap_is_refused_before_it_is_built(capsys):
+    # one element past MAX_MEMBERS = 2^20; a range is refused by its length,
+    # so a far longer one costs no more
+    err = _usage_error(capsys, ["front", "--barrier", "exact:0", "--ground", "0..1048577"])
+    assert "'0..1048577'" in err and "1048576" in err
+
+
 def _nested(key: str, leaf: str, depth: int) -> str:
     for _ in range(depth):
         leaf = f'{{"{key}": {leaf}}}'

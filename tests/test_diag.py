@@ -18,8 +18,6 @@ from barriers.diag import (
     code_seq,
     f_approx,
     pair,
-    rainbow_defeater,
-    thin_defeater,
     unpair,
     verify_defeat_rainbow,
     verify_defeat_thin,
@@ -30,7 +28,7 @@ from barriers.seqs import GroundSet, Tail
 import oracles
 
 EVENS = GroundSet(tail=Tail(0, 2))
-FAM = OracleFamily.of([OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 0)])
+FAM = OracleFamily((OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 0)))
 EMPTY = OracleFamily()
 
 
@@ -72,7 +70,7 @@ def test_code_seq_injective_with_length_tag():
 
 
 def test_g_is_total_and_gated_by_the_delay():
-    fam = OracleFamily.of([OracleEntry(0, EVENS, delay=3)])
+    fam = OracleFamily((OracleEntry(0, EVENS, delay=3),))
     assert fam.g(0, 2, (2, 5)) == 0  # min(stage) <= delay: default
     assert fam.g(0, 2, (4, 5)) == 1
     assert fam.g(0, 3, (4, 5)) == 0
@@ -80,7 +78,7 @@ def test_g_is_total_and_gated_by_the_delay():
     assert EMPTY.g(0, 0, (9,)) == 0
     assert fam.g(0, 2, (3, 5)) == 0  # min(stage) == delay: still the default
     # the approximations read an entry once; they agree with a scan of g
-    mixed = OracleFamily.of([fam.get(0), OracleEntry(2, GroundSet(prefix=(1,), tail=Tail(4, 3)))])
+    mixed = OracleFamily((fam.get(0), OracleEntry(2, GroundSet(prefix=(1,), tail=Tail(4, 3)))))
     for m in range(1, 12):
         for e in range(4):
             xs = [x for x in range(m) if mixed.g(e, x, (m, m + 1)) == 1]
@@ -91,13 +89,13 @@ def test_g_is_total_and_gated_by_the_delay():
 
 def test_oracle_family_rejects_duplicates():
     with pytest.raises(ValueError):
-        OracleFamily.of([OracleEntry(0, EVENS), OracleEntry(0, EVENS)])
+        OracleFamily((OracleEntry(0, EVENS), OracleEntry(0, EVENS)))
 
 
 def test_stabilization_along_the_barrier():
     # for every threshold there is a stage inside the set, beyond the
     # threshold, on which the approximation is correct below it
-    fam = OracleFamily.of([OracleEntry(0, EVENS, delay=2)])
+    fam = OracleFamily((OracleEntry(0, EVENS, delay=2),))
     for alpha in (ONE, OMEGA):
         for k in range(9):
             m0 = next(x for x in EVENS.elements() if x > max(k, 2))
@@ -117,23 +115,23 @@ def test_f_approx_examples():
 
 
 def test_thin_stage_trace():
-    single = OracleFamily.of([OracleEntry(0, EVENS, 0)])
-    col = thin_defeater(ONE, single)
+    single = OracleFamily((OracleEntry(0, EVENS, 0),))
+    col = StagedColoring("thin", ONE, single)
     assert col.stage_colors((5,)) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
     # substage 0 = (0,0) claims 0 with color 0; substage 1 = (0,1) claims 2
     # with color 1; everything else is filled with 1 at the close.
-    both = thin_defeater(ONE, FAM)
+    both = StagedColoring("thin", ONE, FAM)
     assert both.stage_colors((5,)) == {0: 0, 1: 1, 2: 1, 3: 1, 4: 0}
     # with a second entry, substage 2 = (1,0) additionally claims 4 with 0.
 
 
 def test_thin_defeater_empty_family_is_all_ones():
-    col = thin_defeater(ONE, EMPTY)
+    col = StagedColoring("thin", ONE, EMPTY)
     assert col.stage_colors((4,)) == {m: 1 for m in range(4)}
 
 
 def test_thin_defeater_total_at_every_stage():
-    col = thin_defeater(OMEGA, FAM)
+    col = StagedColoring("thin", OMEGA, FAM)
     for s in front(Canonical(OMEGA), range(13)):
         if not s:
             continue
@@ -142,7 +140,7 @@ def test_thin_defeater_total_at_every_stage():
 
 
 def test_rainbow_stage_trace():
-    col = rainbow_defeater(ONE, FAM)
+    col = StagedColoring("rainbow", ONE, FAM)
     c = pair(0, code_seq((5,)))
     colors = col.stage_colors((5,))
     assert colors[0] == colors[2] == c
@@ -152,7 +150,7 @@ def test_rainbow_stage_trace():
 
 
 def test_rainbow_defeater_empty_family_is_injective_per_stage():
-    col = rainbow_defeater(ONE, EMPTY)
+    col = StagedColoring("rainbow", ONE, EMPTY)
     colors = col.stage_colors((6,))
     assert len(set(colors.values())) == 6
 
@@ -160,7 +158,7 @@ def test_rainbow_defeater_empty_family_is_injective_per_stage():
 @pytest.mark.parametrize("alpha_text", ["1", "2", "w"])
 def test_rainbow_defeater_two_bounded_on_the_full_front(alpha_text):
     alpha = parse_ordinal(alpha_text)
-    col = rainbow_defeater(alpha, FAM)
+    col = StagedColoring("rainbow", alpha, FAM)
     ok, worst = check_bounded(col, range(13))
     assert ok and worst <= 2
 
@@ -174,7 +172,7 @@ def test_rainbow_codes_are_built_once_per_stage(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(diag, "code_seq", counting_code_seq)
-    col = rainbow_defeater(parse_ordinal("w+1"), FAM)
+    col = StagedColoring("rainbow", parse_ordinal("w+1"), FAM)
     assert check_bounded(col, range(14))[0]
     stages = {s[1:] for s in front(col.barrier, range(14))}
     assert calls == Counter(dict.fromkeys(stages, 1))
@@ -182,16 +180,16 @@ def test_rainbow_codes_are_built_once_per_stage(monkeypatch):
         assert col.stage_colors(stage) == {m: col((m, *stage)) for m in range(stage[0])}
     assert calls == Counter(dict.fromkeys(stages, 1))
     calls.clear()
-    assert verify_defeat_rainbow(rainbow_defeater(parse_ordinal("w+1"), FAM), 0, 16).ok
+    assert verify_defeat_rainbow(StagedColoring("rainbow", parse_ordinal("w+1"), FAM), 0, 16).ok
     assert not calls  # the defeat search compares owners and builds no code
 
 
 def test_replays_match_straight_line_reimplementation():
     stages = [s for s in front(Canonical(OMEGA), range(11)) if s] + [(5,), (6,), (9,)]
-    for fam in (FAM, EMPTY, OracleFamily.of([OracleEntry(0, EVENS, delay=4)])):
+    for fam in (FAM, EMPTY, OracleFamily((OracleEntry(0, EVENS, delay=4),))):
         for stage in stages:
-            assert thin_defeater(OMEGA, fam).stage_colors(stage) == oracles.slow_thin_stage(fam, stage)
-            assert rainbow_defeater(OMEGA, fam).stage_colors(stage) == oracles.slow_rainbow_stage(fam, stage)
+            assert StagedColoring("thin", OMEGA, fam).stage_colors(stage) == oracles.slow_thin_stage(fam, stage)
+            assert StagedColoring("rainbow", OMEGA, fam).stage_colors(stage) == oracles.slow_rainbow_stage(fam, stage)
 
 
 @pytest.mark.parametrize(
@@ -209,16 +207,16 @@ def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
     # has 13 to 15 coordinates); a stage with a large minimum has many
     # colors.  The oracle calls pair(m, code_seq(stage)) for every color.
     alpha = parse_ordinal(alpha_text)
-    fam = OracleFamily.of([
+    fam = OracleFamily((
         OracleEntry(0, GroundSet(tail=Tail(1, 3)), 0),
         OracleEntry(1, EVENS, 0),
         OracleEntry(2, GroundSet(tail=Tail(0, 5)), 2),
-    ])
+    ))
     stage = step(Canonical(alpha), iter(stream))
     want = oracles.slow_rainbow_stage(fam, stage)
     assert len(set(want.values())) < len(want)  # some pair is claimed
-    assert rainbow_defeater(alpha, fam).stage_colors(stage) == want
-    owner = rainbow_defeater(alpha, fam)._replay(stage)
+    assert StagedColoring("rainbow", alpha, fam).stage_colors(stage) == want
+    owner = StagedColoring("rainbow", alpha, fam)._replay(stage)
     assert all((owner[m] == owner[l]) == (want[m] == want[l]) for m in want for l in want)
 
 
@@ -227,8 +225,8 @@ def test_stages_with_one_minimum_share_their_labels():
     a = step(Canonical(alpha), iter(range(3, 40)))  # 12 coordinates
     b = step(Canonical(alpha), iter((3,) + tuple(range(5, 40))))  # 17 coordinates
     assert a[0] == b[0] and a != b
-    for make, slow in ((thin_defeater, oracles.slow_thin_stage), (rainbow_defeater, oracles.slow_rainbow_stage)):
-        col = make(alpha, FAM)
+    for kind, slow in (("thin", oracles.slow_thin_stage), ("rainbow", oracles.slow_rainbow_stage)):
+        col = StagedColoring(kind, alpha, FAM)
         assert col.stage_colors(a) == slow(FAM, a)
         assert col.stage_colors(b) == slow(FAM, b)
         assert col._replay(a) is col._replay(b) and len(col._cache) == 1
@@ -237,8 +235,8 @@ def test_stages_with_one_minimum_share_their_labels():
 
 
 def test_stage_replay_is_query_order_independent():
-    a = thin_defeater(OMEGA, FAM)
-    b = thin_defeater(OMEGA, FAM)
+    a = StagedColoring("thin", OMEGA, FAM)
+    b = StagedColoring("thin", OMEGA, FAM)
     fwd = a.stage_colors((4, 6, 8, 10))
     (member,) = front(b.barrier, range(2, 25, 2))  # (2, 4, ..., 24): its stage starts at 4 too
     assert b(member) == fwd[2]  # poke one member first
@@ -246,7 +244,7 @@ def test_stage_replay_is_query_order_independent():
 
 
 def test_staged_coloring_is_a_coloring_on_the_product_barrier():
-    col = thin_defeater(OMEGA, FAM)
+    col = StagedColoring("thin", OMEGA, FAM)
     assert isinstance(col.barrier, Product)
     for s in front(col.barrier, range(9)):
         assert col(s) == col.stage_colors(s[1:])[s[0]]
@@ -258,7 +256,7 @@ def test_staged_coloring_validation():
     with pytest.raises(ValueError):
         StagedColoring("nope", OMEGA, FAM)
     with pytest.raises(ValueError):
-        thin_defeater(Ordinal(), FAM)
+        StagedColoring("thin", Ordinal(), FAM)
 
 
 # --- defeat verification ----------------------------------------------------------
@@ -267,7 +265,7 @@ def test_staged_coloring_validation():
 @pytest.mark.parametrize("alpha_text", ["1", "w"])
 def test_thin_defeat_witnesses(alpha_text):
     alpha = parse_ordinal(alpha_text)
-    col = thin_defeater(alpha, FAM)
+    col = StagedColoring("thin", alpha, FAM)
     for e, i in [(0, 0), (0, 1), (1, 0)]:
         res = verify_defeat_thin(col, e, i, 16)
         assert res.ok, (alpha_text, e, i, res.reason)
@@ -281,7 +279,7 @@ def test_thin_defeat_witnesses(alpha_text):
 @pytest.mark.parametrize("alpha_text", ["1", "w"])
 def test_rainbow_defeat_collision(alpha_text):
     alpha = parse_ordinal(alpha_text)
-    col = rainbow_defeater(alpha, FAM)
+    col = StagedColoring("rainbow", alpha, FAM)
     res = verify_defeat_rainbow(col, 0, 16)
     assert res.ok
     m, l, stage = res.found
@@ -325,7 +323,7 @@ def _seeded_family(rng: random.Random) -> OracleFamily:
         prefix = tuple(x for x in range(start) if rng.random() < 0.5)
         tail = Tail(start, rng.randint(1, 2)) if rng.random() < 0.8 else None
         entries.append(OracleEntry(e, GroundSet(prefix=prefix, tail=tail), rng.randint(0, 2)))
-    return OracleFamily.of(entries)
+    return OracleFamily(tuple(entries))
 
 
 @pytest.mark.parametrize("alpha_text, bounds", [("1", (3, 13)), ("w", (3, 5)), ("w+1", (3, 5))])
@@ -334,9 +332,9 @@ def test_rainbow_defeat_matches_the_double_loop(alpha_text, bounds):
     rng = random.Random(alpha_text)
     reasons = Counter()
     # substages 0 and 1 both claim pairs of evens at the first stage past 6
-    twice = OracleFamily.of([OracleEntry(0, EVENS, 6), OracleEntry(1, EVENS, 0)])
+    twice = OracleFamily((OracleEntry(0, EVENS, 6), OracleEntry(1, EVENS, 0)))
     for fam in [twice] + [_seeded_family(rng) for _ in range(40)]:
-        col = rainbow_defeater(alpha, fam)
+        col = StagedColoring("rainbow", alpha, fam)
         slow = lru_cache(maxsize=None)(lambda stage: oracles.slow_rainbow_stage(fam, stage))
         for entry in fam.entries:
             for bound in bounds:
@@ -348,31 +346,31 @@ def test_rainbow_defeat_matches_the_double_loop(alpha_text, bounds):
 
 
 def test_defeat_diagnostics():
-    col = thin_defeater(ONE, FAM)
+    col = StagedColoring("thin", ONE, FAM)
     assert verify_defeat_thin(col, 0, 0, 1).reason == "bound-too-small"
     assert verify_defeat_thin(col, 7, 0, 16).reason == "no-oracle-entry"
-    lonely = OracleFamily.of([OracleEntry(0, GroundSet(prefix=(4,)), 0)])
-    rb = rainbow_defeater(ONE, lonely)
+    lonely = OracleFamily((OracleEntry(0, GroundSet(prefix=(4,)), 0),))
+    rb = StagedColoring("rainbow", ONE, lonely)
     assert verify_defeat_rainbow(rb, 0, 16).reason == "bound-too-small"
-    assert verify_defeat_rainbow(rainbow_defeater(ONE, EMPTY), 0, 12).reason == "no-oracle-entry"
+    assert verify_defeat_rainbow(StagedColoring("rainbow", ONE, EMPTY), 0, 12).reason == "no-oracle-entry"
 
 
 def test_stages_past_the_coordinate_cap_raise(monkeypatch):
     # under w the stage from 4 along the evens has 11 coordinates
-    col = rainbow_defeater(OMEGA, FAM)
+    col = StagedColoring("rainbow", OMEGA, FAM)
     monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 11)
     assert verify_defeat_rainbow(col, 0, 16).found == (0, 2, tuple(range(4, 26, 2)))
     monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 10)
     with pytest.raises(ValueError, match="the stage from 4 has more than 10 coordinates"):
-        verify_defeat_rainbow(rainbow_defeater(OMEGA, FAM), 0, 16)
+        verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, FAM), 0, 16)
     with pytest.raises(ValueError, match="limited"):
-        verify_defeat_thin(thin_defeater(OMEGA, FAM), 0, 1, 16)
+        verify_defeat_thin(StagedColoring("thin", OMEGA, FAM), 0, 1, 16)
     # a finite declared set that runs out before the cap still ends the search
-    short = OracleFamily.of([OracleEntry(0, GroundSet(prefix=(1, 3, 4, 5)), 0)])
-    assert verify_defeat_rainbow(rainbow_defeater(OMEGA, short), 0, 16).reason == "bound-too-small"
+    short = OracleFamily((OracleEntry(0, GroundSet(prefix=(1, 3, 4, 5)), 0),))
+    assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, short), 0, 16).reason == "bound-too-small"
     monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 2)
     with pytest.raises(ValueError, match="the stage from 3 has more than 2 coordinates"):
-        verify_defeat_rainbow(rainbow_defeater(OMEGA, short), 0, 16)
+        verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, short), 0, 16)
 
 
 def test_defeat_result_json():
@@ -392,14 +390,14 @@ def test_defeat_witnesses_refute_solver_properties():
     # not a rainbow
     from barriers.solver import verify_rainbow, verify_thin
 
-    thin = thin_defeater(ONE, FAM)
+    thin = StagedColoring("thin", ONE, FAM)
     res = verify_defeat_thin(thin, 0, 0, 16)
     m, stage = res.found
     ground = EVENS.elements_below(stage[-1] + 1)
     assert (m,) + stage in front(thin.barrier, ground)
     assert not verify_thin(thin, ground, universe=(0,))
 
-    rainbow = rainbow_defeater(ONE, FAM)
+    rainbow = StagedColoring("rainbow", ONE, FAM)
     collision = verify_defeat_rainbow(rainbow, 0, 16)
     m, l, stage = collision.found
     ground = EVENS.elements_below(stage[-1] + 1)
@@ -408,6 +406,6 @@ def test_defeat_witnesses_refute_solver_properties():
 
 def test_kind_mismatch_rejected():
     with pytest.raises(ValueError):
-        verify_defeat_thin(rainbow_defeater(ONE, FAM), 0, 0, 8)
+        verify_defeat_thin(StagedColoring("rainbow", ONE, FAM), 0, 0, 8)
     with pytest.raises(ValueError):
-        verify_defeat_rainbow(thin_defeater(ONE, FAM), 0, 8)
+        verify_defeat_rainbow(StagedColoring("thin", ONE, FAM), 0, 8)

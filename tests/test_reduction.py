@@ -32,19 +32,16 @@ from barriers.barrier import (
     spec_label,
 )
 from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
-from barriers.diag import OracleEntry, OracleFamily, StagedColoring, rainbow_defeater, thin_defeater
+from barriers.diag import OracleEntry, OracleFamily, StagedColoring
 from barriers.ordinals import OMEGA, Ordinal
 from barriers.reduction import (
     REDUCTIONS,
     adversarial_instances,
     check_reduction,
     FreeToMonoColoring,
-    fs_backward,
     random_instance,
     rrt2_fs_forward,
     rrt_rt_forward,
-    thin_universe,
-    ts_fs_backward,
     ts_rt_forward,
 )
 from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
@@ -145,10 +142,15 @@ def test_twin_count_forwards_agree_in_any_order(data):
 
 
 def test_fs_backward():
-    assert fs_backward((1, 4, 9)) == (0, 3, 8)
-    assert fs_backward((2,)) == (1,)
-    with pytest.raises(ValueError):
-        fs_backward((0, 3))
+    # drop max(H), then decrement pointwise
+    backward = REDUCTIONS["fs-to-rt"].backward
+    assert backward((1, 4, 9)) == (0, 3)
+    assert backward((9, 4, 4, 1)) == (0, 3)
+    assert backward((2,)) == ()
+    with pytest.raises(ValueError, match="need at least 1 elements"):
+        backward(())
+    with pytest.raises(ValueError, match="below the shift 1"):
+        backward((0, 3, 5))
 
 
 # --- thin set forwards/backwards ------------------------------------------------
@@ -161,10 +163,13 @@ def test_ts_rt_forward():
 
 
 def test_ts_fs_backward():
-    assert ts_fs_backward((3, 5, 8)) == (5, 8)
-    assert ts_fs_backward((0, 1)) == (1,)
-    with pytest.raises(ValueError):
-        ts_fs_backward((4,))
+    # drop min(H); a witness needs 2 elements to keep one
+    red = REDUCTIONS["ts-to-fs"]
+    assert red.backward((3, 5, 8)) == (5, 8)
+    assert red.backward((1, 0)) == (1,)
+    assert red.backward((4,)) == () and red.min_witness == 2
+    with pytest.raises(ValueError, match="need at least 1 elements"):
+        red.backward(())
 
 
 # --- rainbow forwards -------------------------------------------------------------
@@ -211,7 +216,7 @@ def test_check_reduction_agrees_with_solver_enumeration():
     ground = range(5)
     report = check_reduction(red, f, ground, 2)
     g = ts_rt_forward(f)
-    uni = thin_universe(f, range(5))
+    uni = {f(s) for s in front(f.barrier, range(5))} | {0, 1} | set(range(5))
     expected = 0
     for size in range(2, 6):
         for h in combinations(range(5), size):
@@ -235,8 +240,8 @@ def test_check_reduction_fs_trims_the_top_of_the_witness():
     g = FreeToMonoColoring(f)
     h = (2, 5, 9)
     assert verify_mono(g, h)
-    assert not verify_free(f, fs_backward(h))
-    assert verify_free(f, fs_backward(h[:-1]))
+    assert not verify_free(f, tuple(x - 1 for x in h))
+    assert verify_free(f, tuple(x - 1 for x in h[:-1]))
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
@@ -291,7 +296,7 @@ def brute_check(red, f, ground, min_size):
     lex, both properties checked by verify_* on their own fronts."""
     g = base_members(f.barrier, ground)
     gvals = red.forward(f)
-    universe = thin_universe(f, g)
+    universe = {f(s) for s in front(f.barrier, g)} | {0, 1} | set(g)  # used, the collapse colors, the ground
     verify = {
         "mono": verify_mono,
         "free": verify_free,
@@ -360,8 +365,8 @@ def test_check_reduction_ground_cap():
 def test_registry_backward_maps_are_the_callables():
     # The declared drops and shifts reproduce the solution maps as callables.
     old = {
-        "fs-to-rt": lambda h: fs_backward(h[:-1]),
-        "ts-to-fs": ts_fs_backward,
+        "fs-to-rt": lambda h: tuple(x - 1 for x in h[:-1]),
+        "ts-to-fs": lambda h: h[1:],
         "ts-to-rt": lambda h: h,
         "rrt-to-rt": lambda h: h,
         "rrt2-to-fs": lambda h: h,
@@ -765,13 +770,13 @@ def test_colors_of_is_the_per_member_rule_for_every_kind(data):
 @given(st.data())
 def test_colors_of_is_the_per_member_rule_for_the_staged_defeaters(data):
     alpha = data.draw(st.sampled_from((Ordinal.from_int(1), Ordinal.from_int(2), OMEGA)))
-    fam = OracleFamily.of([OracleEntry(0, EVENS, data.draw(st.integers(0, 3))), OracleEntry(1, EVENS, 0)])
+    fam = OracleFamily((OracleEntry(0, EVENS, data.draw(st.integers(0, 3))), OracleEntry(1, EVENS, 0)))
     ground = _ground(data, data.draw(st.integers(1, 7)))
-    thin, rainbow = thin_defeater(alpha, fam), rainbow_defeater(alpha, fam)
+    thin, rainbow = StagedColoring("thin", alpha, fam), StagedColoring("rainbow", alpha, fam)
     spec = thin.barrier
     kinds = {
-        "thin": lambda: thin_defeater(alpha, fam),
-        "rainbow": lambda: rainbow_defeater(alpha, fam),
+        "thin": lambda: StagedColoring("thin", alpha, fam),
+        "rainbow": lambda: StagedColoring("rainbow", alpha, fam),
         "ts-to-rt": lambda: ts_rt_forward(thin),
         "rrt-to-rt": lambda: rrt_rt_forward(rainbow),
         "rrt2-to-fs": lambda: rrt2_fs_forward(rainbow),
@@ -802,9 +807,9 @@ def test_every_coloring_kind_refuses_a_non_member_on_a_call():
     for name, red in REDUCTIONS.items():
         g = red.forward(random_instance(red, spec, ground, seed=1))
         kinds.append((name, g, front(g.barrier, red.target_ground(ground))))
-    fam = OracleFamily.of([OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 1)])
+    fam = OracleFamily((OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 1)))
     for alpha in (Ordinal.from_int(1), OMEGA):
-        for g in (thin_defeater(alpha, fam), rainbow_defeater(alpha, fam)):
+        for g in (StagedColoring("thin", alpha, fam), StagedColoring("rainbow", alpha, fam)):
             kinds.append((f"{g.name} {alpha}", g, front(g.barrier, range(7))))
     for label, g, members in kinds:
         bad = _non_members(g.barrier, members)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from barriers.seqs import GroundSet, Tail, as_seq, insert_sorted, lex_cmp, seq_minus, seq_plus
+from barriers.seqs import GroundSet, Tail, as_seq, insert_sorted, seq_minus
 
 
 def test_as_seq_validates():
@@ -17,21 +17,13 @@ def test_as_seq_validates():
         as_seq([-1])
 
 
-def test_seq_plus_minus():
-    assert seq_plus((0, 3)) == (1, 4)
+def test_seq_minus():
     assert seq_minus((2, 5)) == (1,)
     assert seq_minus((1,)) == ()
     with pytest.raises(ValueError):
         seq_minus(())
     with pytest.raises(ValueError):
         seq_minus((0, 3))
-
-
-def test_lex_cmp():
-    assert lex_cmp((1, 5), (1, 7)) == -1
-    assert lex_cmp((2, 3, 4), (2, 4, 5)) == -1
-    assert lex_cmp((3,), (3,)) == 0
-    assert lex_cmp((1,), (1, 2)) == -1  # strict prefix compares less
 
 
 def test_insert_sorted():
@@ -45,7 +37,7 @@ seqs = st.lists(st.integers(0, 40), unique=True).map(lambda xs: tuple(sorted(xs)
 
 @given(seqs)
 def test_plus_minus_roundtrip(s):
-    shifted = seq_plus(s)
+    shifted = tuple(x + 1 for x in s)
     if shifted:
         assert seq_minus(shifted + (shifted[-1] + 1,)) == s
 
@@ -70,7 +62,4 @@ def test_ground_set_validation():
         GroundSet(prefix=(5,), tail=Tail(4, 1))
     with pytest.raises(ValueError):
         Tail(0, 0)
-    with pytest.raises(ValueError):
-        GroundSet(tail=Tail(0, 2)).finite_tuple()
-    assert GroundSet.from_range(2, 5).finite_tuple() == (2, 3, 4)
     assert GroundSet.of([5, 1, 5]).prefix == (1, 5)
