@@ -500,6 +500,15 @@ def classify(spec: BarrierSpec, s: Iterable[int]) -> Classification:
     return ELEMENT if len(member) == len(seq) else OVERRUN
 
 
+def _member(spec: BarrierSpec, s: Iterable[int]) -> Seq:
+    """s as a sequence, checked to be a member of the barrier: ValueError
+    otherwise."""
+    seq = as_seq(s)
+    if classify(spec, seq) is not ELEMENT:
+        raise ValueError(f"{seq} is not a member")
+    return seq
+
+
 def step(spec: BarrierSpec, stream: Iterable[int]) -> Seq | None:
     """Shortest prefix of the stream that is a member.
 
@@ -620,9 +629,7 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     a distinct error; the gap just below max(s) is also reachable through
     :func:`append_variant`.
     """
-    seq = as_seq(s)
-    if classify(spec, seq) is not ELEMENT:
-        raise ValueError(f"{seq} is not a member")
+    seq = _member(spec, s)
     if not in_base(spec, k):
         raise NotInBaseError(f"{k} is not in the base")
     if k in seq:
@@ -647,9 +654,7 @@ def _variant(spec: BarrierSpec, seq: Seq, k: int) -> Seq:
 def append_variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     """Replace the last coordinate: for s_{n-1} < k < s_n the sequence
     (s_0,...,s_{n-1},k) is again a member."""
-    seq = as_seq(s)
-    if classify(spec, seq) is not ELEMENT:
-        raise ValueError(f"{seq} is not a member")
+    seq = _member(spec, s)
     if not seq:
         raise ValueError("append_variant of the empty member")
     if not in_base(spec, k):
@@ -758,10 +763,7 @@ def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:
 def enum_rank(spec: BarrierSpec, s: Iterable[int]) -> int:
     """Position of a member in the (max, lex) enumeration of the barrier.
     A non-member raises ValueError before any rank table is built."""
-    seq = as_seq(s)
-    if classify(spec, seq) is not ELEMENT:
-        raise ValueError(f"{seq} is not a member")
-    return rank_of(spec, [seq])[1][0]
+    return rank_of(spec, [_member(spec, s)])[1][0]
 
 
 # --- labels --------------------------------------------------------------

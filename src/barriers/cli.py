@@ -282,8 +282,6 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
         "bound": args.bound,
         "result": result.to_json(),
     }
-    if result.is_bug:
-        return report, 3, f"BUG: {result.reason}"
     text = f"defeat witness: {result.found}" if result.ok else f"none ({result.reason})"
     return report, 0, text
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
-from .barrier import ELEMENT, BarrierSpec, classify, front, rank_of
+from .barrier import BarrierSpec, _member, front, rank_of
 from .seqs import Seq, as_seq
 
 __all__ = [
@@ -51,19 +51,14 @@ class Coloring:
         batch: Callable[[Sequence[Seq]], list[int]],
         name: str = "custom",
         declared_bound: int | None = None,
-        colors: tuple[int, ...] | None = None,
     ):
         self.barrier = barrier
         self.batch = batch  # members -> their colors, in order
         self.name = name
         self.declared_bound = declared_bound
-        self.colors = colors  # optional declared color universe
 
     def __call__(self, s: Iterable[int]) -> int:
-        seq = as_seq(s)
-        if classify(self.barrier, seq) is not ELEMENT:
-            raise ValueError(f"{seq} is not a member")
-        return self.batch((seq,))[0]
+        return self.batch((_member(self.barrier, s),))[0]
 
     def colors_of(self, members: Sequence[Seq]) -> list[int]:
         """The colors of members the library produced, from one ``batch``

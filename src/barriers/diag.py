@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .barrier import (
     BarrierSpec,
     Canonical,
     ExactSize,
+    InternalInvariantError,
     Product,
     step,
 )
@@ -266,15 +267,11 @@ class StagedColoring(Coloring):
 @dataclass(frozen=True)
 class DefeatResult:
     found: tuple | None
-    reason: str  # "ok" | "bound-too-small" | "no-oracle-entry" | "BUG: ..."
+    reason: str  # "ok" | "bound-too-small" | "no-oracle-entry"; a broken guarantee raises
 
     @property
     def ok(self) -> bool:
         return self.found is not None
-
-    @property
-    def is_bug(self) -> bool:
-        return self.reason.startswith("BUG")
 
     def to_json(self) -> dict:
         if self.found is None:
@@ -310,56 +307,65 @@ def _stages(alpha: Ordinal, entry: OracleEntry, bound: int) -> Iterator[Seq]:
         yield stage
 
 
+def _defeat_search(
+    col: StagedColoring,
+    kind: str,
+    e: int,
+    bound: int,
+    hit: Callable[[tuple[int, ...], dict[int, int]], tuple | None],
+    need: Callable[[], int],
+) -> DefeatResult:
+    """The search of both defeat checks.  At each stage of :func:`_stages`,
+    ``hit`` reads the replay's labels at xs, the numbers of X_e below
+    min(stage) (every stage passes the delay, so these are the entry's
+    positives), and returns the defeating numbers or None.  The replay of a
+    stage with at least ``need()`` of them plants a defeat, so coming up
+    empty there is a bug.  ``need`` is called only at a stage that comes up
+    empty, so a count it cannot form (a negative i) raises only there."""
+    if col.kind != kind:
+        raise ValueError(f"{kind} defeat check needs a {kind} defeater")
+    entry = col.family.get(e)
+    if entry is None:
+        return DefeatResult(None, "no-oracle-entry")
+    for stage in _stages(col.alpha, entry, bound):
+        xs = entry.members.elements_below(stage[0])
+        found = hit(xs, col._replay(stage))
+        if found is not None:
+            return DefeatResult((*found, stage), "ok")
+        if len(xs) >= need():
+            raise InternalInvariantError(f"BUG: no {kind} defeat of X_{e} at the covered stage from {stage[0]}")
+    return DefeatResult(None, "bound-too-small")
+
+
 def verify_defeat_thin(col: StagedColoring, e: int, i: int, bound: int) -> DefeatResult:
     """Search for m in X_e and a stage inside X_e with f(m, stage) = i.
 
     The stage minimum is capped by ``bound``; coordinates beyond the minimum
-    follow the declared set as far as needed.  When some inspected stage had
-    a defined approximation for (e, i), a witness is guaranteed (the claim
-    has pair(e,i)+1 candidates and at most pair(e,i) earlier claims), so
-    coming up empty in that situation is flagged as a bug.
+    follow the declared set as far as needed.  A stage with pair(e,i)+1
+    numbers of X_e below its minimum defines the approximation of substage
+    (e, i) (:func:`f_approx`), whose claim has pair(e,i)+1 candidates and at
+    most pair(e,i) earlier claims, so it colors one of them i.
     """
-    if col.kind != "thin":
-        raise ValueError("thin defeat check needs a thin defeater")
-    entry = col.family.get(e)
-    if entry is None:
-        return DefeatResult(None, "no-oracle-entry")
-    guaranteed = False
-    for stage in _stages(col.alpha, entry, bound):
-        colors = col._replay(stage)
-        for m in range(stage[0]):
-            if colors[m] == i and m in entry.members:
-                return DefeatResult((m, stage), "ok")
-        if f_approx(col.family, e, i, stage) is not None:
-            guaranteed = True
-    if guaranteed:
-        return DefeatResult(None, "BUG: defined approximation produced no witness")
-    return DefeatResult(None, "bound-too-small")
+
+    def hit(xs: tuple[int, ...], colors: dict[int, int]) -> tuple[int] | None:
+        return next(((m,) for m in xs if colors[m] == i), None)
+
+    return _defeat_search(col, "thin", e, bound, hit, lambda: pair(e, i) + 1)
+
+
+def _collision(xs: tuple[int, ...], owner: dict[int, int]) -> tuple[int, int] | None:
+    """The least (owner[l], l) with both in xs and owner[l] != l: within a
+    stage pair(., code) is injective and an owner claims one l, so this is
+    the first colliding pair."""
+    inside = set(xs)
+    return min(((owner[l], l) for l in xs if owner[l] != l and owner[l] in inside), default=None)
 
 
 def verify_defeat_rainbow(col: StagedColoring, e: int, bound: int) -> DefeatResult:
     """Search for m < l in X_e and a stage inside X_e with equal colors.
 
-    Within a stage pair(., code) is injective and an owner claims one l, so
-    the first colliding pair is the least (owner[l], l) with owner[l] != l.
-    Guaranteed once a stage sees at least 2e+2 members of X_e below its
-    minimum: the first e substages claim at most 2e of them, so substage e
-    finds an unclaimed pair.  Coming up empty past that threshold is a bug.
+    A stage with 2e+2 numbers of X_e below its minimum plants a collision:
+    the first e substages claim at most 2e of them, so substage e finds an
+    unclaimed pair.
     """
-    if col.kind != "rainbow":
-        raise ValueError("rainbow defeat check needs a rainbow defeater")
-    entry = col.family.get(e)
-    if entry is None:
-        return DefeatResult(None, "no-oracle-entry")
-    guaranteed = False
-    for stage in _stages(col.alpha, entry, bound):
-        owner = col._replay(stage)
-        below = [x for x in range(stage[0]) if x in entry.members]
-        found = min(((owner[l], l) for l in below if owner[l] != l and owner[l] in entry.members), default=None)
-        if found is not None:
-            return DefeatResult((*found, stage), "ok")
-        if len(below) >= 2 * e + 2:
-            guaranteed = True
-    if guaranteed:
-        return DefeatResult(None, "BUG: enough correct members but no collision")
-    return DefeatResult(None, "bound-too-small")
+    return _defeat_search(col, "rainbow", e, bound, _collision, lambda: 2 * e + 2)

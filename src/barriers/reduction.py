@@ -114,7 +114,7 @@ class FreeToMonoColoring(Coloring):
         # prefix -> [k, (value, depth) of its members above k, or None while unknown]
         self.memo: dict[Seq, list] = {}
         self.max_chain = 0
-        super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})", colors=(0, 1))
+        super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})")
 
     def _eval(self, s: Seq) -> int:
         # The chain holds the prefix entries waiting for their variant's value.
@@ -174,9 +174,7 @@ class FreeToMonoColoring(Coloring):
 
 def ts_rt_forward(f: Coloring) -> Coloring:
     """Collapse to 2 colors: keep 0, send everything else to 1."""
-    return Coloring(
-        f.barrier, lambda ms: [0 if c == 0 else 1 for c in f.batch(ms)], name=f"thin-to-mono({f.name})", colors=(0, 1)
-    )
+    return Coloring(f.barrier, lambda ms: [0 if c == 0 else 1 for c in f.batch(ms)], name=f"thin-to-mono({f.name})")
 
 
 # --- rainbow from monochromatic / free set -------------------------------
@@ -234,7 +232,7 @@ def rrt_rt_forward(f: Coloring) -> Coloring:
             counts.append(count)
         return counts
 
-    return Coloring(f.barrier, batch, name=f"twin-count({f.name})", colors=tuple(range(k)))
+    return Coloring(f.barrier, batch, name=f"twin-count({f.name})")
 
 
 def rrt2_fs_forward(f: Coloring) -> Coloring:
@@ -281,7 +279,6 @@ class Reduction:
     forward: Callable[[Coloring], Coloring]
     drop: tuple[str, ...] = ()
     shift: int = 0
-    needs_bound: int | None = None  # for the instance generators: 2 = exactly 2-bounded, 0 = any declared k
 
     def __post_init__(self) -> None:
         if any(end not in ("min", "max") for end in self.drop):
@@ -341,14 +338,12 @@ REDUCTIONS: dict[str, Reduction] = {
         source_property="rainbow",
         target_property="mono",
         forward=rrt_rt_forward,
-        needs_bound=0,
     ),
     "rrt2-to-fs": Reduction(
         name="rrt2-to-fs",
         source_property="rainbow",
         target_property="free",
         forward=rrt2_fs_forward,
-        needs_bound=2,
     ),
 }
 
@@ -450,8 +445,8 @@ def random_instance(
     g = base_members(spec, ground)
     members = _tabled_front(spec, g)
     rng = random.Random(seed)
-    if red.needs_bound is not None:
-        k = bound if bound is not None else (red.needs_bound or 2)
+    if red.source_property == "rainbow":
+        k = bound if bound is not None else 2
         colors = [i // k for i in range(len(members))]
         rng.shuffle(colors)
         return _table_coloring(spec, dict(zip(members, colors)), name=f"random:{seed}", declared_bound=k)
@@ -473,8 +468,8 @@ def adversarial_instances(
     g = base_members(spec, ground)
     members = _tabled_front(spec, g)
     out: list[Coloring] = []
-    if red.needs_bound is not None:
-        k = bound if bound is not None else (red.needs_bound or 2)
+    if red.source_property == "rainbow":
+        k = bound if bound is not None else 2
         n = len(members)
         out.append(
             _table_coloring(spec, {s: i for i, s in enumerate(members)}, name="injective", declared_bound=k)

@@ -245,8 +245,8 @@ def find(
 ) -> Witness | None:
     """Smallest (by size, then lex) subset of the ground set of at least
     min_size that verifies the property; None when the search exhausts.
-    A thin search with no universe given takes the colors used on the
-    ground front plus the coloring's declared palette.
+    A thin search reads its colors from ``universe``, by default the colors
+    used on the ground front.
 
     Colors every member of the ground front, so a partial table raises
     even where a witness avoids its gaps; grounds with more than
@@ -258,10 +258,8 @@ def find(
     index = FrontIndex(f, ground)
     if property != "thin":
         universe = ()
-    elif universe is None:
-        universe = tuple(sorted(set(index.colors) | set(f.colors or ())))
     else:
-        universe = tuple(sorted(set(universe)))
+        universe = tuple(sorted(set(index.colors if universe is None else universe)))
     clean = index.all & ~index.violations(property, universe)
     m = next(in_order(clean, index.layers[min_size:]), None)
     if m is None:

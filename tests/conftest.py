@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from barriers.barrier import Canonical, Derived, ExactSize, Plus, Product, Restrict, Schreier
-from barriers.ordinals import OMEGA, Ordinal, add, mul, omega_pow, parse_ordinal
+from barriers.ordinals import OMEGA, omega_pow, parse_ordinal
 from barriers.seqs import GroundSet, Tail
 
 settings.register_profile(

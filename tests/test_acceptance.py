@@ -8,7 +8,6 @@ bytes, so every report must be a pure function of the code and the seeds.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 
 import pytest
 
@@ -23,7 +22,6 @@ from barriers.barrier import (
     density_probe,
     front,
     order_type,
-    spec_label,
     variant,
 )
 from barriers.coloring import check_bounded
@@ -154,7 +152,7 @@ def criterion_5() -> dict:
                 "checked_witnesses": checked,
                 "counterexamples": counterexamples,
                 "max_recursion_chain": max_chain,
-                "bound": bound if bound is not None else (REDUCTIONS[red_name].needs_bound or None),
+                "bound": 2 if bound is None and REDUCTIONS[red_name].source_property == "rainbow" else bound,
                 "forward_max_color": worst_color,
             }
             ok = ok and counterexamples == 0

@@ -4,7 +4,6 @@ import json
 import random
 import re
 from itertools import chain, combinations
-from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from barriers import cli
+from barriers import cli, diag
 from barriers.cli import main, parse_ground_arg
 from barriers.coloring import BUILTIN_COLORINGS
 from barriers.jsonio import spec_to_json
@@ -152,6 +152,17 @@ def test_diag_command(capsys):
         "--verify", "e=0", "--bound", "12",
     )
     assert code == 0 and report["result"]["found"]["numbers"] == [0, 2]
+
+
+@pytest.mark.parametrize("kind, verify", [("thin", "e=0,i=1"), ("rainbow", "e=0")])
+def test_diag_broken_guarantee_exits_3_with_one_bug_line(capsys, monkeypatch, kind, verify):
+    # a replay that plants nothing breaks the guarantee at the first covered stage
+    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, stage: {m: m for m in range(stage[0])})
+    family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
+    assert main(["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify, "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "" and len(out.out.splitlines()) == 1
+    assert list(json.loads(out.out)) == ["BUG"]
 
 
 @pytest.mark.parametrize(
@@ -307,11 +318,11 @@ def test_lying_bound_is_a_clean_error(capsys):
     assert "occurs" in capsys.readouterr().err
 
 
-def test_check_reports_nonzero_on_sperner_failure(capsys):
-    # No constructor violates the axioms, so exercise the exit path by a
-    # front probe over an empty ground: everything stays clean.
-    code, report = run_json(capsys, "check", "--barrier", "exact:2", "--ground", "0..0")
-    assert code == 0 and report["front_size"] == 0
+def test_check_reports_nonzero_on_sperner_failure(capsys, monkeypatch):
+    # No constructor violates the axioms, so a stubbed Sperner check fails.
+    monkeypatch.setattr(cli, "sperner_of_masks", lambda masks, n: False)
+    code, report = run_json(capsys, "check", "--barrier", "exact:2", "--ground", "0..5")
+    assert code == 1 and report["sperner_ok"] is False
 
 
 def test_coloring_file_argument(tmp_path, capsys):

@@ -5,9 +5,8 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
 
-from barriers.barrier import ExactSize, Product, Canonical, classify, ELEMENT, front, step
+from barriers.barrier import Product, Canonical, classify, ELEMENT, InternalInvariantError, front, step
 from barriers import diag
 from barriers.coloring import check_bounded
 from barriers.diag import (
@@ -22,7 +21,7 @@ from barriers.diag import (
     verify_defeat_rainbow,
     verify_defeat_thin,
 )
-from barriers.ordinals import OMEGA, ONE, Ordinal, omega_pow, parse_ordinal
+from barriers.ordinals import OMEGA, ONE, Ordinal, parse_ordinal
 from barriers.seqs import GroundSet, Tail
 
 import oracles
@@ -295,7 +294,6 @@ def _double_loop_rainbow(fam: OracleFamily, alpha: Ordinal, e: int, bound: int, 
     every color from a code that doubles with every coordinate, and longer
     stages are compared in test_big_rainbow_stages_match_the_direct_definition."""
     entry = fam.get(e)
-    guaranteed = False
     for m0 in entry.members.elements():
         if m0 >= bound:
             break
@@ -312,8 +310,8 @@ def _double_loop_rainbow(fam: OracleFamily, alpha: Ordinal, e: int, bound: int, 
             for l in below[a + 1 :]:
                 if colors[m] == colors[l]:
                     return DefeatResult((m, l, stage), "ok")
-        guaranteed = guaranteed or len(below) >= 2 * e + 2
-    return DefeatResult(None, "BUG: enough correct members but no collision" if guaranteed else "bound-too-small")
+        assert len(below) < 2 * e + 2, f"no collision at the covered stage {stage}"
+    return DefeatResult(None, "bound-too-small")
 
 
 def _seeded_family(rng: random.Random) -> OracleFamily:
@@ -353,6 +351,26 @@ def test_defeat_diagnostics():
     rb = StagedColoring("rainbow", ONE, lonely)
     assert verify_defeat_rainbow(rb, 0, 16).reason == "bound-too-small"
     assert verify_defeat_rainbow(StagedColoring("rainbow", ONE, EMPTY), 0, 12).reason == "no-oracle-entry"
+
+
+@pytest.mark.parametrize(
+    "kind, e, i, covered", [("thin", 0, 1, 4), ("thin", 1, 1, 10), ("rainbow", 0, None, 4), ("rainbow", 1, None, 8)]
+)
+def test_a_replay_without_its_defeat_raises_at_the_first_covered_stage(monkeypatch, kind, e, i, covered):
+    # Along the evens, thin (e, i) is covered once pair(e, i) + 1 evens lie
+    # below the stage minimum, rainbow e once 2e + 2 do.  A replay that
+    # plants nothing (every number its own color or owner) comes up empty
+    # below that stage and is a bug at it.
+    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, stage: {m: m for m in range(stage[0])})
+
+    def search(bound):
+        col = StagedColoring(kind, ONE, FAM)
+        return verify_defeat_thin(col, e, i, bound) if kind == "thin" else verify_defeat_rainbow(col, e, bound)
+
+    assert search(covered).reason == "bound-too-small"
+    bug = f"BUG: no {kind} defeat of X_{e} at the covered stage from {covered}$"
+    with pytest.raises(InternalInvariantError, match=bug):
+        search(covered + 1)
 
 
 def test_stages_past_the_coordinate_cap_raise(monkeypatch):

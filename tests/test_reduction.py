@@ -9,9 +9,9 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from barriers import barrier, cli, coloring, reduction
+from barriers import barrier, cli, reduction
 from barriers.barrier import (
     NOT_IN_BASE,
     OVERRUN,
@@ -317,7 +317,7 @@ def brute_check(red, f, ground, min_size):
 
 
 def instances(red, spec, ground):
-    bounds = (2, 3) if red.needs_bound == 0 else (None,)
+    bounds = (2, 3) if red.name == "rrt-to-rt" else (None,)
     for bound in bounds:
         for seed in (1, 2):
             yield random_instance(red, spec, ground, seed=seed, bound=bound)
@@ -532,7 +532,6 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
         return real(spec, s)
 
     monkeypatch.setattr(barrier, "classify", counting_classify)
-    monkeypatch.setattr(coloring, "classify", counting_classify)
     spec, ground = Schreier(), range(9)
     f = random_instance("rrt2-to-fs", spec, ground, seed=3)
     definitions = {
@@ -622,13 +621,13 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
     # The rule trusts the plus-barrier members that FrontIndex hands it, so a
     # reduction check classifies nothing; a call still refuses non-members.
     calls = []
-    real = coloring.classify
+    real = barrier.classify
 
     def counting_classify(spec, s):
         calls.append(s)
         return real(spec, s)
 
-    monkeypatch.setattr(coloring, "classify", counting_classify)
+    monkeypatch.setattr(barrier, "classify", counting_classify)
     red = REDUCTIONS["fs-to-rt"]
     broken = replace(red, drop=())
     reports = []
@@ -732,8 +731,8 @@ def _kinds(spec, ground, data):
     ]
     seed = data.draw(st.integers(0, 99))
     for name, red in REDUCTIONS.items():
-        if red.needs_bound is not None:
-            k = red.needs_bound or lying
+        if red.source_property == "rainbow":
+            k = 2 if red.name == "rrt2-to-fs" else lying
             sources = {
                 "random": random_instance(red, spec, ground, seed=seed, bound=k),
                 "lying": table_coloring(spec, full, declared_bound=k),

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from barriers.barrier import ExactSize, Plus, Schreier, base_members, front
 from barriers.coloring import (
-    BoundViolationError,
     Coloring,
     PartialColoringError,
     builtin_coloring,
@@ -31,8 +30,8 @@ from conftest import SPEC_POOL
 
 def reference_universe(f, ground):
     """find's thin universe when none is given, by its definition: the colors
-    used on the ground front, one member at a time, and the declared palette."""
-    return tuple(sorted({f(s) for s in front(f.barrier, ground)} | set(f.colors or ())))
+    used on the ground front, one member at a time."""
+    return tuple(sorted({f(s) for s in front(f.barrier, ground)}))
 
 
 def const(spec, value):
@@ -104,8 +103,8 @@ def test_find_free_excludes_successors():
 
 
 def test_find_thin_uses_declared_universe():
-    f = Coloring(ExactSize(1), lambda ms: [0] * len(ms), name="zero", colors=(0, 1))
-    w = find("thin", f, range(3), 2)
+    f = Coloring(ExactSize(1), lambda ms: [0] * len(ms), name="zero")
+    w = find("thin", f, range(3), 2, universe=(0, 1))
     assert w is not None and w.detail == 1  # omits the declared color 1
 
 
