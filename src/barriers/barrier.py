@@ -639,10 +639,12 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     return _variant(spec, seq, k)
 
 
+@lru_cache(maxsize=1 << 12)
 def _variant(spec: BarrierSpec, seq: Seq, k: int) -> Seq:
     """:func:`variant` past its argument checks: k lies below max(seq) and
     outside the member seq.  The step reads k, so a k outside the base
-    raises NotInBaseError there."""
+    raises NotInBaseError there (and nothing is cached).  A variant depends
+    on its arguments alone, so the last 4,096 are kept."""
     out = step(spec, insert_sorted(seq, k))
     if out is None or k not in out:
         raise InternalInvariantError(f"BUG: no variant of {seq} through {k}")

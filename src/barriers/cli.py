@@ -244,7 +244,7 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 def _parse_verify(text: str, kind: str) -> dict[str, int]:
     """The key=value pairs of --verify: each a key the kind reads (e and i
-    for thin, e for rainbow), given once."""
+    for thin, e for rainbow), given once, with a natural number."""
     keys = ("e", "i") if kind == "thin" else ("e",)
     out: dict[str, int] = {}
     for part in text.split(","):
@@ -258,6 +258,8 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
             out[key] = int(value)
         except ValueError:
             raise UsageError(f"--verify {key} must be an integer, got {value!r}") from None
+        if out[key] < 0:
+            raise UsageError(f"--verify {key} must be a natural number, got {value!r}")
     return out
 
 

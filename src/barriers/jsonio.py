@@ -25,10 +25,10 @@ from .barrier import (
     make_product,
     make_restrict,
 )
-from .coloring import Coloring, builtin_coloring, table_coloring
+from .coloring import Coloring, _table_coloring, builtin_coloring
 from .diag import OracleEntry, OracleFamily
 from .ordinals import parse_ordinal
-from .seqs import GroundSet, Tail
+from .seqs import GroundSet, Tail, as_seq
 
 __all__ = [
     "spec_to_json",
@@ -144,11 +144,11 @@ def ground_from_json(obj: Any) -> GroundSet:
 
 
 def _table(rows: list) -> dict:
-    """The rows [seq, color] of a coloring table as a dict.  The types are
-    checked in a few passes over all rows at once (``bool`` is rejected, its
-    type is not ``int``); only when they fail does a loop over the rows run,
-    to name the first bad value.  table_coloring checks that each key is an
-    increasing sequence."""
+    """The rows [seq, color] of a coloring table as a dict from sequences
+    (:func:`as_seq`) to colors.  The types are checked in a few passes over
+    all rows at once (``bool`` is rejected, its type is not ``int``); only
+    when they fail does a loop over the rows run, to name the first bad
+    value, and the first bad type is named before any key's order."""
     if rows and {list} >= set(map(type, rows)) and {2} >= set(map(len, rows)):
         seqs, colors = zip(*rows)
         if (
@@ -156,13 +156,13 @@ def _table(rows: list) -> dict:
             and {int} >= set(map(type, chain.from_iterable(seqs)))
             and {int} >= set(map(type, colors))
         ):
-            return dict(zip(map(tuple, seqs), colors))
+            return dict(zip(map(as_seq, seqs), colors))
     table = {}
     for row in rows:
         seq, color = _shape(row, list, "a table row")
         seq = tuple(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
         table[seq] = _int(color, "a color")
-    return table
+    return {as_seq(seq): color for seq, color in table.items()}
 
 
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
@@ -173,7 +173,7 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     bound = obj.get("bound")
     bound = _int(bound, "bound") if bound is not None else None
     if "table" in obj:
-        return table_coloring(barrier, _table(_shape(obj["table"], list, "a coloring table")), declared_bound=bound)
+        return _table_coloring(barrier, _table(_shape(obj["table"], list, "a coloring table")), "table", bound)
     if "builtin" in obj:
         params = _shape(obj.get("params") or {}, dict, "builtin params")
         f = builtin_coloring(barrier, obj["builtin"], params)

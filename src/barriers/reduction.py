@@ -70,12 +70,6 @@ __all__ = [
 # --- free set from monochromatic ----------------------------------------
 
 
-def _entry(p: Seq, k: int) -> list:
-    """A new memo entry of the prefix p: k, and the value and hop depth of
-    the members of p above k, known (0, 0) when k is in p or above max(p)."""
-    return [k, (0, 0) if p and (k in p or k > p[-1]) else None]
-
-
 class FreeToMonoColoring(Coloring):
     """The instance map of fs-to-rt: a free-set instance f becomes the
     2-coloring of the plus barrier of ``f.barrier`` defined by recursion along
@@ -92,81 +86,62 @@ class FreeToMonoColoring(Coloring):
 
     where s[v+1] is the (v+1)-variant, lexicographically below s.
 
-    The members with one prefix p = s[:-1] share t, v and k = v + 1, so
-    ``memo`` keeps one entry per prefix: k, and the value and hop depth
-    shared by the members of p whose last coordinate lies above k.  Those
-    take 0 when k is in p or above max(p), and hop when k lies below max(p)
-    outside p (for p = (), every member above k hops).  A member at or
-    below k takes 1.  A hop steps along the member with k inserted, which
-    asserts that it reaches a member through k lex-below s.  The hop depth
-    below each member (a pure function of the instance, independent of
-    query order) is tracked, and ``max_chain`` holds the largest seen.  One
-    ``f.colors_of`` call gives k for every new prefix of a batch
-    (:meth:`_batch`), and only the first member of each hop group walks its
-    chain (:meth:`_eval`).
-
-    The memo is the only mutable state; every entry is a pure function of
-    the instance, so concurrent queries race only on identical values.
+    The members with one prefix p = s[:-1] share t and k = v + 1: ``memo``
+    maps each prefix reached to its k, fetched for all new prefixes of a
+    batch by one ``f.colors_of`` call.  A member at or below k takes 1;
+    above k it takes 0 when k is in p or above max(p), and otherwise hops to
+    the member with k inserted, whose value it negates.  So all members of p
+    above k share one hop, and ``above`` maps each prefix that hops to that
+    value and the hop depth below it; ``max_chain`` holds the largest depth.
+    A hop target depends on the barrier, the member and k alone, so hops
+    are shared across instances on one barrier (:func:`_variant` is cached).
+    Every entry is a pure function of the instance, so concurrent queries
+    race only on identical values.
     """
 
     def __init__(self, f: Coloring):
         self.f = f
-        # prefix -> [k, (value, depth) of its members above k, or None while unknown]
-        self.memo: dict[Seq, list] = {}
+        self.memo: dict[Seq, int] = {}  # prefix -> k
+        self.above: dict[Seq, tuple[int, int]] = {}  # prefix that hops -> (value, depth)
         self.max_chain = 0
         super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})")
 
     def _eval(self, s: Seq) -> int:
-        # The chain holds the prefix entries waiting for their variant's value.
-        chain: list[list] = []
+        # The chain holds the prefixes waiting for their variant's value.
+        chain: list[Seq] = []
         cur = s
         while True:
             p = cur[:-1]
-            entry = self.memo.get(p)
-            if entry is None:
+            k = self.memo.get(p)
+            if k is None:
                 # seq_minus(cur) is a member of the inner barrier: no revalidation
-                entry = self.memo[p] = _entry(p, self.f.batch((seq_minus(cur),))[0] + 1)
-            k, above = entry
+                k = self.memo[p] = self.f.batch((seq_minus(cur),))[0] + 1
             if cur[-1] <= k:
                 value, depth = 1, 0
                 break
-            if above is not None:
-                value, depth = above
+            if p and (k in p or k > p[-1]):
+                value, depth = 0, 0
                 break
-            chain.append(entry)
+            if p in self.above:
+                value, depth = self.above[p]
+                break
+            chain.append(p)
             # k lies below max(cur) and outside cur; the step raises
             # NotInBaseError at k if it lies outside the base.
             cur = _variant(self.barrier, cur, k)
-        for entry in reversed(chain):
+        for p in reversed(chain):
             value = 1 - value
             depth += 1
-            entry[1] = (value, depth)
+            self.above[p] = (value, depth)
         if depth > self.max_chain:
             self.max_chain = depth
         return value
 
     def _batch(self, members: Sequence[Seq]) -> list[int]:
-        """``map(self._eval, members)`` with the inner colors fetched at once:
-        one ``colors_of`` call at the new prefixes gives their k, each member
-        reads its prefix entry, and only a member whose entry still waits for
-        its value (the first of a hop group) runs ``_eval``.  The entries
-        made here are the ones ``_eval`` would make, so the memo and
-        ``max_chain`` end as after the per-member loop (an entry's depth was
-        counted in ``max_chain`` when it was set)."""
-        memo = self.memo
-        prefixes = [s[:-1] for s in members]
-        fresh = [p for p in dict.fromkeys(prefixes) if p not in memo]
-        for p, c in zip(fresh, self.f.colors_of([tuple(map((-1).__add__, p)) for p in fresh])):
-            memo[p] = _entry(p, c + 1)
-        out = []
-        for s, (k, above) in zip(members, map(memo.__getitem__, prefixes)):  # read as reached: _eval fills entries
-            if s[-1] <= k:
-                out.append(1)
-            elif above is None:
-                out.append(self._eval(s))
-            else:
-                out.append(above[0])
-        return out
+        fresh = [p for p in dict.fromkeys(s[:-1] for s in members) if p not in self.memo]
+        colors = self.f.colors_of([tuple(x - 1 for x in p) for p in fresh])
+        self.memo.update(zip(fresh, (c + 1 for c in colors)))
+        return list(map(self._eval, members))
 
 
 # --- thin set from monochromatic / free set ------------------------------

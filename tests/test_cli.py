@@ -184,6 +184,18 @@ def test_diag_verify_names_a_value_that_is_not_an_integer(capsys, kind, verify, 
     assert f"--verify {key} must be an integer" in err, err
 
 
+@pytest.mark.parametrize("bound", ["1", "16"])
+@pytest.mark.parametrize(
+    "kind, verify, key", [("thin", "e=0,i=-1", "i"), ("thin", "e=-1,i=0", "e"), ("rainbow", "e=-1", "e")]
+)
+def test_diag_verify_refuses_a_negative_value_at_any_bound(capsys, bound, kind, verify, key):
+    # refused before the search, so the bound cannot turn it into a result
+    family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
+    argv = ["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify, "--bound", bound]
+    err = _usage_error(capsys, argv)
+    assert f"--verify {key} must be a natural number" in err, err
+
+
 def test_diag_bound_too_small_still_exits_clean(capsys):
     family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}}])
     code, report = run_json(

@@ -105,25 +105,35 @@ def test_malformed_table_messages(row, message):
     assert str(exc.value) == message
 
 
+def _json_table(barrier, table):
+    return coloring_from_json(barrier, {"table": [[list(seq), color] for seq, color in table.items()]})
+
+
 @pytest.mark.parametrize(
-    "key, message",
+    "key, message, json_message",
     [
-        ((2, 1), "sequence must be strictly increasing, got (2, 1)"),
-        ((1, 1), "sequence must be strictly increasing, got (1, 1)"),
-        ((1, -2), "sequence entries must be naturals, got -2"),
-        ((-1, 3), "sequence entries must be naturals, got -1"),
-        ((1, 2.5), "sequence entries must be naturals, got 2.5"),
-        ((1, "2"), "sequence entries must be naturals, got '2'"),
+        ((2, 1), "sequence must be strictly increasing, got (2, 1)", None),
+        ((1, 1), "sequence must be strictly increasing, got (1, 1)", None),
+        ((1, -2), "sequence entries must be naturals, got -2", None),
+        ((-1, 3), "sequence entries must be naturals, got -1", None),
+        ((1, 2.5), "sequence entries must be naturals, got 2.5", "a sequence element must be an integer, got 2.5"),
+        ((1, "2"), "sequence entries must be naturals, got '2'", "a sequence element must be an integer, got '2'"),
     ],
     ids=["decreasing", "repeated", "negative", "negative-first", "float", "string"],
 )
-def test_table_key_messages(key, message):
+def test_table_key_messages(key, message, json_message):
     # The bad key is named alone, and first after good keys and before
-    # other bad ones.
+    # other bad ones, in a mapping and in JSON rows; JSON names an entry that
+    # is not an integer as such.
     for table in ({(0, 1): 4, key: 0}, {(0, 1): 4, key: 0, (3, 2): 5}):
-        with pytest.raises(ValueError) as exc:
-            table_coloring(ExactSize(2), table)
-        assert str(exc.value) == message
+        for decode, want in ((table_coloring, message), (_json_table, json_message or message)):
+            with pytest.raises(ValueError) as exc:
+                decode(ExactSize(2), table)
+            assert str(exc.value) == want
+    # in JSON rows a type error is named before any key's order
+    with pytest.raises(ValueError) as exc:
+        _json_table(ExactSize(2), {(3, 2): 5, key: 0})
+    assert str(exc.value) == (json_message or "sequence must be strictly increasing, got (3, 2)")
 
 
 @pytest.mark.parametrize("color", [2.9, True, "3"], ids=["float", "bool", "string"])

@@ -599,8 +599,22 @@ def test_free_to_mono_hops_step_to_the_variant(monkeypatch):
     want = [oracles.slow_fs(g.barrier, f, s) for s in members]
     steps.clear()
     assert [g(s) for s in members] == want
-    assert len(steps) == sum(1 for _, above in g.memo.values() if above and above[1])  # one per hop group
+    assert len(steps) == len(g.above)  # one per hop group
     assert any(k - 1 not in sparse for _, k in steps)
+
+
+def test_free_to_mono_hops_are_shared_across_instances():
+    # A hop target depends on the barrier, the member and k alone, so a
+    # second instance on one barrier steps through the first one's hops, and
+    # its report is the one computed with no hop kept.
+    first, second = (random_instance("fs-to-rt", Schreier(), range(9), seed=seed) for seed in (0, 1))
+    barrier._variant.cache_clear()
+    assert check_reduction("fs-to-rt", first, range(9), 3).max_recursion_chain > 0
+    hits = barrier._variant.cache_info().hits
+    shared = check_reduction("fs-to-rt", second, range(9), 3)
+    assert barrier._variant.cache_info().hits > hits
+    barrier._variant.cache_clear()
+    assert check_reduction("fs-to-rt", second, range(9), 3) == shared
 
 
 def test_free_to_mono_hops_outside_the_base_raise():
