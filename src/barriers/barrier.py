@@ -135,7 +135,8 @@ class InternalInvariantError(AssertionError):
 
 
 class VariantRangeError(ValueError):
-    """k-variant requested with k beyond max(s); see append_variant."""
+    """k-variant requested of the empty member, or with k beyond max(s)
+    (see append_variant)."""
 
 
 class OrderTypeUnsupportedError(ValueError):
@@ -625,11 +626,13 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     inserting k below max(s) and truncating.
 
     Existence and uniqueness follow from Density plus Sperner; the result is
-    always lexicographically below s.  k at or above max(s) is rejected with
-    a distinct error; the gap just below max(s) is also reachable through
-    :func:`append_variant`.
+    always lexicographically below s.  The empty member, which has no max,
+    and k at or above max(s) are rejected with a distinct error; the gap
+    just below max(s) is also reachable through :func:`append_variant`.
     """
     seq = _member(spec, s)
+    if not seq:
+        raise VariantRangeError("variant of the empty member")
     if not in_base(spec, k):
         raise NotInBaseError(f"{k} is not in the base")
     if k in seq:
@@ -658,7 +661,7 @@ def append_variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     (s_0,...,s_{n-1},k) is again a member."""
     seq = _member(spec, s)
     if not seq:
-        raise ValueError("append_variant of the empty member")
+        raise VariantRangeError("append_variant of the empty member")
     if not in_base(spec, k):
         raise NotInBaseError(f"{k} is not in the base")
     low = seq[-2] if len(seq) >= 2 else -1

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .barrier import BarrierSpec, _member, front, rank_of
-from .seqs import Seq, as_seq
+from .seqs import Seq, as_int, as_seq
 
 __all__ = [
     "Coloring",
@@ -80,10 +80,7 @@ def table_coloring(
     name: str = "table",
     declared_bound: int | None = None,
 ) -> Coloring:
-    fixed = {as_seq(k): v for k, v in table.items()}
-    for v in table.values():
-        if type(v) is not int:  # bool included, as in the JSON path
-            raise ValueError(f"a color must be an integer, got {v!r}")
+    fixed = {as_seq(k): as_int(v, "a color") for k, v in table.items()}
     return _table_coloring(barrier, fixed, name, declared_bound)
 
 
@@ -115,10 +112,7 @@ BUILTIN_COLORINGS = ("const", "min", "max-plus-one", "min-parity", "size", "rank
 
 
 def _int_param(params: Mapping, key: str, default: int | None = None) -> int:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"builtin param {key!r} must be an integer, got {value!r}")
-    return value
+    return as_int(params.get(key, default), f"builtin param {key!r}")
 
 
 def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = None) -> Coloring:

@@ -9,7 +9,6 @@ on any malformed shape.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any
 
 from .barrier import (
@@ -28,7 +27,7 @@ from .barrier import (
 from .coloring import Coloring, _table_coloring, builtin_coloring
 from .diag import OracleEntry, OracleFamily
 from .ordinals import parse_ordinal
-from .seqs import GroundSet, Tail, as_seq
+from .seqs import GroundSet, Tail, as_int, as_seq
 
 __all__ = [
     "spec_to_json",
@@ -47,12 +46,6 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
 def _shape(value: Any, kind: type, what: str) -> Any:
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-def _int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -98,7 +91,7 @@ def spec_from_json(obj: Any) -> BarrierSpec:
         raise ValueError(f"a barrier spec is a shorthand string or a one-key object, got {obj!r}")
     (tag, value), = obj.items()
     if tag == "exact":
-        return ExactSize(_int(value, "exact size"))
+        return ExactSize(as_int(value, "exact size"))
     if tag == "schreier":
         return Schreier()
     if tag == "canonical":
@@ -112,7 +105,7 @@ def spec_from_json(obj: Any) -> BarrierSpec:
         _shape(value, dict, "a derived spec")
         return make_derived(
             spec_from_json(_field(value, "inner", "a derived spec")),
-            _int(_field(value, "n", "a derived spec"), "derived n"),
+            as_int(_field(value, "n", "a derived spec"), "derived n"),
         )
     if tag == "restrict":
         _shape(value, dict, "a restrict spec")
@@ -132,37 +125,27 @@ def ground_to_json(g: GroundSet) -> dict:
 
 def ground_from_json(obj: Any) -> GroundSet:
     if isinstance(obj, list):
-        return GroundSet.of(_int(x, "a ground element") for x in obj)
+        return GroundSet.of(as_int(x, "a ground element") for x in obj)
     _shape(obj, dict, "a ground set")
     tail = None
     if obj.get("tail") is not None:
         raw = _shape(obj["tail"], dict, "a ground set tail")
-        start = _int(_field(raw, "start", "a ground set tail"), "tail start")
-        tail = Tail(start, _int(raw.get("step", 1), "tail step"))
+        start = as_int(_field(raw, "start", "a ground set tail"), "tail start")
+        tail = Tail(start, as_int(raw.get("step", 1), "tail step"))
     prefix = _shape(obj.get("prefix", []), list, "a ground set prefix")
-    return GroundSet(prefix=tuple(_int(x, "a ground element") for x in prefix), tail=tail)
+    return GroundSet(prefix=tuple(as_int(x, "a ground element") for x in prefix), tail=tail)
 
 
 def _table(rows: list) -> dict:
-    """The rows [seq, color] of a coloring table as a dict from sequences
-    (:func:`as_seq`) to colors.  The types are checked in a few passes over
-    all rows at once (``bool`` is rejected, its type is not ``int``); only
-    when they fail does a loop over the rows run, to name the first bad
-    value, and the first bad type is named before any key's order."""
-    if rows and {list} >= set(map(type, rows)) and {2} >= set(map(len, rows)):
-        seqs, colors = zip(*rows)
-        if (
-            {list} >= set(map(type, seqs))
-            and {int} >= set(map(type, chain.from_iterable(seqs)))
-            and {int} >= set(map(type, colors))
-        ):
-            return dict(zip(map(as_seq, seqs), colors))
+    """The rows [seq, color] of a coloring table as a dict from sequences to
+    colors, each row checked in turn as :func:`table_coloring` checks an
+    entry: the first bad row is named, its sequence before its color."""
     table = {}
     for row in rows:
         seq, color = _shape(row, list, "a table row")
-        seq = tuple(_int(x, "a sequence element") for x in _shape(seq, list, "a table sequence"))
-        table[seq] = _int(color, "a color")
-    return {as_seq(seq): color for seq, color in table.items()}
+        seq = as_seq(_shape(seq, list, "a table sequence"))
+        table[seq] = as_int(color, "a color")
+    return table
 
 
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
@@ -171,7 +154,7 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     if not isinstance(obj, dict):
         raise ValueError(f"a coloring is an object, got {obj!r}")
     bound = obj.get("bound")
-    bound = _int(bound, "bound") if bound is not None else None
+    bound = as_int(bound, "bound") if bound is not None else None
     if "table" in obj:
         return _table_coloring(barrier, _table(_shape(obj["table"], list, "a coloring table")), "table", bound)
     if "builtin" in obj:
@@ -194,8 +177,8 @@ def family_from_json(obj: Any) -> OracleFamily:
     entries = []
     for row in _shape(obj, list, "an oracle family"):
         _shape(row, dict, "an oracle family entry")
-        e = _int(_field(row, "e", "an oracle family entry"), "entry e")
-        delay = _int(row.get("delay", 0), "entry delay")
+        e = as_int(_field(row, "e", "an oracle family entry"), "entry e")
+        delay = as_int(row.get("delay", 0), "entry delay")
         members = ground_from_json(_field(row, "set", "an oracle family entry"))
         entries.append(OracleEntry(e=e, members=members, delay=delay))
     return OracleFamily(tuple(entries))

@@ -95,8 +95,6 @@ class FreeToMonoColoring(Coloring):
     value and the hop depth below it; ``max_chain`` holds the largest depth.
     A hop target depends on the barrier, the member and k alone, so hops
     are shared across instances on one barrier (:func:`_variant` is cached).
-    Every entry is a pure function of the instance, so concurrent queries
-    race only on identical values.
     """
 
     def __init__(self, f: Coloring):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, dropwhile, takewhile
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 Seq = tuple[int, ...]
 
 __all__ = [
     "Seq",
+    "as_int",
     "as_seq",
     "seq_minus",
     "insert_sorted",
@@ -24,11 +25,22 @@ __all__ = [
 ]
 
 
+def as_int(value: Any, what: str) -> int:
+    """``value`` if its type is ``int`` (so a ``bool`` is refused);
+    otherwise ValueError naming it as ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def as_seq(values: Iterable[int]) -> Seq:
-    """Validate and normalize to a strictly increasing tuple of naturals."""
+    """Validate and normalize to a strictly increasing tuple of naturals.
+    The first bad entry is named; entries are integers as in :func:`as_int`."""
     s = tuple(values)
     for i, x in enumerate(s):
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int:
+            raise ValueError(f"a sequence element must be an integer, got {x!r}")
+        if x < 0:
             raise ValueError(f"sequence entries must be naturals, got {x!r}")
         if i > 0 and s[i - 1] >= x:
             raise ValueError(f"sequence must be strictly increasing, got {s}")

@@ -471,6 +471,27 @@ def test_append_variant():
         append_variant(Schreier(), (2, 4, 5), 3)  # not in the last gap
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExactSize(0),
+        Canonical(parse_ordinal("0")),
+        make_product(ExactSize(0), ExactSize(0)),
+        make_derived(ExactSize(1), 1),
+        Restrict(Canonical(parse_ordinal("0")), GroundSet(tail=Tail(0, 2))),
+    ],
+    ids=["exact:0", "canonical:0", "product", "derived", "restrict"],
+)
+def test_the_empty_member_has_no_variant(spec):
+    # () is the one member; it has no max to insert k below, nor a last gap
+    assert front(spec, range(4)) == ((),)
+    for k in (0, 1, 5):
+        with pytest.raises(VariantRangeError, match=r"^variant of the empty member$"):
+            variant(spec, (), k)
+        with pytest.raises(VariantRangeError, match=r"^append_variant of the empty member$"):
+            append_variant(spec, (), k)
+
+
 def schreier_facts_expected(s, k):
     """Facts (1) and (2) about the Schreier family, stated directly."""
     if k < s[0]:

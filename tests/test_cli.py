@@ -90,6 +90,13 @@ def test_variant_command(capsys):
     assert code == 0 and report["variant"] == [2, 3, 4]
 
 
+@pytest.mark.parametrize("spec", ["exact:0", "canonical:0", '{"product": ["exact:0", "canonical:0"]}'])
+def test_variant_of_the_empty_member_is_a_usage_error(capsys, spec):
+    for k in ("0", "3"):
+        err = _usage_error(capsys, ["variant", "--barrier", spec, "--seq", "", "--k", k, "--json"])
+        assert err == "error: variant of the empty member\n"
+
+
 def test_solve_command(capsys):
     coloring = json.dumps({"table": [[[x], x % 2] for x in range(6)]})
     code, report = run_json(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, front
+from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, classify, front
 from barriers.coloring import PartialColoringError, table_coloring
 from barriers.jsonio import (
     coloring_from_json,
@@ -20,7 +20,7 @@ from barriers.jsonio import (
     spec_to_json,
 )
 from barriers.ordinals import OMEGA
-from barriers.seqs import GroundSet, Tail
+from barriers.seqs import GroundSet, Tail, as_seq
 
 from conftest import EXTRA_POOL, SPEC_POOL
 
@@ -103,6 +103,11 @@ def test_malformed_table_messages(row, message):
     with pytest.raises(ValueError) as exc:
         coloring_from_json(ExactSize(1), {"table": table})
     assert str(exc.value) == message
+    if isinstance(row, list) and len(row) == 2 and isinstance(row[0], list):
+        # the same entry in a mapping is named by the same message
+        with pytest.raises(ValueError) as exc:
+            table_coloring(ExactSize(1), {(0,): 4, tuple(row[0]): row[1], (2,): 0.5})
+        assert str(exc.value) == message
 
 
 def _json_table(barrier, table):
@@ -110,46 +115,61 @@ def _json_table(barrier, table):
 
 
 @pytest.mark.parametrize(
-    "key, message, json_message",
+    "key, message",
     [
-        ((2, 1), "sequence must be strictly increasing, got (2, 1)", None),
-        ((1, 1), "sequence must be strictly increasing, got (1, 1)", None),
-        ((1, -2), "sequence entries must be naturals, got -2", None),
-        ((-1, 3), "sequence entries must be naturals, got -1", None),
-        ((1, 2.5), "sequence entries must be naturals, got 2.5", "a sequence element must be an integer, got 2.5"),
-        ((1, "2"), "sequence entries must be naturals, got '2'", "a sequence element must be an integer, got '2'"),
+        ((2, 1), "sequence must be strictly increasing, got (2, 1)"),
+        ((1, 1), "sequence must be strictly increasing, got (1, 1)"),
+        ((1, -2), "sequence entries must be naturals, got -2"),
+        ((-1, 3), "sequence entries must be naturals, got -1"),
+        ((1, 2.5), "a sequence element must be an integer, got 2.5"),
+        ((1, "2"), "a sequence element must be an integer, got '2'"),
     ],
     ids=["decreasing", "repeated", "negative", "negative-first", "float", "string"],
 )
-def test_table_key_messages(key, message, json_message):
+def test_table_key_messages(key, message):
     # The bad key is named alone, and first after good keys and before
-    # other bad ones, in a mapping and in JSON rows; JSON names an entry that
-    # is not an integer as such.
+    # other bad ones, by one message in a mapping and in JSON rows.
     for table in ({(0, 1): 4, key: 0}, {(0, 1): 4, key: 0, (3, 2): 5}):
-        for decode, want in ((table_coloring, message), (_json_table, json_message or message)):
+        for decode in (table_coloring, _json_table):
             with pytest.raises(ValueError) as exc:
                 decode(ExactSize(2), table)
-            assert str(exc.value) == want
-    # in JSON rows a type error is named before any key's order
-    with pytest.raises(ValueError) as exc:
-        _json_table(ExactSize(2), {(3, 2): 5, key: 0})
-    assert str(exc.value) == (json_message or "sequence must be strictly increasing, got (3, 2)")
+            assert str(exc.value) == message
+    # the first bad row wins, whatever is wrong with a later one
+    for decode in (table_coloring, _json_table):
+        with pytest.raises(ValueError) as exc:
+            decode(ExactSize(2), {(3, 2): 5, key: 0})
+        assert str(exc.value) == "sequence must be strictly increasing, got (3, 2)"
 
 
 @pytest.mark.parametrize("color", [2.9, True, "3"], ids=["float", "bool", "string"])
 def test_table_colors_must_be_integers(color):
     # No color is coerced: int() would make 2.9 a 2, True a 1 and "3" a 3.
-    # The message is the JSON path's, and a bad key is still named first.
+    # Both paths name the entries in order, each key before its color.
     message = f"a color must be an integer, got {color!r}"
-    with pytest.raises(ValueError) as exc:
-        table_coloring(ExactSize(1), {(0,): 0, (1,): color, (2,): 0.5})
-    assert str(exc.value) == message
-    with pytest.raises(ValueError) as exc:
-        coloring_from_json(ExactSize(1), {"table": [[[0], 0], [[1], color], [[2], 0.5]]})
-    assert str(exc.value) == message
-    with pytest.raises(ValueError) as exc:
-        table_coloring(ExactSize(1), {(0,): color, (1, 0): 0})
-    assert str(exc.value) == "sequence must be strictly increasing, got (1, 0)"
+    for decode in (table_coloring, _json_table):
+        for table in ({(0,): 0, (1,): color, (2,): 0.5}, {(0,): color, (1, 0): 0}):
+            with pytest.raises(ValueError) as exc:
+                decode(ExactSize(1), table)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            decode(ExactSize(1), {(1, 0): color})
+        assert str(exc.value) == "sequence must be strictly increasing, got (1, 0)"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: as_seq([0, True]),
+        lambda: GroundSet(prefix=(True,)),
+        lambda: classify(ExactSize(1), [True]),
+        lambda: table_coloring(ExactSize(1), {(True,): 0}),
+    ],
+    ids=["as_seq", "ground-set", "classify", "table_coloring"],
+)
+def test_a_bool_is_no_sequence_element(check):
+    # True == 1, yet no sequence of the library takes it for one
+    with pytest.raises(ValueError, match=r"^a sequence element must be an integer, got True$"):
+        check()
 
 
 def test_table_keeps_the_last_row_of_a_sequence():
