@@ -9,9 +9,10 @@ Exit codes: 0 clean, 1 violations or counterexamples found, 2 usage errors,
 3 internal invariant violations and any other unexpected exception (one
 line tagged BUG, so a library bug never reads as a counterexample).
 
-Barrier arguments accept shorthand (``schreier``, ``exact:3``,
-``canonical:w^2``), inline JSON, or a path to a JSON file.  Ground sets are
-half-open ranges ``a..b`` (so ``0..6`` means 0,1,2,3,4,5) or comma lists.
+A barrier argument is a shorthand (``schreier``, ``exact:3``,
+``canonical:w^2``), else inline JSON, else a path to a readable JSON file; a
+coloring or family argument is inline JSON, else such a path.  Ground sets
+are half-open ranges ``a..b`` (so ``0..6`` means 0,1,2,3,4,5) or comma lists.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .barrier import (
     variant,
 )
 from .diag import StagedColoring, verify_defeat_rainbow, verify_defeat_thin
-from .jsonio import coloring_from_json, family_from_json, spec_from_json
+from .jsonio import coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
 from .solver import PROPERTIES, find
@@ -51,23 +52,28 @@ class UsageError(ValueError):
 
 
 def _load_json_arg(text: str) -> Any:
+    """Inline JSON, or else the JSON of the file at the path text."""
     text = text.strip()
     if text.startswith(("{", "[", '"')):
         return json.loads(text)
-    if os.path.exists(text):
-        try:
-            with open(text) as fh:
-                return json.load(fh)
-        except OSError as exc:  # a directory, say: the argument is at fault, not the library
-            raise UsageError(f"cannot read {text!r}: {exc.strerror}")
-    return text  # shorthand string
+    with open(text) as fh:
+        return json.load(fh)
 
 
 def parse_barrier_arg(text: str) -> BarrierSpec:
+    """A shorthand, else inline JSON, else the JSON file at that path; text
+    that is none of these and names no file reads as a misspelt shorthand."""
+    text = text.strip()
     try:
-        return spec_from_json(_load_json_arg(text))
+        spec = spec_from_shorthand(text)
+        if spec is None:
+            try:
+                spec = spec_from_json(_load_json_arg(text))
+            except FileNotFoundError:
+                spec = spec_from_json(text)  # raises: unknown barrier shorthand
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad barrier {text!r}: {exc}")
+    return spec
 
 
 def parse_ground_arg(text: str) -> tuple[int, ...]:
@@ -264,6 +270,8 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
 
 
 def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
+    if args.bound < 0:
+        raise UsageError(f"--bound must be a natural number, got {args.bound}")
     alpha = parse_ordinal(args.alpha)
     family = family_from_json(_load_json_arg(args.family))
     col = StagedColoring(args.kind, alpha, family)
@@ -397,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:  # the library's recursions are bounded by the input's nesting depth
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only a JSON argument opens a file: a missing path or a directory, say
+        print(f"error: cannot read {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # a library bug must not read as a counterexample (exit 1)
         print(json.dumps({"BUG": f"{type(exc).__name__}: {exc}"}, sort_keys=True))

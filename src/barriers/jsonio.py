@@ -31,6 +31,7 @@ from .seqs import GroundSet, Tail, as_int, as_seq
 
 __all__ = [
     "spec_to_json",
+    "spec_from_shorthand",
     "spec_from_json",
     "ground_to_json",
     "ground_from_json",
@@ -74,19 +75,24 @@ def spec_to_json(spec: BarrierSpec) -> Any:
     raise TypeError(f"not a barrier spec: {spec!r}")
 
 
-def _spec_from_shorthand(text: str) -> BarrierSpec:
+def spec_from_shorthand(text: str) -> BarrierSpec | None:
+    """The barrier a shorthand names, or None when text has none of the
+    shorthand forms ``schreier``, ``exact:N`` and ``canonical:ORD``."""
     if text == "schreier":
         return Schreier()
     if text.startswith("exact:"):
         return ExactSize(int(text.split(":", 1)[1]))
     if text.startswith("canonical:"):
         return Canonical(parse_ordinal(text.split(":", 1)[1]))
-    raise ValueError(f"unknown barrier shorthand {text!r}")
+    return None
 
 
 def spec_from_json(obj: Any) -> BarrierSpec:
     if isinstance(obj, str):
-        return _spec_from_shorthand(obj)
+        spec = spec_from_shorthand(obj)
+        if spec is None:
+            raise ValueError(f"unknown barrier shorthand {obj!r}")
+        return spec
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"a barrier spec is a shorthand string or a one-key object, got {obj!r}")
     (tag, value), = obj.items()
@@ -142,7 +148,11 @@ def _table(rows: list) -> dict:
     entry: the first bad row is named, its sequence before its color."""
     table = {}
     for row in rows:
-        seq, color = _shape(row, list, "a table row")
+        _shape(row, list, "a table row")
+        try:
+            seq, color = row
+        except ValueError:  # a row of another length
+            raise ValueError(f"a table row must be a [sequence, color] pair, got {row!r}") from None
         seq = as_seq(_shape(seq, list, "a table sequence"))
         table[seq] = as_int(color, "a color")
     return table

@@ -81,6 +81,13 @@ def test_check_command(capsys):
     assert code == 0
     assert report["sperner_ok"] is True
     assert report["density"]["violations"] == []
+    code, report = run_json(
+        capsys, "check", "--barrier", '{"product":["canonical:3","canonical:w+1"]}', "--ground", "0..16"
+    )
+    assert code == 0 and report["front_size"] == 11 and report["density"]["violations"] == []
+    # the one walk at the ground cap, MAX_GROUND = 20
+    code, report = run_json(capsys, "check", "--barrier", "canonical:w^2", "--ground", "0..20")
+    assert code == 0 and report["front_size"] == 11692 and report["density"]["violations"] == []
 
 
 def test_variant_command(capsys):
@@ -129,6 +136,14 @@ def test_reduce_check_random(capsys):
     assert code == 0
     assert report["counterexamples"] == []
     assert report["instances"] == 6  # 3 random + 3 stress instances
+    # at the default seed, on a dense and a sparse ground
+    for name, ground, instances in (("fs-to-rt", "0..8", 8), ("fs-to-rt", "0,2,3,5,7,8", 8),
+                                    ("rrt2-to-fs", "0,2,3,5,7,8", 5)):
+        code, report = run_json(
+            capsys, "reduce", "--name", name, "--barrier", "schreier", "--ground", ground,
+            "--random", "2", "--adversarial", "--check",
+        )
+        assert code == 0 and report["counterexamples"] == [] and report["instances"] == instances, (name, ground)
 
 
 def test_reduce_check_deterministic(capsys):
@@ -159,6 +174,9 @@ def test_diag_command(capsys):
         "--verify", "e=0", "--bound", "12",
     )
     assert code == 0 and report["result"]["found"]["numbers"] == [0, 2]
+
+    code, report = run_json(capsys, "diag", "--kind", "rainbow", "--alpha", "w", "--family", family, "--verify", "e=0")
+    assert code == 0 and report["bound"] == 16 and report["result"]["found"]["numbers"] == [0, 2]
 
 
 @pytest.mark.parametrize("kind, verify", [("thin", "e=0,i=1"), ("rainbow", "e=0")])
@@ -191,35 +209,38 @@ def test_diag_verify_names_a_value_that_is_not_an_integer(capsys, kind, verify, 
     assert f"--verify {key} must be an integer" in err, err
 
 
-@pytest.mark.parametrize("bound", ["1", "16"])
+@pytest.mark.parametrize("bound", ["1", "16", "-5"])
 @pytest.mark.parametrize(
     "kind, verify, key", [("thin", "e=0,i=-1", "i"), ("thin", "e=-1,i=0", "e"), ("rainbow", "e=-1", "e")]
 )
 def test_diag_verify_refuses_a_negative_value_at_any_bound(capsys, bound, kind, verify, key):
-    # refused before the search, so the bound cannot turn it into a result
+    # refused before the search, so the bound cannot turn it into a result;
+    # a negative --bound is refused first
     family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
     argv = ["diag", "--kind", kind, "--alpha", "1", "--family", family, "--verify", verify, "--bound", bound]
     err = _usage_error(capsys, argv)
-    assert f"--verify {key} must be a natural number" in err, err
+    option = "--bound" if bound.startswith("-") else f"--verify {key}"
+    assert f"{option} must be a natural number" in err, err
 
 
 def test_diag_bound_too_small_still_exits_clean(capsys):
     family = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}}])
-    code, report = run_json(
-        capsys,
-        "diag", "--kind", "thin", "--alpha", "1", "--family", family,
-        "--verify", "e=0,i=0", "--bound", "1",
-    )
-    assert code == 0 and report["result"]["reason"] == "bound-too-small"
+    argv = ["diag", "--kind", "thin", "--alpha", "1", "--family", family, "--verify", "e=0,i=0", "--bound"]
+    for bound in ("0", "1"):
+        code, report = run_json(capsys, *argv, bound)
+        assert code == 0 and report["result"]["reason"] == "bound-too-small", bound
+    # a negative bound is not too small but malformed
+    assert _usage_error(capsys, argv + ["-5"]) == "error: --bound must be a natural number, got -5\n"
 
 
 def test_usage_errors_exit_2(capsys):
     assert main(["ordertype", "--barrier", "derived-nonsense"]) == 2
     assert main(["reduce", "--name", "nope", "--barrier", "schreier", "--ground", "0..4"]) == 2
     assert main(["reduce", "--name", "fs-to-rt", "--barrier", "schreier", "--ground", "0..4"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["front", "--barrier", "schreier"])  # argparse: missing --ground
-    assert exc.value.code == 2
+    for argv in (["front", "--barrier", "schreier"], ["check", "--barrier", "schreier", "--ground", "0..6", "stray"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # argparse: a missing --ground, a stray argument
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("random", ["-1", "-2"])
@@ -356,17 +377,32 @@ def test_coloring_file_argument(tmp_path, capsys):
 
 
 def test_a_path_argument_that_cannot_be_read_exits_2(tmp_path, capsys):
-    # a directory exists but cannot be read as JSON: a usage error naming
-    # the path, not a BUG line
-    d = str(tmp_path)
-    for argv in (
-        ["check", "--barrier", d, "--ground", "0..5"],
-        ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", d, "--ground", "0..5"],
-        ["diag", "--kind", "thin", "--alpha", "w", "--family", d, "--verify", "e=0,i=0"],
-    ):
-        assert main(argv) == 2, argv
-        out = capsys.readouterr()
-        assert out.out == "" and len(out.err.splitlines()) == 1 and repr(d) in out.err, argv
+    # a directory, or a coloring or family file that is not there: a usage
+    # error naming the path, not a BUG line or a shape error
+    d, missing = str(tmp_path), str(tmp_path / "missing.json")
+    for path, reason in ((d, "Is a directory"), (missing, "No such file or directory")):
+        for argv in (
+            ["solve", "--property", "mono", "--barrier", "exact:1", "--coloring", path, "--ground", "0..5"],
+            ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--coloring", path, "--ground", "0..5"],
+            ["diag", "--kind", "thin", "--alpha", "w", "--family", path, "--verify", "e=0,i=0"],
+        ):
+            assert _usage_error(capsys, argv) == f"error: cannot read {path!r}: {reason}\n", argv
+    err = _usage_error(capsys, ["check", "--barrier", d, "--ground", "0..5"])
+    assert err == f"error: cannot read {d!r}: Is a directory\n"
+
+
+def test_a_file_never_shadows_a_barrier_shorthand(tmp_path, monkeypatch, capsys):
+    # shorthands are read before the filesystem; other text is a path, and
+    # text that names no file is a misspelt shorthand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schreier").write_text('"exact:1"')
+    (tmp_path / "exact:2").write_text("not JSON")
+    (tmp_path / "spec.json").write_text('{"plus": "schreier"}')
+    for barrier, label in (("schreier", "schreier"), ("exact:2", "exact:2"), ("spec.json", "plus(schreier)")):
+        code, report = run_json(capsys, "check", "--barrier", barrier, "--ground", "0..5")
+        assert code == 0 and report["barrier"] == label, barrier
+    err = _usage_error(capsys, ["check", "--barrier", "schriber", "--ground", "0..5"])
+    assert err == "error: bad barrier 'schriber': unknown barrier shorthand 'schriber'\n"
 
 
 @pytest.mark.parametrize(
@@ -392,18 +428,17 @@ def test_builtin_params_must_be_integers(capsys, params):
         ("exact:1", {"table": [[[0], 2.9], [[1], 0], [[2], 0]]}),
         ("exact:1", {"table": [[[0], 0], [[1], True], [[2], 0]]}),
         ("exact:1", {"table": [[[0], 0], [[1], 0], [["2"], 0]]}),
+        ("exact:1", {"table": [[[0], 0], [[True], 0]]}),
         ('{"exact": true}', {"builtin": "min"}),
         ('{"exact": "1"}', {"builtin": "min"}),
     ],
-    ids=["float-size", "float-color", "bool-color", "string-element", "bool-size", "string-size"],
+    ids=["float-size", "float-color", "bool-color", "string-element", "bool-element", "bool-size", "string-size"],
 )
 def test_json_numbers_must_be_integers(capsys, barrier, coloring):
     argv = ["solve", "--property", "mono", "--barrier", barrier, "--coloring", json.dumps(coloring),
             "--ground", "0..3", "--min-size", "1", "--json"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "must be an integer" in captured.err
-    assert captured.out == ""
+    err = _usage_error(capsys, argv)
+    assert err.startswith("error: ") and "must be an integer" in err
 
 
 def test_subset_searches_past_the_ground_cap_exit_2(capsys):
@@ -452,8 +487,9 @@ def test_flat_grounds_with_large_coordinates_exit_0(capsys):
 def test_a_ground_range_past_the_member_cap_is_refused_before_it_is_built(capsys):
     # one element past MAX_MEMBERS = 2^20; a range is refused by its length,
     # so a far longer one costs no more
-    err = _usage_error(capsys, ["front", "--barrier", "exact:0", "--ground", "0..1048577"])
-    assert "'0..1048577'" in err and "1048576" in err
+    for barrier, ground in (("exact:0", "0..1048577"), ("canonical:w", "0..99999999")):
+        err = _usage_error(capsys, ["front", "--barrier", barrier, "--ground", ground])
+        assert repr(ground) in err and "1048576" in err
 
 
 def _nested(key: str, leaf: str, depth: int) -> str:

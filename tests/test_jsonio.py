@@ -89,8 +89,8 @@ def test_coloring_from_json():
         ([[1], True], "a color must be an integer, got True"),
         ([[True], 0], "a sequence element must be an integer, got True"),
         ([["2"], 0], "a sequence element must be an integer, got '2'"),
-        ([[1]], "not enough values to unpack (expected 2, got 1)"),
-        ([[1], 0, 0], "too many values to unpack (expected 2)"),
+        ([[1]], "a table row must be a [sequence, color] pair, got [[1]]"),
+        ([[1], 0, 0], "a table row must be a [sequence, color] pair, got [[1], 0, 0]"),
         ([5, 0], "a table sequence must be an array, got 5"),
         (5, "a table row must be an array, got 5"),
     ],
