@@ -80,7 +80,7 @@ def table_coloring(
     name: str = "table",
     declared_bound: int | None = None,
 ) -> Coloring:
-    fixed = {as_seq(k): as_int(v, "a color") for k, v in table.items()}
+    fixed = {as_seq(k): as_int(v, "a color", 0) for k, v in table.items()}
     return _table_coloring(barrier, fixed, name, declared_bound)
 
 
@@ -109,19 +109,26 @@ def _no_end(name: str) -> NoReturn:
 
 
 BUILTIN_COLORINGS = ("const", "min", "max-plus-one", "min-parity", "size", "rank", "rank-div", "rank-mod")
+_BUILTIN_PARAMS = {"const": ("value",), "rank-div": ("k",), "rank-mod": ("m",)}  # the params each rule reads
 
 
-def _int_param(params: Mapping, key: str, default: int | None = None) -> int:
-    return as_int(params.get(key, default), f"builtin param {key!r}")
+def _int_param(params: Mapping, key: str, least: int, default: int | None = None) -> int:
+    return as_int(params.get(key, default), f"builtin param {key!r}", least)
 
 
 def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = None) -> Coloring:
     """Named rules: const {value}, min, max-plus-one, min-parity, size,
-    rank (injective), rank-div {k} (k-bounded), rank-mod {m}.  Params must
-    be integers; anything else raises ValueError."""
+    rank (injective), rank-div {k} (k-bounded), rank-mod {m}.  Params are
+    integers, value >= 0 and k, m >= 1; any other value, or a param the
+    rule does not read, raises ValueError."""
+    if name not in BUILTIN_COLORINGS:
+        raise ValueError(f"unknown builtin coloring {name!r}")
     params = dict(params or {})
+    for key in params:
+        if key not in _BUILTIN_PARAMS.get(name, ()):
+            raise ValueError(f"builtin coloring {name!r} reads no param {key!r}")
     if name == "const":
-        value = _int_param(params, "value", 0)
+        value = _int_param(params, "value", 0, 0)
         return Coloring(barrier, lambda ms: [value] * len(ms), name=f"const:{value}")
     if name == "min":
         return Coloring(barrier, lambda ms: [s[0] if s else _no_end(name) for s in ms], name="min")
@@ -134,16 +141,10 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
     if name == "rank":
         return _rank_coloring(barrier, "rank", int, bound=1)
     if name == "rank-div":
-        k = _int_param(params, "k")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        k = _int_param(params, "k", 1)
         return _rank_coloring(barrier, f"rank-div:{k}", lambda r: r // k, bound=k)
-    if name == "rank-mod":
-        m = _int_param(params, "m")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return _rank_coloring(barrier, f"rank-mod:{m}", lambda r: r % m)
-    raise ValueError(f"unknown builtin coloring {name!r}")
+    m = _int_param(params, "m", 1)
+    return _rank_coloring(barrier, f"rank-mod:{m}", lambda r: r % m)
 
 
 def check_bounded(f: Coloring, ground: Iterable[int]) -> tuple[bool, int]:

@@ -50,10 +50,17 @@ def _shape(value: Any, kind: type, what: str) -> Any:
     return value
 
 
-def _field(obj: dict, key: str, what: str) -> Any:
-    if key not in obj:
-        raise ValueError(f"{what} needs the key {key!r}, got {obj!r}")
-    return obj[key]
+def _object(value: Any, what: str, required: tuple[str, ...], optional: dict[str, Any] = {}) -> list:
+    """The values of an object's required keys, then of its optional keys,
+    each missing optional key read as its default.  Any other key, like a
+    missing required one, raises ValueError naming it, not the object."""
+    for key in _shape(value, dict, what):
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} takes no key {key!r}, only {', '.join(required + tuple(optional))}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return [value[key] for key in required] + [value.get(key, d) for key, d in optional.items()]
 
 
 def spec_to_json(spec: BarrierSpec) -> Any:
@@ -81,7 +88,10 @@ def spec_from_shorthand(text: str) -> BarrierSpec | None:
     if text == "schreier":
         return Schreier()
     if text.startswith("exact:"):
-        return ExactSize(int(text.split(":", 1)[1]))
+        size = text.split(":", 1)[1]
+        if not (size.isascii() and size.isdigit()):
+            raise ValueError(f"an exact size is written in the digits 0-9, got {text!r}")
+        return ExactSize(int(size))
     if text.startswith("canonical:"):
         return Canonical(parse_ordinal(text.split(":", 1)[1]))
     return None
@@ -108,17 +118,11 @@ def spec_from_json(obj: Any) -> BarrierSpec:
     if tag == "plus":
         return Plus(spec_from_json(value))
     if tag == "derived":
-        _shape(value, dict, "a derived spec")
-        return make_derived(
-            spec_from_json(_field(value, "inner", "a derived spec")),
-            as_int(_field(value, "n", "a derived spec"), "derived n"),
-        )
+        inner, n = _object(value, "a derived spec", ("inner", "n"))
+        return make_derived(spec_from_json(inner), as_int(n, "derived n"))
     if tag == "restrict":
-        _shape(value, dict, "a restrict spec")
-        return make_restrict(
-            spec_from_json(_field(value, "inner", "a restrict spec")),
-            ground_from_json(_field(value, "base", "a restrict spec")),
-        )
+        inner, base = _object(value, "a restrict spec", ("inner", "base"))
+        return make_restrict(spec_from_json(inner), ground_from_json(base))
     raise ValueError(f"unknown barrier constructor {tag!r}")
 
 
@@ -132,13 +136,11 @@ def ground_to_json(g: GroundSet) -> dict:
 def ground_from_json(obj: Any) -> GroundSet:
     if isinstance(obj, list):
         return GroundSet.of(as_int(x, "a ground element") for x in obj)
-    _shape(obj, dict, "a ground set")
-    tail = None
-    if obj.get("tail") is not None:
-        raw = _shape(obj["tail"], dict, "a ground set tail")
-        start = as_int(_field(raw, "start", "a ground set tail"), "tail start")
-        tail = Tail(start, as_int(raw.get("step", 1), "tail step"))
-    prefix = _shape(obj.get("prefix", []), list, "a ground set prefix")
+    prefix, tail = _object(obj, "a ground set", (), {"prefix": [], "tail": None})
+    if tail is not None:
+        start, step = _object(tail, "a ground set tail", ("start",), {"step": 1})
+        tail = Tail(as_int(start, "tail start"), as_int(step, "tail step"))
+    _shape(prefix, list, "a ground set prefix")
     return GroundSet(prefix=tuple(as_int(x, "a ground element") for x in prefix), tail=tail)
 
 
@@ -154,26 +156,24 @@ def _table(rows: list) -> dict:
         except ValueError:  # a row of another length
             raise ValueError(f"a table row must be a [sequence, color] pair, got {row!r}") from None
         seq = as_seq(_shape(seq, list, "a table sequence"))
-        table[seq] = as_int(color, "a color")
+        table[seq] = as_int(color, "a color", 0)
     return table
 
 
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     """{"table": [[seq, color], ...]} or {"builtin": name, "params": {...}},
-    optionally with "bound": k declared on either form."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a coloring is an object, got {obj!r}")
-    bound = obj.get("bound")
-    bound = as_int(bound, "bound") if bound is not None else None
-    if "table" in obj:
-        return _table_coloring(barrier, _table(_shape(obj["table"], list, "a coloring table")), "table", bound)
-    if "builtin" in obj:
-        params = _shape(obj.get("params") or {}, dict, "builtin params")
-        f = builtin_coloring(barrier, obj["builtin"], params)
-        if bound is not None:
-            f.declared_bound = bound
-        return f
-    raise ValueError("a coloring needs a 'table' or a 'builtin' key")
+    optionally with "bound": k >= 1 declared on either form."""
+    if "table" in _shape(obj, dict, "a coloring"):
+        rows, bound = _object(obj, "a table coloring", ("table",), {"bound": None})
+        f = _table_coloring(barrier, _table(_shape(rows, list, "a coloring table")), "table")
+    elif "builtin" in obj:
+        name, params, bound = _object(obj, "a builtin coloring", ("builtin",), {"params": {}, "bound": None})
+        f = builtin_coloring(barrier, _shape(name, str, "a builtin name"), _shape(params, dict, "builtin params"))
+    else:
+        raise ValueError(f"a coloring needs a 'table' or a 'builtin' key, got the keys {list(obj)}")
+    if bound is not None:
+        f.declared_bound = as_int(bound, "bound", 1)
+    return f
 
 
 def family_to_json(fam: OracleFamily) -> list:
@@ -186,9 +186,7 @@ def family_to_json(fam: OracleFamily) -> list:
 def family_from_json(obj: Any) -> OracleFamily:
     entries = []
     for row in _shape(obj, list, "an oracle family"):
-        _shape(row, dict, "an oracle family entry")
-        e = as_int(_field(row, "e", "an oracle family entry"), "entry e")
-        delay = as_int(row.get("delay", 0), "entry delay")
-        members = ground_from_json(_field(row, "set", "an oracle family entry"))
-        entries.append(OracleEntry(e=e, members=members, delay=delay))
+        e, members, delay = _object(row, "an oracle family entry", ("e", "set"), {"delay": 0})
+        e, delay = as_int(e, "entry e"), as_int(delay, "entry delay")
+        entries.append(OracleEntry(e=e, members=ground_from_json(members), delay=delay))
     return OracleFamily(tuple(entries))

@@ -25,11 +25,14 @@ __all__ = [
 ]
 
 
-def as_int(value: Any, what: str) -> int:
-    """``value`` if its type is ``int`` (so a ``bool`` is refused);
-    otherwise ValueError naming it as ``what``."""
+def as_int(value: Any, what: str, least: int | None = None) -> int:
+    """``value`` if its type is ``int`` (so a ``bool`` is refused) and it is
+    at least ``least`` when that is given; otherwise ValueError naming it
+    as ``what``."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 

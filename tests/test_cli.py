@@ -343,6 +343,51 @@ def test_malformed_json_shapes_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_SOLVE_MIN = ["solve", "--property", "mono", "--barrier", "exact:1", "--ground", "0..4", "--coloring"]
+_CHECK_EVENS = ["check", "--ground", "0..6", "--barrier"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diag", "--kind", "thin", "--alpha", "w", "--verify", "e=0,i=0",
+          "--family", '[{"e":0,"set":{"tail":{"start":0}},"dealy":3}]'],
+         "an oracle family entry takes no key 'dealy', only e, set, delay"),
+        (_CHECK_EVENS + ['{"restrict":{"inner":"schreier","base":{"prefx":[0],"tail":{"start":2,"step":2}}}}'],
+         "a ground set takes no key 'prefx', only prefix, tail"),
+        (_CHECK_EVENS + ['{"restrict":{"inner":"schreier","base":{"tail":{"start":0,"q":2}}}}'],
+         "a ground set tail takes no key 'q', only start, step"),
+        (_CHECK_EVENS + ['{"derived":{"inner":"schreier","n":1,"x":1}}'],
+         "a derived spec takes no key 'x', only inner, n"),
+        (_SOLVE_MIN + ['{"builtin":"const","params":{"value":3},"colour":3}'],
+         "a builtin coloring takes no key 'colour', only builtin, params, bound"),
+        (_SOLVE_MIN + ['{"table":[[[0],0]],"builtin":"min"}'],
+         "a table coloring takes no key 'builtin', only table, bound"),
+        (_SOLVE_MIN + ['{"builtin":"min","params":{"zzz":1}}'], "builtin coloring 'min' reads no param 'zzz'"),
+        (_SOLVE_MIN + ['{"builtin":"rank-div","params":{"k":2,"m":5}}'],
+         "builtin coloring 'rank-div' reads no param 'm'"),
+        (_SOLVE_MIN + ['{"table":[[[0],-5],[[1],-5]]}'], "a color must be >= 0, got -5"),
+        (_SOLVE_MIN + ['{"builtin":"min","bound":0}'], "bound must be >= 1, got 0"),
+        (_SOLVE_MIN + ['{"builtin":"const","params":{"value":-3}}'], "builtin param 'value' must be >= 0, got -3"),
+        (_SOLVE_MIN + ['{"builtin":"min","params":0}'], "builtin params must be an object, got 0"),
+        (["front", "--ground", "0..4", "--barrier", "exact:2_0"],
+         "an exact size is written in the digits 0-9, got 'exact:2_0'"),
+        (["front", "--ground", "0..4", "--barrier", "exact: 2"],
+         "an exact size is written in the digits 0-9, got 'exact: 2'"),
+        (["front", "--ground", "0..4", "--barrier", "exact:-0"],
+         "an exact size is written in the digits 0-9, got 'exact:-0'"),
+    ],
+    ids=["family-delay", "ground-prefix", "tail-step", "derived", "coloring", "table-and-builtin", "min-param",
+         "rank-div-param", "negative-color", "bound-0", "const-negative", "params-0", "exact-underscore",
+         "exact-space", "exact-minus-0"],
+)
+def test_input_the_schemas_refuse_exits_2(capsys, argv, message):
+    # Each of these exited 0: a misspelt key was dropped, so the command
+    # answered another question, and a value out of range was taken.  The
+    # line names the key (and the keys the object takes) or the value.
+    assert _usage_error(capsys, argv).endswith(f"{message}\n")
+
+
 def test_ordertype_derived_is_a_usage_error(capsys):
     code = main(["ordertype", "--barrier", json.dumps({"derived": {"inner": "schreier", "n": 2}})])
     assert code == 2

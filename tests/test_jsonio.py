@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -31,6 +32,7 @@ def load_schema(name: str):
     return json.loads((SCHEMA_DIR / name).read_text())
 
 
+@functools.cache
 def validator(name: str) -> Draft202012Validator:
     resources = [
         (f"barriers/{p.name}", Resource.from_contents(json.loads(p.read_text())))
@@ -48,12 +50,19 @@ def test_spec_roundtrip_and_schema(name):
     validator("barrier_spec.schema.json").validate(data)
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in SCHEMA_DIR.glob("*.json")))
+def test_every_schema_is_a_valid_schema(name):
+    # an invalid schema would make the agreement with the decoders vacuous
+    Draft202012Validator.check_schema(load_schema(name))
+
+
 def test_shorthand_specs():
     assert spec_from_json("schreier") == Schreier()
     assert spec_from_json("exact:3") == ExactSize(3)
     assert spec_from_json("canonical:w") == Canonical(OMEGA)
     assert spec_from_json({"plus": "schreier"}) == Plus(Schreier())
     assert spec_from_json({"product": ["exact:1", "schreier"]}) == Product(ExactSize(1), Schreier())
+    assert spec_from_json("exact:012") == ExactSize(12)
 
 
 def test_spec_from_json_rejects_garbage():
@@ -91,11 +100,12 @@ def test_coloring_from_json():
         ([["2"], 0], "a sequence element must be an integer, got '2'"),
         ([[1]], "a table row must be a [sequence, color] pair, got [[1]]"),
         ([[1], 0, 0], "a table row must be a [sequence, color] pair, got [[1], 0, 0]"),
+        ([[1], -5], "a color must be >= 0, got -5"),
         ([5, 0], "a table sequence must be an array, got 5"),
         (5, "a table row must be an array, got 5"),
     ],
-    ids=["float", "bool", "bool-element", "string", "short-row", "long-row", "non-list-sequence",
-         "non-list-row"],
+    ids=["float", "bool", "bool-element", "string", "short-row", "long-row", "negative-color",
+         "non-list-sequence", "non-list-row"],
 )
 def test_malformed_table_messages(row, message):
     # The first bad value is named, after good rows and before other bad ones.
@@ -228,6 +238,14 @@ DECODERS = {
 }
 
 
+SCHEMAS = {
+    "spec": "barrier_spec.schema.json",
+    "ground": "ground_set.schema.json",
+    "coloring": "coloring.schema.json",
+    "family": "oracle_family.schema.json",
+}
+
+
 @pytest.mark.parametrize("name", sorted(DECODERS))
 @settings(max_examples=200)
 @given(obj=JSON_VALUES)
@@ -236,8 +254,62 @@ DECODERS = {
 @example(obj={"restrict": {"inner": "schreier"}})
 @example(obj={"tail": {"step": 2}})
 @example(obj=[{"e": 0}])
+# keys and values that the schemas refuse, each once read without a word
+@example(obj=[{"e": 0, "set": [1, 2], "dealy": 3}])
+@example(obj={"restrict": {"inner": "schreier", "base": {"prefx": [0], "tail": {"start": 2}}}})
+@example(obj={"prefix": [0], "tail": {"start": 2, "q": 2}})
+@example(obj={"derived": {"inner": "schreier", "n": 1, "x": 1}})
+@example(obj={"builtin": "min", "colour": 3})
+@example(obj={"table": [[[0], 0]], "builtin": "min"})
+@example(obj={"builtin": "min", "bound": 0})
+@example(obj={"table": [[[0], -5], [[1], -5]]})
+@example(obj={"builtin": "min", "params": 0})
+@example(obj="exact:2_0")
 def test_decoders_return_or_raise_value_error(name, obj):
+    # and a document a decoder takes is one its schema accepts
     try:
         DECODERS[name](obj)
     except ValueError:
-        pass
+        return
+    validator(SCHEMAS[name]).validate(obj)
+
+
+_EXACT = "an exact size is written in the digits 0-9, got "
+
+
+@pytest.mark.parametrize(
+    "name, obj, message",
+    [
+        # a key the object does not take, named with the keys it takes (more
+        # in test_cli.py::test_input_the_schemas_refuse_exits_2)
+        ("spec", {"restrict": {"inner": "schreier", "base": {"tail": {"start": 0}}, "n": 1}},
+         "a restrict spec takes no key 'n', only inner, base"),
+        ("coloring", {"table": [], "params": {}}, "a table coloring takes no key 'params', only table, bound"),
+        ("coloring", {"colour": 3}, "a coloring needs a 'table' or a 'builtin' key, got the keys ['colour']"),
+        # a missing key, named without the object
+        ("ground", {"tail": {"step": 2}}, "a ground set tail needs the key 'start'"),
+        ("spec", {"restrict": {"base": [0]}}, "a restrict spec needs the key 'inner'"),
+        # values outside the schema's ranges
+        ("coloring", {"table": [[[0], 1]], "bound": -1}, "bound must be >= 1, got -1"),
+        ("coloring", {"builtin": "rank-div", "params": {"k": 0}}, "builtin param 'k' must be >= 1, got 0"),
+        ("coloring", {"builtin": "rank-mod", "params": {"m": -1}}, "builtin param 'm' must be >= 1, got -1"),
+        # params are an object (`or {}` once read 0, [], false and null as
+        # none) of the keys the builtin reads
+        ("coloring", {"builtin": "min", "params": []}, "builtin params must be an object, got []"),
+        ("coloring", {"builtin": "min", "params": False}, "builtin params must be an object, got False"),
+        ("coloring", {"builtin": "min", "params": None}, "builtin params must be an object, got None"),
+        ("coloring", {"builtin": "rank", "params": {"k": 2}}, "builtin coloring 'rank' reads no param 'k'"),
+        ("coloring", {"builtin": 5}, "a builtin name must be a string, got 5"),
+        # int() would read 2_0 as 20, and +2, " 2" and the Arabic-Indic 2 as 2
+        ("spec", "exact:+2", _EXACT + "'exact:+2'"),
+        ("spec", "exact:\u0662", _EXACT + "'exact:\u0662'"),
+        ("spec", "exact:", _EXACT + "'exact:'"),
+    ],
+    ids=["restrict", "table-params", "no-form", "tail-start",
+         "restrict-inner", "bound-negative", "k-0", "m-negative", "params-array", "params-false", "params-null",
+         "rank-k", "name-not-a-string", "exact-plus", "exact-arabic-indic", "exact-empty"],
+)
+def test_a_decoder_names_what_it_refuses(name, obj, message):
+    with pytest.raises(ValueError) as exc:
+        DECODERS[name](obj)
+    assert str(exc.value) == message

@@ -88,7 +88,7 @@ def test_fs_forward_matches_slow_reevaluation():
 
 
 def test_fs_forward_chain_tracking():
-    f = singles({0: 99, **{x: x - 2 for x in range(1, 9)}})
+    f = singles({0: 99, **{x: max(x - 2, 0) for x in range(1, 9)}})
     g = FreeToMonoColoring(f)
     g((5, 9))
     assert g.max_chain >= 2  # (5,9) -> (3,5) -> (1,3)
@@ -619,8 +619,9 @@ def test_free_to_mono_hops_are_shared_across_instances():
 
 def test_free_to_mono_hops_outside_the_base_raise():
     # (3, 5) is t = (2,) plus a coordinate; the color -3 lies below
-    # s_0 - 1 and sends the hop through -2.
-    negative = FreeToMonoColoring(singles({x: -3 for x in range(8)}))
+    # s_0 - 1 and sends the hop through -2.  No table or builtin takes a
+    # negative color, so a coloring of its own gives one.
+    negative = FreeToMonoColoring(Coloring(ExactSize(1), lambda ms: [-3] * len(ms)))
     with pytest.raises(NotInBaseError):
         negative((3, 5))
     # (5, 7) is t = (4,) over the evens; the color 1 sends the hop through 2,
