@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache
 from typing import Any
@@ -76,23 +77,35 @@ def parse_barrier_arg(text: str) -> BarrierSpec:
     return spec
 
 
+_INTEGER = re.compile(r" *-?[0-9]+ *")
+
+
+def _integer(text: str, what: str = "a number") -> int:
+    """text as an int: optional spaces, an optional '-', the digits 0-9 and
+    optional spaces (int() would also read '+', '_' and every Unicode digit).
+    The sign is read so that each caller's range check names the value."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"{what} must be an integer in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 def parse_ground_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            elems = range(int(lo), int(hi))
+            elems = range(_integer(lo, "a range end"), _integer(hi, "a range end"))
             if len(elems) > MAX_MEMBERS:  # refused before the tuple is built
                 raise ValueError(f"a range has more than {MAX_MEMBERS} elements; ranges are limited to that many")
             return tuple(elems)
-        return tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
+        return tuple(sorted({_integer(x, "a ground element") for x in text.split(",") if x.strip()}))
     except ValueError as exc:
         raise UsageError(f"bad ground set {text!r}: {exc}")
 
 
 def parse_seq_arg(text: str) -> tuple[int, ...]:
     try:
-        return as_seq(int(x) for x in text.split(",") if x.strip())
+        return as_seq(_integer(x, "a sequence element") for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"bad sequence {text!r}: {exc}")
 
@@ -260,10 +273,7 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
             raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {key!r}")
         if key in out:
             raise UsageError(f"--verify gives {key} twice")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise UsageError(f"--verify {key} must be an integer, got {value!r}") from None
+        out[key] = _integer(value, f"--verify {key}")
         if out[key] < 0:
             raise UsageError(f"--verify {key} must be a natural number, got {value!r}")
     return out
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variant", help="the k-variant of a member")
     p.add_argument("--barrier", required=True)
     p.add_argument("--seq", required=True, help="comma list, e.g. 2,4,5")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True, type=_integer)
     add_common(p)
     p.set_defaults(fn=cmd_variant)
 
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--barrier", required=True)
     p.add_argument("--coloring", required=True, help="JSON (inline or path)")
     p.add_argument("--ground", required=True)
-    p.add_argument("--min-size", type=int, default=1)
+    p.add_argument("--min-size", type=_integer, default=1)
     add_common(p)
     p.set_defaults(fn=cmd_solve)
 
@@ -346,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", help="JSON (inline or path)")
     p.add_argument("--ground", required=True)
     p.add_argument("--check", action="store_true", help="validate solutions exhaustively")
-    p.add_argument("--min-size", type=int, help="with --check, the least witness size (default 3)")
-    p.add_argument("--random", type=int, default=0, metavar="N", help="check N seeded random instances")
+    p.add_argument("--min-size", type=_integer, help="with --check, the least witness size (default 3)")
+    p.add_argument("--random", type=_integer, default=0, metavar="N", help="check N seeded random instances")
     p.add_argument("--adversarial", action="store_true", help="add the stress instances to the --random ones")
-    p.add_argument("--seed", type=int, help="with --random N, the seed of the instances (default 0)")
+    p.add_argument("--seed", type=_integer, help="with --random N, the seed of the instances (default 0)")
     add_common(p)
     p.set_defaults(fn=cmd_reduce)
 
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="ordinal, e.g. w")
     p.add_argument("--family", required=True, help="JSON (inline or path)")
     p.add_argument("--verify", required=True, help="e=0 or e=0,i=2")
-    p.add_argument("--bound", type=int, default=16, help="cap on the stage minimum")
+    p.add_argument("--bound", type=_integer, default=16, help="cap on the stage minimum")
     add_common(p)
     p.set_defaults(fn=cmd_diag)
 

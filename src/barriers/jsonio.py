@@ -41,12 +41,16 @@ __all__ = [
 ]
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", type(None): "null"}
 
 
 def _shape(value: Any, kind: type, what: str) -> Any:
+    """value, if it is of the JSON type kind; else ValueError naming the type
+    it is, not the value, which may be a whole document."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
     return value
 
 

@@ -11,9 +11,10 @@ the shape of canonical barriers.
 
 Text form, used by the CLI and JSON codecs: ``w^w + w^2*3 + 5``.
 
-Grammar (whitespace around tokens is optional)::
+Grammar (spaces around tokens are optional; a nat is written in the ASCII
+digits 0-9, and no other whitespace is read)::
 
-    ordinal := "0" | term ("+" term)*
+    ordinal := term ("+" term)*
     term    := nat | pow ("*" nat)?
     pow     := "w" | "w^" exp
     exp     := nat | "w" | "(" ordinal ")"
@@ -230,96 +231,57 @@ def _render(o: Ordinal) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise OrdinalParseError(f"bad character at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise OrdinalParseError(f"expected {expected or 'a token'}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def ordinal(self) -> Ordinal:
-        out = self.term()
-        while self.peek() == "+":
-            self.take("+")
-            out = add(out, self.term())
-        return out
-
-    def term(self) -> Ordinal:
-        tok = self.peek()
-        if tok is None:
-            raise OrdinalParseError("unexpected end of input")
+def _ordinal(tokens: list[str]) -> Ordinal:
+    """Read ``term ("+" term)*`` off the end of ``tokens`` (the text's tokens
+    reversed, above an end marker) and leave the tokens after it there."""
+    out = ZERO
+    while True:
+        tok = tokens.pop()
         if tok.isdigit():
-            self.take()
-            return Ordinal.from_int(int(tok))
-        if tok != "w":
-            raise OrdinalParseError(f"unexpected token {tok!r}")
-        self.take("w")
-        exp = ONE
-        if self.peek() == "^":
-            self.take("^")
-            exp = self.exponent()
-        out = omega_pow(exp)
-        if self.peek() == "*":
-            self.take("*")
-            coeff = self.take()
-            if not coeff.isdigit() or int(coeff) < 1:
-                raise OrdinalParseError(f"coefficient must be a positive int, got {coeff!r}")
-            out = mul(out, Ordinal.from_int(int(coeff)))
-        return out
-
-    def exponent(self) -> Ordinal:
-        tok = self.peek()
-        if tok is None:
-            raise OrdinalParseError("missing exponent")
-        if tok.isdigit():
-            self.take()
-            return Ordinal.from_int(int(tok))
-        if tok == "w":
-            self.take("w")
-            return OMEGA
-        if tok == "(":
-            self.take("(")
-            out = self.ordinal()
-            self.take(")")
+            term = Ordinal.from_int(int(tok))
+        elif tok != "w":
+            raise OrdinalParseError(f"expected a term, got {tok!r}")
+        else:
+            exp = ONE
+            if tokens[-1] == "^":
+                tokens.pop()
+                tok = tokens.pop()
+                if tok.isdigit():
+                    exp = Ordinal.from_int(int(tok))
+                elif tok == "w":
+                    exp = OMEGA
+                elif tok != "(":
+                    raise OrdinalParseError(f"bad exponent start {tok!r}")
+                else:
+                    exp = _ordinal(tokens)
+                    if tokens.pop() != ")":
+                        raise OrdinalParseError("expected ')'")
+            term = omega_pow(exp)
+            if tokens[-1] == "*":
+                tokens.pop()
+                tok = tokens.pop()
+                if not tok.isdigit() or int(tok) < 1:
+                    raise OrdinalParseError(f"coefficient must be a positive int, got {tok!r}")
+                term = mul(term, Ordinal.from_int(int(tok)))
+        out = add(out, term)
+        if tokens[-1] != "+":
             return out
-        raise OrdinalParseError(f"bad exponent start {tok!r}")
+        tokens.pop()
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the text form; canonical renderings round-trip exactly.
 
-    Non-canonical sums like ``1 + w`` are folded with ordinal addition, so
-    they parse to the value of the expression (here ``w``).
+    Tokens are numbers in the digits 0-9 and the characters ``w^*+()``,
+    separated by spaces only.  Non-canonical sums like ``1 + w`` are folded
+    with ordinal addition, so they parse to the value of the expression
+    (here ``w``).
     """
-    if text.strip() == "0":
-        return ZERO
-    parser = _Parser(_tokenize(text))
-    out = parser.ordinal()
-    if parser.peek() is not None:
-        raise OrdinalParseError(f"trailing tokens at {parser.tokens[parser.pos:]}")
+    bad = re.search(r"[^0-9w^*+() ]", text)
+    if bad is not None:
+        raise OrdinalParseError(f"bad character {bad.group()!r} at position {bad.start()}")
+    tokens = ["the end", *reversed(re.findall(r"[0-9]+|[^ ]", text))]
+    out = _ordinal(tokens)
+    if len(tokens) > 1:
+        raise OrdinalParseError(f"unexpected {tokens[-1]!r} after the ordinal")
     return out

@@ -42,6 +42,7 @@ from .barrier import (
     BarrierSpec,
     InternalInvariantError,
     Plus,
+    _base_test,
     _variant,
     front,
     base_members,
@@ -80,7 +81,8 @@ class FreeToMonoColoring(Coloring):
 
         v in t                                        -> 0
         v < s_0 - 1, or v strictly inside a gap
-        (s_i - 1, s_{i+1} - 1) with i < n-1           -> 1 - g(s[v+1])
+        (s_i - 1, s_{i+1} - 1) with i < n-1           -> 1 - g(s[v+1]), or 0 if
+                                                         v is outside the base
         v strictly inside (s_{n-1} - 1, s_n - 1)      -> 0
         otherwise (v = s_n - 1 or v >= s_n)           -> 1
 
@@ -89,10 +91,12 @@ class FreeToMonoColoring(Coloring):
     The members with one prefix p = s[:-1] share t and k = v + 1: ``memo``
     maps each prefix reached to its k, fetched for all new prefixes of a
     batch by one ``f.colors_of`` call.  A member at or below k takes 1;
-    above k it takes 0 when k is in p or above max(p), and otherwise hops to
-    the member with k inserted, whose value it negates.  So all members of p
-    above k share one hop, and ``above`` maps each prefix that hops to that
-    value and the hop depth below it; ``max_chain`` holds the largest depth.
+    above k it takes 0 when k is in p, above max(p) or outside the base (then
+    v lies outside the base of ``f.barrier`` and no solution contains it),
+    and otherwise hops to the member with k inserted, whose value it
+    negates.  So all members of p above k share one hop, and ``above`` maps
+    each prefix that hops to that value and the hop depth below it;
+    ``max_chain`` holds the largest depth.
     A hop target depends on the barrier, the member and k alone, so hops
     are shared across instances on one barrier (:func:`_variant` is cached).
     """
@@ -103,6 +107,7 @@ class FreeToMonoColoring(Coloring):
         self.above: dict[Seq, tuple[int, int]] = {}  # prefix that hops -> (value, depth)
         self.max_chain = 0
         super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})")
+        self.in_base = _base_test(self.barrier)
 
     def _eval(self, s: Seq) -> int:
         # The chain holds the prefixes waiting for their variant's value.
@@ -117,15 +122,14 @@ class FreeToMonoColoring(Coloring):
             if cur[-1] <= k:
                 value, depth = 1, 0
                 break
-            if p and (k in p or k > p[-1]):
+            if p and (k in p or k > p[-1]) or not self.in_base(k):
                 value, depth = 0, 0
                 break
             if p in self.above:
                 value, depth = self.above[p]
                 break
             chain.append(p)
-            # k lies below max(cur) and outside cur; the step raises
-            # NotInBaseError at k if it lies outside the base.
+            # k lies in the base, below max(cur) and outside cur
             cur = _variant(self.barrier, cur, k)
         for p in reversed(chain):
             value = 1 - value

@@ -369,7 +369,7 @@ _CHECK_EVENS = ["check", "--ground", "0..6", "--barrier"]
         (_SOLVE_MIN + ['{"table":[[[0],-5],[[1],-5]]}'], "a color must be >= 0, got -5"),
         (_SOLVE_MIN + ['{"builtin":"min","bound":0}'], "bound must be >= 1, got 0"),
         (_SOLVE_MIN + ['{"builtin":"const","params":{"value":-3}}'], "builtin param 'value' must be >= 0, got -3"),
-        (_SOLVE_MIN + ['{"builtin":"min","params":0}'], "builtin params must be an object, got 0"),
+        (_SOLVE_MIN + ['{"builtin":"min","params":0}'], "builtin params must be an object, got an integer"),
         (["front", "--ground", "0..4", "--barrier", "exact:2_0"],
          "an exact size is written in the digits 0-9, got 'exact:2_0'"),
         (["front", "--ground", "0..4", "--barrier", "exact: 2"],
@@ -557,14 +557,59 @@ def _nested_ordinal(depth: int) -> str:
         ["check", "--barrier", _nested("plus", '"schreier"', 3000), "--ground", "0..6"],
         ["solve", "--property", "mono", "--barrier", "schreier", "--coloring",
          '{"table": ' + "[" * 3000 + "]" * 3000 + "}", "--ground", "0..6"],
-        ["ordertype", "--barrier", "canonical:" + _nested_ordinal(400)],
+        ["ordertype", "--barrier", "canonical:" + _nested_ordinal(3000)],
     ],
-    ids=["plus-500", "barrier-json-3000", "coloring-json-3000", "ordinal-400"],
+    ids=["plus-500", "barrier-json-3000", "coloring-json-3000", "ordinal-3000"],
 )
 def test_deeply_nested_input_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: input nested too deeply\n" and captured.out == ""
+
+
+_EVENS_FAMILY = json.dumps([{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}])
+_DIAG_THIN = ["diag", "--kind", "thin", "--family", _EVENS_FAMILY]
+_REDUCE_CHECK = ["reduce", "--name", "fs-to-rt", "--barrier", "exact:1", "--ground", "0..5", "--check"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordertype", "--barrier", "canonical:w^\u0662"],
+        _DIAG_THIN + ["--alpha", "\u0662", "--verify", "e=0,i=1"],
+        ["front", "--barrier", "schreier", "--ground", "0..1_0"],
+        ["front", "--barrier", "schreier", "--ground", "\u0660,\u0663,+7"],
+        ["variant", "--barrier", "schreier", "--seq", "2,4,5", "--k", "\u0663"],
+        _DIAG_THIN + ["--alpha", "w", "--verify", "e=0,i=1", "--bound", "1_6"],
+        ["ordertype", "--barrier", "canonical:w +\t1"],
+        ["ordertype", "--barrier", "canonical:\nw"],
+        ["variant", "--barrier", "schreier", "--seq", "2,\u0664,5", "--k", "3"],
+        _DIAG_THIN + ["--alpha", "w", "--verify", "e=\u0660,i=1"],
+        _SOLVE_MIN + ['{"builtin":"min"}', "--min-size", "+1"],
+        _REDUCE_CHECK + ["--random", "\u0662"],
+        _REDUCE_CHECK + ["--random", "1", "--seed", "1_0"],
+        _REDUCE_CHECK + ["--random", "1", "--min-size", "\t3"],
+    ],
+    ids=["canonical-arabic-indic", "alpha-arabic-indic", "ground-underscore", "ground-arabic-indic-and-plus",
+         "k-arabic-indic", "bound-underscore", "canonical-tab", "canonical-newline", "seq-arabic-indic",
+         "verify-arabic-indic", "min-size-plus", "random-arabic-indic", "seed-underscore", "min-size-tab"],
+)
+def test_numbers_in_text_are_ascii_digits(capsys, argv):
+    # int() reads '_', '+', tabs and every Unicode digit; the CLI reads none
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the value of an option
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "Traceback" not in out.err, out
+
+
+def test_a_document_of_the_wrong_type_is_named_by_its_type(capsys):
+    # a 300-row table given bare, not as {"table": ...}, is not echoed back
+    rows = json.dumps([[[x], 0] for x in range(300)])
+    err = _usage_error(capsys, _SOLVE_MIN + [rows])
+    assert err == "error: a coloring must be an object, got an array\n"
+    assert len(err) < 80
 
 
 def test_diag_rainbow_collision_on_a_long_stage(capsys):

@@ -101,8 +101,8 @@ def test_coloring_from_json():
         ([[1]], "a table row must be a [sequence, color] pair, got [[1]]"),
         ([[1], 0, 0], "a table row must be a [sequence, color] pair, got [[1], 0, 0]"),
         ([[1], -5], "a color must be >= 0, got -5"),
-        ([5, 0], "a table sequence must be an array, got 5"),
-        (5, "a table row must be an array, got 5"),
+        ([5, 0], "a table sequence must be an array, got an integer"),
+        (5, "a table row must be an array, got an integer"),
     ],
     ids=["float", "bool", "bool-element", "string", "short-row", "long-row", "negative-color",
          "non-list-sequence", "non-list-row"],
@@ -217,6 +217,11 @@ _KEYS = ["exact", "schreier", "canonical", "product", "plus", "derived", "restri
          "base", "prefix", "tail", "start", "step", "table", "builtin", "params", "bound", "value",
          "k", "m", "e", "set", "delay"]
 _TEXTS = ["schreier", "exact:2", "exact:x", "canonical:w", "canonical:w^", "const", "rank-div", "min"]
+# shorthand text over the characters its grammars read and a few they refuse:
+# a tab, a newline, '_' and the Arabic-Indic 2
+_SHORTHANDS = st.builds(
+    str.__add__, st.sampled_from(["canonical:", "exact:"]), st.text("w0123456789^*+() \t\n\u0662_", max_size=8)
+)
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -224,6 +229,7 @@ JSON_VALUES = st.recursive(
     | st.integers(min_value=-3, max_value=40)
     | st.floats()  # json.loads accepts NaN and Infinity
     | st.sampled_from(_TEXTS)
+    | _SHORTHANDS
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(_KEYS + ["", "x"]), inner, max_size=3),
@@ -265,6 +271,7 @@ SCHEMAS = {
 @example(obj={"table": [[[0], -5], [[1], -5]]})
 @example(obj={"builtin": "min", "params": 0})
 @example(obj="exact:2_0")
+@example(obj="canonical:\nw")
 def test_decoders_return_or_raise_value_error(name, obj):
     # and a document a decoder takes is one its schema accepts
     try:
@@ -295,11 +302,11 @@ _EXACT = "an exact size is written in the digits 0-9, got "
         ("coloring", {"builtin": "rank-mod", "params": {"m": -1}}, "builtin param 'm' must be >= 1, got -1"),
         # params are an object (`or {}` once read 0, [], false and null as
         # none) of the keys the builtin reads
-        ("coloring", {"builtin": "min", "params": []}, "builtin params must be an object, got []"),
-        ("coloring", {"builtin": "min", "params": False}, "builtin params must be an object, got False"),
-        ("coloring", {"builtin": "min", "params": None}, "builtin params must be an object, got None"),
+        ("coloring", {"builtin": "min", "params": []}, "builtin params must be an object, got an array"),
+        ("coloring", {"builtin": "min", "params": False}, "builtin params must be an object, got a boolean"),
+        ("coloring", {"builtin": "min", "params": None}, "builtin params must be an object, got null"),
         ("coloring", {"builtin": "rank", "params": {"k": 2}}, "builtin coloring 'rank' reads no param 'k'"),
-        ("coloring", {"builtin": 5}, "a builtin name must be a string, got 5"),
+        ("coloring", {"builtin": 5}, "a builtin name must be a string, got an integer"),
         # int() would read 2_0 as 20, and +2, " 2" and the Arabic-Indic 2 as 2
         ("spec", "exact:+2", _EXACT + "'exact:+2'"),
         ("spec", "exact:\u0662", _EXACT + "'exact:\u0662'"),

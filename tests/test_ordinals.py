@@ -206,7 +206,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("w^", "5 +", "(w", "w**2", "x"):
+    for bad in ("w^", "5 +", "(w", "w**2", "x", "w w", "w)", "w*0", "", "1_0", "w^+7", "w^\u0662", "w +\t1", "\nw"):
         with pytest.raises(OrdinalParseError):
             parse_ordinal(bad)
 

@@ -17,8 +17,8 @@ from barriers.barrier import (
     OVERRUN,
     PROPER_PREFIX,
     Canonical,
+    Derived,
     ExactSize,
-    NotInBaseError,
     Plus,
     Product,
     Restrict,
@@ -617,19 +617,32 @@ def test_free_to_mono_hops_are_shared_across_instances():
     assert check_reduction("fs-to-rt", second, range(9), 3) == shared
 
 
-def test_free_to_mono_hops_outside_the_base_raise():
-    # (3, 5) is t = (2,) plus a coordinate; the color -3 lies below
-    # s_0 - 1 and sends the hop through -2.  No table or builtin takes a
-    # negative color, so a coloring of its own gives one.
+def test_free_to_mono_colors_hops_outside_the_base_0():
+    # A hop through k = v + 1 outside the plus barrier's base would mean v
+    # outside the base of f.barrier, so no H contains v: the member takes 0
+    # with no hop, as for v in t.  (3, 5) is t = (2,) plus a coordinate; the
+    # color -3 lies below s_0 - 1 and would hop through -2.  No table or
+    # builtin takes a negative color, so a coloring of its own gives one.
     negative = FreeToMonoColoring(Coloring(ExactSize(1), lambda ms: [-3] * len(ms)))
-    with pytest.raises(NotInBaseError):
-        negative((3, 5))
-    # (5, 7) is t = (4,) over the evens; the color 1 sends the hop through 2,
+    assert negative((3, 5)) == 0
+    # (5, 7) is t = (4,) over the evens; the color 1 would hop through 2,
     # and 2 is in the plus barrier's base only if 1 is in the evens.
     evens = Restrict(ExactSize(1), EVENS)
-    odd = FreeToMonoColoring(table_coloring(evens, {(x,): 1 for x in range(0, 10, 2)}))
-    with pytest.raises(NotInBaseError):
-        odd((5, 7))
+    odd = table_coloring(evens, {(x,): 1 for x in range(0, 12, 2)})
+    assert FreeToMonoColoring(odd)((5, 7)) == 0
+    report = check_reduction("fs-to-rt", odd, range(12), 3)
+    assert report.checked_witnesses > 0 and not report.counterexamples
+
+
+def test_free_to_mono_is_sound_where_k_leaves_the_base():
+    # the random and stress instances hop through k outside the plus base
+    # of these barriers; each check agrees with the brute force
+    red = REDUCTIONS["fs-to-rt"]
+    for spec in (Derived(Schreier(), 2), Restrict(Schreier(), EVENS)):
+        for f in instances(red, spec, range(9)):
+            report = check_reduction(red, f, range(9), 2)
+            assert (report.checked_witnesses, list(report.counterexamples)) == brute_check(red, f, range(9), 2)
+            assert not report.counterexamples, (spec, f.name)
 
 
 def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
