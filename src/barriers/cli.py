@@ -39,7 +39,7 @@ from .barrier import (
     variant,
 )
 from .diag import StagedColoring, verify_defeat_rainbow, verify_defeat_thin
-from .jsonio import coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
+from .jsonio import _clip, coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
 from .solver import PROPERTIES, find
@@ -73,7 +73,7 @@ def parse_barrier_arg(text: str) -> BarrierSpec:
             except FileNotFoundError:
                 spec = spec_from_json(text)  # raises: unknown barrier shorthand
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad barrier {text!r}: {exc}")
+        raise UsageError(f"bad barrier {_clip(text)}: {exc}")
     return spec
 
 
@@ -85,7 +85,7 @@ def _integer(text: str, what: str = "a number") -> int:
     optional spaces (int() would also read '+', '_' and every Unicode digit).
     The sign is read so that each caller's range check names the value."""
     if _INTEGER.fullmatch(text) is None:
-        raise ValueError(f"{what} must be an integer in the digits 0-9, got {text!r}")
+        raise ValueError(f"{what} must be an integer in the digits 0-9, got {_clip(text)}")
     return int(text)
 
 
@@ -100,14 +100,14 @@ def parse_ground_arg(text: str) -> tuple[int, ...]:
             return tuple(elems)
         return tuple(sorted({_integer(x, "a ground element") for x in text.split(",") if x.strip()}))
     except ValueError as exc:
-        raise UsageError(f"bad ground set {text!r}: {exc}")
+        raise UsageError(f"bad ground set {_clip(text)}: {exc}")
 
 
 def parse_seq_arg(text: str) -> tuple[int, ...]:
     try:
         return as_seq(_integer(x, "a sequence element") for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise UsageError(f"bad sequence {text!r}: {exc}")
+        raise UsageError(f"bad sequence {_clip(text)}: {exc}")
 
 
 # --- commands ---------------------------------------------------------------
@@ -262,20 +262,23 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 
 def _parse_verify(text: str, kind: str) -> dict[str, int]:
-    """The key=value pairs of --verify: each a key the kind reads (e and i
-    for thin, e for rainbow), given once, with a natural number."""
+    """The key=value pairs of --verify: each key the kind reads (e and i for
+    thin, e for rainbow), given once, with a natural number."""
     keys = ("e", "i") if kind == "thin" else ("e",)
     out: dict[str, int] = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in keys:
-            raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {key!r}")
+            raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {_clip(key)}")
         if key in out:
             raise UsageError(f"--verify gives {key} twice")
         out[key] = _integer(value, f"--verify {key}")
         if out[key] < 0:
             raise UsageError(f"--verify {key} must be a natural number, got {value!r}")
+    for key in keys:
+        if key not in out:
+            raise UsageError(f"{kind} verification needs {' and '.join(keys)}, missing {key}")
     return out
 
 
@@ -286,11 +289,7 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     family = family_from_json(_load_json_arg(args.family))
     col = StagedColoring(args.kind, alpha, family)
     params = _parse_verify(args.verify, args.kind)
-    if "e" not in params:
-        raise UsageError("--verify needs e=<index>")
     if args.kind == "thin":
-        if "i" not in params:
-            raise UsageError("thin verification needs i=<color>")
         result = verify_defeat_thin(col, params["e"], params["i"], args.bound)
     else:
         result = verify_defeat_rainbow(col, params["e"], args.bound)

@@ -45,6 +45,13 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an in
                bool: "a boolean", type(None): "null"}
 
 
+def _clip(value: Any) -> str:
+    """repr(value) for an error line, cut to 80 characters: the value may be
+    a whole document."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _shape(value: Any, kind: type, what: str) -> Any:
     """value, if it is of the JSON type kind; else ValueError naming the type
     it is, not the value, which may be a whole document."""
@@ -60,7 +67,7 @@ def _object(value: Any, what: str, required: tuple[str, ...], optional: dict[str
     missing required one, raises ValueError naming it, not the object."""
     for key in _shape(value, dict, what):
         if key not in required and key not in optional:
-            raise ValueError(f"{what} takes no key {key!r}, only {', '.join(required + tuple(optional))}")
+            raise ValueError(f"{what} takes no key {_clip(key)}, only {', '.join(required + tuple(optional))}")
     for key in required:
         if key not in value:
             raise ValueError(f"{what} needs the key {key!r}")
@@ -94,7 +101,7 @@ def spec_from_shorthand(text: str) -> BarrierSpec | None:
     if text.startswith("exact:"):
         size = text.split(":", 1)[1]
         if not (size.isascii() and size.isdigit()):
-            raise ValueError(f"an exact size is written in the digits 0-9, got {text!r}")
+            raise ValueError(f"an exact size is written in the digits 0-9, got {_clip(text)}")
         return ExactSize(int(size))
     if text.startswith("canonical:"):
         return Canonical(parse_ordinal(text.split(":", 1)[1]))
@@ -105,10 +112,11 @@ def spec_from_json(obj: Any) -> BarrierSpec:
     if isinstance(obj, str):
         spec = spec_from_shorthand(obj)
         if spec is None:
-            raise ValueError(f"unknown barrier shorthand {obj!r}")
+            raise ValueError(f"unknown barrier shorthand {_clip(obj)}")
         return spec
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"a barrier spec is a shorthand string or a one-key object, got {obj!r}")
+        got = f"{len(obj)} keys" if isinstance(obj, dict) else _JSON_TYPES.get(type(obj), type(obj).__name__)
+        raise ValueError(f"a barrier spec is a shorthand string or a one-key object, got {got}")
     (tag, value), = obj.items()
     if tag == "exact":
         return ExactSize(as_int(value, "exact size"))
@@ -117,8 +125,9 @@ def spec_from_json(obj: Any) -> BarrierSpec:
     if tag == "canonical":
         return Canonical(parse_ordinal(_shape(value, str, "a canonical index")))
     if tag == "product":
-        left, right = _shape(value, list, "product factors")
-        return make_product(spec_from_json(left), spec_from_json(right))
+        if len(_shape(value, list, "product factors")) != 2:
+            raise ValueError(f"a product has two factors, got {len(value)}")
+        return make_product(*map(spec_from_json, value))
     if tag == "plus":
         return Plus(spec_from_json(value))
     if tag == "derived":
@@ -127,7 +136,7 @@ def spec_from_json(obj: Any) -> BarrierSpec:
     if tag == "restrict":
         inner, base = _object(value, "a restrict spec", ("inner", "base"))
         return make_restrict(spec_from_json(inner), ground_from_json(base))
-    raise ValueError(f"unknown barrier constructor {tag!r}")
+    raise ValueError(f"unknown barrier constructor {_clip(tag)}")
 
 
 def ground_to_json(g: GroundSet) -> dict:
@@ -158,7 +167,7 @@ def _table(rows: list) -> dict:
         try:
             seq, color = row
         except ValueError:  # a row of another length
-            raise ValueError(f"a table row must be a [sequence, color] pair, got {row!r}") from None
+            raise ValueError(f"a table row must be a [sequence, color] pair, got {_clip(row)}") from None
         seq = as_seq(_shape(seq, list, "a table sequence"))
         table[seq] = as_int(color, "a color", 0)
     return table

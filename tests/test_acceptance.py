@@ -31,7 +31,7 @@ from barriers.reduction import REDUCTIONS, adversarial_instances, check_reductio
 from barriers.seqs import GroundSet, Tail
 
 import oracles
-from conftest import SPEC_POOL
+from conftest import EXTRA_POOL, SPEC_POOL
 
 GROUND_AXIOMS = tuple(range(20))  # [0..19]
 GROUND_REDUCTIONS = tuple(range(15))  # [0..14]
@@ -39,11 +39,14 @@ MIN_WITNESS_SIZE = 3
 RANDOM_INSTANCES = 100
 BASE_SEED = 20240801
 
+# In this order, so that each barrier keeps its seeds as the grid grows.
 REDUCTION_BARRIERS = {
+    "canonical:w": Canonical(OMEGA),
     "exact:1": ExactSize(1),
     "exact:2": ExactSize(2),
     "schreier": Schreier(),
-    "canonical:w": Canonical(OMEGA),
+    "derived(schreier, 2)": SPEC_POOL["derived(schreier, 2)"],
+    "restrict(schreier, evens)": EXTRA_POOL["restrict(schreier, evens)"],
 }
 
 REDUCTION_ARMS = (
@@ -123,7 +126,7 @@ def criterion_5() -> dict:
     arms = {}
     ok = True
     for arm_idx, (red_name, bound) in enumerate(REDUCTION_ARMS):
-        for b_idx, (b_name, spec) in enumerate(sorted(REDUCTION_BARRIERS.items())):
+        for b_idx, (b_name, spec) in enumerate(REDUCTION_BARRIERS.items()):
             instances = [
                 random_instance(
                     red_name,

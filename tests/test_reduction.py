@@ -502,6 +502,47 @@ def test_twin_forwards_color_each_member_once(spec):
                 g((0, 1, 2, 3, 4, 5, 6, 7) if spec != ExactSize(1) else (0, 1))
 
 
+# --- a forward reads the instance only below the member it colors ---------------
+
+
+def reads_above(red, f, ground):
+    """The target members s whose color, from a fresh forward asked for s
+    alone, reads f at a member t with max(t) > max(s) - red.shift.  Each s
+    gets its own forward, since the fs-to-rt memo and the twin counts' rank
+    prefix are shared across a batch."""
+    out = []
+    for s in front(red.forward(f).barrier, red.target_ground(base_members(f.barrier, ground))):
+        counted, calls = counting(f)
+        red.forward(counted).colors_of([s])
+        if any(max(t) > max(s) - red.shift for t in calls):
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_a_forward_reads_the_instance_only_below_the_member_it_colors(name):
+    # the forward instance is computed from f uniformly, reading f only at
+    # members that lie below the one it colors; on criterion 5's barriers
+    red = REDUCTIONS[name]
+    for spec in (ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA), Derived(Schreier(), 2),
+                 Restrict(Schreier(), EVENS)):
+        for f in instances(red, spec, range(10)):
+            assert reads_above(red, f, range(10)) == [], (name, spec_label(spec), f.name)
+
+
+def test_a_look_ahead_forward_is_caught():
+    # a forward that colors every member by f at the rank-last member of the table
+    members = front(Schreier(), range(10))
+    top = max(members, key=rank_key)
+
+    def look_ahead(f):
+        return Coloring(f.barrier, lambda ms: f.colors_of([top]) * len(ms))
+
+    red = replace(REDUCTIONS["ts-to-fs"], forward=look_ahead)
+    f = random_instance(red, Schreier(), range(10), seed=1)
+    assert reads_above(red, f, range(10)) == [s for s in members if max(s) < max(top)] != []
+
+
 # --- the shared front index carries no coloring state -----------------------------
 
 
