@@ -58,7 +58,7 @@ from operator import and_, le, neg
 from typing import Callable, Iterable, Sequence, Union
 
 from .ordinals import OMEGA, Ordinal, fund_seq, mul, omega_pow, pred
-from .seqs import GroundSet, Seq, as_seq, insert_sorted
+from .seqs import GroundSet, Seq, _clip, as_seq, insert_sorted
 
 __all__ = [
     "Classification",
@@ -81,14 +81,12 @@ __all__ = [
     "in_base",
     "base_members",
     "MAX_GROUND",
-    "capped_base",
     "has_sets",
     "point_set",
     "up_closure",
     "up_closure2",
     "MAX_MEMBERS",
     "FRONT_CACHE",
-    "front_key",
     "indexed_front",
     "capped_front",
     "classify",
@@ -244,19 +242,6 @@ def base_members(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
 
 
 MAX_GROUND = 20  # base elements of a ground set whose subsets are all scanned
-
-
-def capped_base(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
-    """base_members, refused with ValueError past MAX_GROUND elements: the
-    scans over every subset of the base (density, find, check_reduction)
-    cost up to 2^n."""
-    g = base_members(spec, ground)
-    if len(g) > MAX_GROUND:
-        raise ValueError(
-            f"the ground has {len(g)} base elements; scans over all its subsets are "
-            f"limited to {MAX_GROUND} (they cost 2^n)"
-        )
-    return g
 
 
 @lru_cache(maxsize=None)  # one entry per n <= MAX_GROUND
@@ -439,14 +424,18 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
     An ExactSize(k) residual (EMPTY included) is emitted whole: its members
     are ``prefix + t`` for the k-subsets t of g[start:], in lex order, with
     masks ``mask`` plus the sums of the same k-subsets of bits[start:], cut
-    off past MAX_MEMBERS.  Any other residual takes the children g[j] in
-    turn and stops at the first whose residual needs more coordinates
-    (:func:`_need`, from the next coordinate g[j+1] on) than the n-1-j left
-    above g[j].  Stopping there skips no member: the bound never decreases
-    as x grows, since the residual after x needs no fewer coordinates (only
-    Schreier, after x: x more, and a limit canonical index, after x: one
-    more chain factor, read x) and a larger lo never lowers a bound."""
+    off past MAX_MEMBERS, and none for a k past len(g) - start, which never
+    reaches combinations (it cannot take a k past sys.maxsize).  Any other
+    residual takes the children g[j] in turn and stops at the first whose
+    residual needs more coordinates (:func:`_need`, from the next coordinate
+    g[j+1] on) than the n-1-j left above g[j].  Stopping there skips no
+    member: the bound never decreases as x grows, since the residual after
+    x needs no fewer coordinates (only Schreier, after x: x more, and a
+    limit canonical index, after x: one more chain factor, read x) and a
+    larger lo never lowers a bound."""
     if type(r) is ExactSize:
+        if r.size > len(g) - start:
+            return
         room = MAX_MEMBERS + 1 - len(out)
         out.extend(islice(map(prefix.__add__, combinations(g[start:], r.size)), room))
         masks.extend(islice(map(mask.__add__, map(sum, combinations(bits[start:], r.size))), room))
@@ -459,13 +448,6 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
         if _need(child, g[j + 1] if j < last else g[j] + 1, last - j) > last - j:
             return
         _walk(child, g, bits, j + 1, prefix + (g[j],), mask + bits[j], out, masks)
-
-
-def front_key(spec: BarrierSpec, ground: Iterable[int]) -> tuple[BarrierSpec, Seq]:
-    """What a front depends on: the normal form of the spec and the base
-    inside the ground set.  Restrict and Derived bases are applied here, so
-    specs with one normal form share their fronts."""
-    return _norm(spec), base_members(spec, ground)
 
 
 @lru_cache(maxsize=FRONT_CACHE)
@@ -482,10 +464,14 @@ def indexed_front(r: BarrierSpec, g: Seq) -> tuple[tuple[Seq, ...], tuple[int, .
 
 
 def capped_front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, tuple[Seq, ...], tuple[int, ...]]:
-    """``(g, members, masks)``: the :func:`capped_base` g of the ground set
-    and the kept front of the spec inside it (:func:`indexed_front`), for
-    the checks that read the masks over g."""
-    g = capped_base(spec, ground)
+    """``(g, members, masks)``: the base g inside the ground set and the kept
+    front of the spec inside it, for the checks that scan every subset of g
+    (density, find, check_reduction), at a cost of up to 2^n; so a base of
+    more than :data:`MAX_GROUND` elements raises ValueError."""
+    g = base_members(spec, ground)
+    if len(g) > MAX_GROUND:
+        raise ValueError(f"the ground has {len(g)} base elements; scans over all its subsets are limited to "
+                         f"{MAX_GROUND} (they cost 2^n)")
     return (g, *indexed_front(_norm(spec), g))
 
 
@@ -506,7 +492,7 @@ def _member(spec: BarrierSpec, s: Iterable[int]) -> Seq:
     otherwise."""
     seq = as_seq(s)
     if classify(spec, seq) is not ELEMENT:
-        raise ValueError(f"{seq} is not a member")
+        raise ValueError(f"{_clip(seq)} is not a member")
     return seq
 
 
@@ -549,9 +535,10 @@ def front(spec: BarrierSpec, ground: Iterable[int]) -> tuple[Seq, ...]:
 
     Non-base elements of the ground set are ignored.  A front of more than
     :data:`MAX_MEMBERS` members raises ValueError.  Fronts are kept by
-    (normal form, base), see :func:`indexed_front`.
+    (normal form, base) (:func:`indexed_front`), so specs with one normal
+    form share their fronts; Restrict and Derived bases apply here.
     """
-    return indexed_front(*front_key(spec, ground))[0]
+    return indexed_front(_norm(spec), base_members(spec, ground))[0]
 
 
 def sperner_of_masks(masks: Iterable[int], n: int) -> bool:
@@ -634,11 +621,11 @@ def variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     if not seq:
         raise VariantRangeError("variant of the empty member")
     if not in_base(spec, k):
-        raise NotInBaseError(f"{k} is not in the base")
+        raise NotInBaseError(f"{_clip(k)} is not in the base")
     if k in seq:
-        raise ValueError(f"{k} already occurs in {seq}")
+        raise ValueError(f"{_clip(k)} already occurs in {_clip(seq)}")
     if k >= seq[-1]:
-        raise VariantRangeError(f"{k} is not below max{seq}; use append_variant")
+        raise VariantRangeError(f"{_clip(k)} is not below max{_clip(seq)}; use append_variant")
     return _variant(spec, seq, k)
 
 
@@ -663,10 +650,10 @@ def append_variant(spec: BarrierSpec, s: Iterable[int], k: int) -> Seq:
     if not seq:
         raise VariantRangeError("append_variant of the empty member")
     if not in_base(spec, k):
-        raise NotInBaseError(f"{k} is not in the base")
+        raise NotInBaseError(f"{_clip(k)} is not in the base")
     low = seq[-2] if len(seq) >= 2 else -1
     if not (low < k < seq[-1]):
-        raise VariantRangeError(f"{k} is not in the last gap of {seq}")
+        raise VariantRangeError(f"{_clip(k)} is not in the last gap of {_clip(seq)}")
     out = seq[:-1] + (k,)
     if classify(spec, out) is not ELEMENT:
         raise InternalInvariantError(f"BUG: {out} is not a member")
@@ -724,10 +711,10 @@ def make_product(left: BarrierSpec, right: BarrierSpec) -> Product:
 
 def make_derived(inner: BarrierSpec, n: int) -> Derived:
     if n < 0 or not in_base(inner, n):
-        raise ValueError(f"{n} is not in the base")
+        raise ValueError(f"{_clip(n)} is not in the base")
     t = classify(inner, (n,))
     if t not in (ELEMENT, PROPER_PREFIX):
-        raise ValueError(f"({n},) does not extend to a member")
+        raise ValueError(f"({_clip(n)},) does not extend to a member")
     return Derived(inner, n)
 
 
@@ -746,12 +733,21 @@ def rank_key(s: Seq) -> tuple[int, Seq]:
     return (s[-1] if s else -1, s)
 
 
+def _table_ground(top: int) -> range:
+    """0..top, the ground of a table of the members with max <= top; past
+    MAX_MEMBERS elements, ValueError before anything reads it."""
+    if top >= MAX_MEMBERS:
+        raise ValueError(f"a table up to {_clip(top)} reads more than {MAX_MEMBERS} ground elements; "
+                         "tables are limited to that many")
+    return range(top + 1)
+
+
 @lru_cache(maxsize=256)
 def ranked_up_to(spec: BarrierSpec, top: int) -> dict[Seq, int]:
     """The rank table up to top: member -> rank for every member with max
     coordinate <= top, its keys in rank order, so a sequence with max <= top
     that is missing is not a member."""
-    return {s: i for i, s in enumerate(sorted(front(spec, range(top + 1)), key=rank_key))}
+    return {s: i for i, s in enumerate(sorted(front(spec, _table_ground(top)), key=rank_key))}
 
 
 def rank_of(spec: BarrierSpec, members: Sequence[Seq]) -> tuple[int, list[int]]:

@@ -18,6 +18,7 @@ are half-open ranges ``a..b`` (so ``0..6`` means 0,1,2,3,4,5) or comma lists.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -39,11 +40,11 @@ from .barrier import (
     variant,
 )
 from .diag import StagedColoring, verify_defeat_rainbow, verify_defeat_thin
-from .jsonio import _clip, coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
+from .jsonio import coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
 from .solver import PROPERTIES, find
-from .seqs import as_seq
+from .seqs import _clip, as_seq
 
 __all__ = ["main"]
 
@@ -94,10 +95,10 @@ def parse_ground_arg(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            elems = range(_integer(lo, "a range end"), _integer(hi, "a range end"))
-            if len(elems) > MAX_MEMBERS:  # refused before the tuple is built
+            lo, hi = _integer(lo, "a range end"), _integer(hi, "a range end")
+            if hi - lo > MAX_MEMBERS:  # before the tuple is built; len() of a range stops at sys.maxsize
                 raise ValueError(f"a range has more than {MAX_MEMBERS} elements; ranges are limited to that many")
-            return tuple(elems)
+            return tuple(range(lo, hi))
         return tuple(sorted({_integer(x, "a ground element") for x in text.split(",") if x.strip()}))
     except ValueError as exc:
         raise UsageError(f"bad ground set {_clip(text)}: {exc}")
@@ -193,13 +194,13 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
     if args.name not in REDUCTIONS:
-        raise UsageError(f"unknown reduction {args.name!r}; pick from {sorted(REDUCTIONS)}")
+        raise UsageError(f"unknown reduction {_clip(args.name)}; pick from {sorted(REDUCTIONS)}")
     red = REDUCTIONS[args.name]
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
 
     if args.random < 0:
-        raise UsageError(f"--random must be at least 0, got {args.random}")
+        raise UsageError(f"--random must be at least 0, got {_clip(args.random)}")
     if not args.check and (args.random > 1 or args.adversarial):
         raise UsageError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
     if args.adversarial and not args.random:
@@ -275,7 +276,7 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
             raise UsageError(f"--verify gives {key} twice")
         out[key] = _integer(value, f"--verify {key}")
         if out[key] < 0:
-            raise UsageError(f"--verify {key} must be a natural number, got {value!r}")
+            raise UsageError(f"--verify {key} must be a natural number, got {_clip(value)}")
     for key in keys:
         if key not in out:
             raise UsageError(f"{kind} verification needs {' and '.join(keys)}, missing {key}")
@@ -284,7 +285,7 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
 
 def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     if args.bound < 0:
-        raise UsageError(f"--bound must be a natural number, got {args.bound}")
+        raise UsageError(f"--bound must be a natural number, got {_clip(args.bound)}")
     alpha = parse_ordinal(args.alpha)
     family = family_from_json(_load_json_arg(args.family))
     col = StagedColoring(args.kind, alpha, family)
@@ -416,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:  # only a JSON argument opens a file: a missing path or a directory, say
-        print(f"error: cannot read {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        name = _clip(exc.filename) if exc.errno == errno.ENAMETOOLONG else repr(exc.filename)
+        print(f"error: cannot read {name}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # a library bug must not read as a counterexample (exit 1)
         print(json.dumps({"BUG": f"{type(exc).__name__}: {exc}"}, sort_keys=True))

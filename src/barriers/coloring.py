@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .barrier import BarrierSpec, _member, front, rank_of
-from .seqs import Seq, as_int, as_seq
+from .seqs import Seq, _clip, as_int, as_seq
 
 __all__ = [
     "Coloring",
@@ -94,7 +94,7 @@ def _table_coloring(
         try:
             return list(map(fixed.__getitem__, members))
         except KeyError as exc:
-            raise PartialColoringError(f"coloring {name!r} has no value for {exc.args[0]}") from None
+            raise PartialColoringError(f"coloring {name!r} has no value for {_clip(exc.args[0])}") from None
 
     return Coloring(barrier, batch, name=name, declared_bound=declared_bound)
 
@@ -122,11 +122,11 @@ def builtin_coloring(barrier: BarrierSpec, name: str, params: Mapping | None = N
     integers, value >= 0 and k, m >= 1; any other value, or a param the
     rule does not read, raises ValueError."""
     if name not in BUILTIN_COLORINGS:
-        raise ValueError(f"unknown builtin coloring {name!r}")
+        raise ValueError(f"unknown builtin coloring {_clip(name)}")
     params = dict(params or {})
     for key in params:
         if key not in _BUILTIN_PARAMS.get(name, ()):
-            raise ValueError(f"builtin coloring {name!r} reads no param {key!r}")
+            raise ValueError(f"builtin coloring {name!r} reads no param {_clip(key)}")
     if name == "const":
         value = _int_param(params, "value", 0, 0)
         return Coloring(barrier, lambda ms: [value] * len(ms), name=f"const:{value}")

@@ -42,7 +42,7 @@ from .barrier import (
 )
 from .coloring import Coloring
 from .ordinals import Ordinal
-from .seqs import GroundSet, Seq, as_seq
+from .seqs import GroundSet, Seq, _clip, as_seq
 
 __all__ = [
     "pair",
@@ -111,7 +111,7 @@ class OracleFamily:
         seen = set()
         for entry in self.entries:
             if entry.e in seen:
-                raise ValueError(f"duplicate oracle index {entry.e}")
+                raise ValueError(f"duplicate oracle index {_clip(entry.e)}")
             seen.add(entry.e)
 
     def get(self, e: int) -> OracleEntry | None:

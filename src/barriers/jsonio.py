@@ -27,7 +27,7 @@ from .barrier import (
 from .coloring import Coloring, _table_coloring, builtin_coloring
 from .diag import OracleEntry, OracleFamily
 from .ordinals import parse_ordinal
-from .seqs import GroundSet, Tail, as_int, as_seq
+from .seqs import GroundSet, Tail, _clip, as_int, as_seq
 
 __all__ = [
     "spec_to_json",
@@ -43,13 +43,6 @@ __all__ = [
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", float: "a number",
                bool: "a boolean", type(None): "null"}
-
-
-def _clip(value: Any) -> str:
-    """repr(value) for an error line, cut to 80 characters: the value may be
-    a whole document."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _shape(value: Any, kind: type, what: str) -> Any:
@@ -183,7 +176,7 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
         name, params, bound = _object(obj, "a builtin coloring", ("builtin",), {"params": {}, "bound": None})
         f = builtin_coloring(barrier, _shape(name, str, "a builtin name"), _shape(params, dict, "builtin params"))
     else:
-        raise ValueError(f"a coloring needs a 'table' or a 'builtin' key, got the keys {list(obj)}")
+        raise ValueError(f"a coloring needs a 'table' or a 'builtin' key, got the keys {_clip(list(obj))}")
     if bound is not None:
         f.declared_bound = as_int(bound, "bound", 1)
     return f

@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .seqs import _clip
+
 __all__ = [
     "Ordinal",
     "ZERO",
@@ -261,7 +263,7 @@ def _ordinal(tokens: list[str]) -> Ordinal:
                 tokens.pop()
                 tok = tokens.pop()
                 if not tok.isdigit() or int(tok) < 1:
-                    raise OrdinalParseError(f"coefficient must be a positive int, got {tok!r}")
+                    raise OrdinalParseError(f"coefficient must be a positive int, got {_clip(tok)}")
                 term = mul(term, Ordinal.from_int(int(tok)))
         out = add(out, term)
         if tokens[-1] != "+":
@@ -283,5 +285,5 @@ def parse_ordinal(text: str) -> Ordinal:
     tokens = ["the end", *reversed(re.findall(r"[0-9]+|[^ ]", text))]
     out = _ordinal(tokens)
     if len(tokens) > 1:
-        raise OrdinalParseError(f"unexpected {tokens[-1]!r} after the ordinal")
+        raise OrdinalParseError(f"unexpected {_clip(tokens[-1])} after the ordinal")
     return out

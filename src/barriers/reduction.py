@@ -43,6 +43,7 @@ from .barrier import (
     InternalInvariantError,
     Plus,
     _base_test,
+    _table_ground,
     _variant,
     front,
     base_members,
@@ -51,7 +52,7 @@ from .barrier import (
     ranked_up_to,
 )
 from .coloring import BoundViolationError, Coloring, _table_coloring
-from .seqs import Seq, seq_minus
+from .seqs import Seq, _clip, seq_minus
 from .solver import FrontIndex, drop_preimage, in_order
 
 __all__ = [
@@ -205,7 +206,8 @@ def rrt_rt_forward(f: Coloring) -> Coloring:
         counts = []
         for s, (color, count) in zip(members, place.fill(members)):
             if count >= k:
-                raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}; declared bound {k}")
+                raise BoundViolationError(
+                    f"color {_clip(color)} occurs {count + 1} times up to {_clip(s)}; declared bound {k}")
             counts.append(count)
         return counts
 
@@ -226,7 +228,7 @@ def rrt2_fs_forward(f: Coloring) -> Coloring:
         out = []
         for s, (color, count) in zip(members, place.fill(members)):
             if count > 1:
-                raise BoundViolationError(f"color {color} occurs {count + 1} times up to {s}")
+                raise BoundViolationError(f"color {_clip(color)} occurs {count + 1} times up to {_clip(s)}")
             if not count:
                 out.append(0)
                 continue
@@ -363,12 +365,13 @@ def check_reduction(
     if isinstance(red, str):
         red = REDUCTIONS[red]
     if min_size < 0:
-        raise ValueError(f"min_size must be >= 0, got {min_size}")
+        raise ValueError(f"min_size must be >= 0, got {_clip(min_size)}")
     g = base_members(f.barrier, ground)
+    tg = red.target_ground(g)
     gvals = red.forward(f)
-    target = FrontIndex(gvals, red.target_ground(g))
+    target = FrontIndex(gvals, tg)
     source = FrontIndex(f, g)
-    if target.g != red.target_ground(source.g):
+    if target.g != tg:
         raise ValueError(
             f"{red.name}: the forward barrier's base inside the target ground is {list(target.g)}, "
             f"not the source base {list(source.g)} shifted by {red.shift}"
@@ -403,7 +406,7 @@ def _tabled_front(spec: BarrierSpec, g: tuple[int, ...]) -> tuple[Seq, ...]:
     its hops reach, and the twin counts at every member of lower rank; both
     may lie below max(g) and outside g.  On a ground 0..n this is the
     ground's front."""
-    return front(spec, range(max(g, default=-1) + 1))
+    return front(spec, _table_ground(max(g, default=-1)))
 
 
 def random_instance(

@@ -25,14 +25,21 @@ __all__ = [
 ]
 
 
+def _clip(value: Any) -> str:
+    """repr(value) for an error line, cut to 60 characters: the value may be
+    a whole document, and a line may echo it twice."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def as_int(value: Any, what: str, least: int | None = None) -> int:
     """``value`` if its type is ``int`` (so a ``bool`` is refused) and it is
     at least ``least`` when that is given; otherwise ValueError naming it
     as ``what``."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_clip(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value}")
+        raise ValueError(f"{what} must be >= {least}, got {_clip(value)}")
     return value
 
 
@@ -42,11 +49,11 @@ def as_seq(values: Iterable[int]) -> Seq:
     s = tuple(values)
     for i, x in enumerate(s):
         if type(x) is not int:
-            raise ValueError(f"a sequence element must be an integer, got {x!r}")
+            raise ValueError(f"a sequence element must be an integer, got {_clip(x)}")
         if x < 0:
-            raise ValueError(f"sequence entries must be naturals, got {x!r}")
+            raise ValueError(f"sequence entries must be naturals, got {_clip(x)}")
         if i > 0 and s[i - 1] >= x:
-            raise ValueError(f"sequence must be strictly increasing, got {s}")
+            raise ValueError(f"sequence must be strictly increasing, got {_clip(s)}")
     return s
 
 
@@ -65,7 +72,7 @@ def seq_minus(s: Seq) -> Seq:
 def insert_sorted(s: Seq, k: int) -> Seq:
     """Insert k into an increasing sequence; k must not be present."""
     if k in s:
-        raise ValueError(f"{k} already occurs in {s}")
+        raise ValueError(f"{_clip(k)} already occurs in {_clip(s)}")
     return tuple(sorted(s + (k,)))
 
 
@@ -78,7 +85,7 @@ class Tail:
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.step < 1:
-            raise ValueError(f"bad tail {self.start}/{self.step}")
+            raise ValueError(f"bad tail {_clip(self.start)}/{_clip(self.step)}")
 
     def __contains__(self, x: int) -> bool:
         return x >= self.start and (x - self.start) % self.step == 0

@@ -54,6 +54,7 @@ from .barrier import (
     up_closure2,
 )
 from .coloring import Coloring
+from .seqs import _clip
 
 __all__ = [
     "PROPERTIES",
@@ -154,11 +155,6 @@ def drop_preimage(s: int, n: int, end: str) -> int:
     return out
 
 
-def _positions(g: tuple[int, ...]) -> dict[int, int]:
-    n = len(g)
-    return {x: n - 1 - i for i, x in enumerate(g)}
-
-
 class FrontIndex:
     """The front inside a ground set with one color per member.
 
@@ -177,7 +173,7 @@ class FrontIndex:
     def __init__(self, f: Coloring, ground: Iterable[int]):
         self.g, self.members, self.masks = capped_front(f.barrier, ground)
         n = len(self.g)
-        self.pos = _positions(self.g)
+        self.pos = {x: n - 1 - i for i, x in enumerate(self.g)}
         self.colors = f.colors_of(self.members)
         self.all = (1 << (1 << n)) - 1
         self.layers = size_layers(n)
@@ -254,7 +250,7 @@ def find(
     if property not in PROPERTIES:
         raise ValueError(f"unknown property {property!r}")
     if min_size < 0:
-        raise ValueError(f"min_size must be >= 0, got {min_size}")
+        raise ValueError(f"min_size must be >= 0, got {_clip(min_size)}")
     index = FrontIndex(f, ground)
     if property != "thin":
         universe = ()

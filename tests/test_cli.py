@@ -332,6 +332,34 @@ def test_a_closed_stdout_exits_with_the_commands_code_and_no_traceback():
     assert b"Traceback" not in err and err == b"", err
 
 
+_HUGE = 10**24  # past sys.maxsize, which combinations() and len() cannot take
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["check", "--barrier", f"exact:{_HUGE}", "--ground", "0..5"], "front_size", 0),
+    (["check", "--barrier", f"canonical:{_HUGE}", "--ground", "0..5"], "front_size", 0),
+    (["check", "--barrier", json.dumps({"derived": {"inner": "schreier", "n": _HUGE}}), "--ground", "0..5"],
+     "front_size", 0),
+    (["front", "--barrier", f"exact:{_HUGE}", "--ground", "0..5"], "count", 0),
+    # no member inside the witness, so it has no color
+    (_solve(_MIN, f"exact:{_HUGE}", "0..5"), "witness", {"h": [0], "property": "mono", "detail": None}),
+], ids=["check-exact", "check-canonical", "check-derived", "front", "solve"])
+def test_a_size_past_the_ground_has_an_empty_front(capsys, argv, key, value):
+    # these exited 3 with an OverflowError BUG line
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report[key] == value, report
+
+
+def test_a_table_top_at_the_member_cap_is_built(capsys):
+    # the rank table reads 0..top; a restriction keeps its front to two members
+    barrier = json.dumps({"restrict": {"inner": "exact:1", "base": {"prefix": [0], "tail": {"start": 1048575}}}})
+    code, report = run_json(capsys, *_solve('{"builtin":"rank"}', barrier, "0,1048575"), "--min-size", "2")
+    assert code == 0 and report["witness"] is None
+    assert _usage_error(capsys, _solve('{"builtin":"rank"}', barrier, "0,1048576")) == (
+        "error: a table up to 1048576 reads more than 1048576 ground elements; tables are limited to that many\n"
+    )
+
+
 def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):
     # A library bug must never read as "counterexamples found" (exit 1).
     def broken(spec, ground):
@@ -352,6 +380,22 @@ def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):
 
 _CHECK_EVENS = ["check", "--ground", "0..6", "--barrier"]
 _ROWS_300 = json.dumps([[[x], 0] for x in range(300)])
+_X3000, _D3000 = "x" * 3000, "1" + "0" * 2999
+_EXACT_TEXT, _ORDINAL_TEXT = json.dumps({"exact": _D3000}), f"canonical:w {_D3000}"
+_NEG = -int(_D3000)
+_TAIL_TEXT = json.dumps({"restrict": {"inner": "schreier", "base": {"tail": {"start": 0, "step": _NEG}}}})
+_DERIVED_TEXT = json.dumps({"derived": {"inner": "schreier", "n": _NEG}})
+_COEFFICIENT_TEXT = "canonical:w*" + "0" * 3000
+_UP_800, _DOWN_800 = tuple(range(800)), tuple(range(1000, 200, -1))
+_TEXT_UP_800, _TEXT_DOWN_800 = ",".join(map(str, _UP_800)), ",".join(map(str, _DOWN_800))
+
+
+def _cut(value) -> str:
+    """How a refusal echoes a value: its repr, cut to 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 _NOT_A_SPEC = ": a barrier spec is a shorthand string or a one-key object, got an array\n"
 REFUSALS = [
     *[(f"variant_of_the_empty_member_is_a_usage_error[{spec}]", ["variant", "--barrier", spec, "--seq", "", "--k", k,
@@ -490,6 +534,16 @@ REFUSALS = [
     *[("a_ground_range_past_the_member_cap_is_refused_before_it_is_built", ["front", "--barrier", barrier, "--ground",
        ground], f"bad ground set '{ground}': a range has more than 1048576")
       for barrier, ground in (("exact:0", "0..1048577"), ("canonical:w", "0..99999999"))],
+    ("a_ground_range_past_the_member_cap_is_refused_before_it_is_built",
+     ["check", "--barrier", "schreier", "--ground", f"0..{_HUGE}"],
+     f"error: bad ground set '0..{_HUGE}': a range has more than 1048576 elements; ranges are limited to that many\n"),
+    # a rank table and an instance table read 0..top, refused as a ground range is
+    *[(f"a_table_top_past_the_member_cap_is_refused_before_it_is_built[{case}]", argv,
+       f"error: a table up to {top} reads more than 1048576 ground elements; tables are limited to that many\n")
+      for case, argv, top in (
+          ("rank", _solve('{"builtin":"rank"}', ground=f"0,{_HUGE}") + ["--min-size", "1"], _HUGE),
+          ("instance", ["reduce", "--name", "ts-to-rt", "--barrier", "exact:1", "--ground", f"{_HUGE}..{_HUGE + 3}",
+                        "--random", "1"], _HUGE + 2))],
     ("diag_stages_past_the_coordinate_cap_exit_2",
      ["diag", "--kind", "thin", "--alpha", "w*2", "--family",
       '[{"e":0,"set":{"prefix":[],"tail":{"start":0,"step":2}},"delay":0}]', "--verify", "e=0,i=0"],
@@ -513,19 +567,68 @@ REFUSALS = [
         ("verify-arabic-indic", _DIAG_THIN + ["--alpha", "w", "--verify", "e=\u0660,i=1"],
          "--verify e must be an integer in the digits 0-9, got '\u0660'"))],
     # a value of the wrong type is named by its type, and a refusal echoes at
-    # most 80 characters of an argument (the 300 rows took 7 KB)
+    # most 60 characters of an argument (the 300 rows took 7 KB)
     ("a_document_of_the_wrong_type_is_named_by_its_type", _SOLVE_MIN + [_ROWS_300],
      "error: a coloring must be an object, got an array\n"),
     *[(f"a_refusal_echoes_at_most_80_characters_of_an_argument[{case}]", argv, line) for case, argv, line in (
         ("barrier-300-row-array", ["check", "--barrier", _ROWS_300, "--ground", "0..4"],
-         f"error: bad barrier '{_ROWS_300[:76]}...{_NOT_A_SPEC}"),
+         f"error: bad barrier '{_ROWS_300[:56]}...{_NOT_A_SPEC}"),
         ("plus-300-row-array", ["check", "--barrier", f'{{"plus": {_ROWS_300}}}', "--ground", "0..4"], _NOT_A_SPEC),
         ("table-row-500-elements", _SOLVE_MIN + [json.dumps({"table": [[[0], 0], [[1]] + [0] * 500]})],
          "a table row must be a [sequence, color] pair, got [[1], 0, 0, "),
         ("ground-2000-elements", ["front", "--barrier", "schreier", "--ground", ",".join(map(str, range(2000))) + ",x"],
          "...: a ground element must be an integer in the digits 0-9, got 'x'\n"),
         ("product-three-factors", ["ordertype", "--barrier", '{"product": ["schreier", "schreier", "schreier"]}'],
-         "a product has two factors, got 3\n"))],
+         "a product has two factors, got 3\n"),
+        # each of these printed one line of 3 to 4 KB
+        ("builtin-name", _SOLVE_MIN + [json.dumps({"builtin": _X3000})],
+         f"error: unknown builtin coloring {_cut(_X3000)}\n"),
+        ("param-key", _SOLVE_MIN + [json.dumps({"builtin": "min", "params": {_X3000: 1}})],
+         f"error: builtin coloring 'min' reads no param {_cut(_X3000)}\n"),
+        ("exact-size-text", _CHECK_EVENS + [_EXACT_TEXT],
+         f"error: bad barrier {_cut(_EXACT_TEXT)}: exact size must be an integer, got {_cut(_D3000)}\n"),
+        ("ordinal-trailing-number", ["ordertype", "--barrier", _ORDINAL_TEXT],
+         f"error: bad barrier {_cut(_ORDINAL_TEXT)}: unexpected {_cut(_D3000)} after the ordinal\n"),
+        ("barrier-names-no-file", ["check", "--barrier", _X3000, "--ground", "0..4"],
+         f"error: cannot read {_cut(_X3000)}: File name too long\n"),
+        ("table-sequence", _SOLVE_MIN + [json.dumps({"table": [[list(_DOWN_800), 0]]})],
+         f"error: sequence must be strictly increasing, got {_cut(_DOWN_800)}\n"),
+        ("variant-sequence", ["variant", "--barrier", "schreier", "--seq", _TEXT_DOWN_800, "--k", "3"],
+         f"error: bad sequence {_cut(_TEXT_DOWN_800)}: sequence must be strictly increasing, got {_cut(_DOWN_800)}\n"),
+        ("variant-not-a-member", ["variant", "--barrier", "schreier", "--seq", _TEXT_UP_800, "--k", "3"],
+         f"error: {_cut(_UP_800)} is not a member\n"),
+        ("variant-k-not-below-max", ["variant", "--barrier", "exact:800", "--seq", _TEXT_UP_800, "--k", "900"],
+         f"error: 900 is not below max{_cut(_UP_800)}; use append_variant\n"),
+        ("variant-k-occurs", ["variant", "--barrier", "exact:800", "--seq", _TEXT_UP_800, "--k", "5"],
+         f"error: 5 already occurs in {_cut(_UP_800)}\n"),
+        ("variant-k-digits", ["variant", "--barrier", "schreier", "--seq", "2,4,5", "--k", _D3000],
+         f"error: {_cut(int(_D3000))} is not below max(2, 4, 5); use append_variant\n"),
+        ("reduction-name", ["reduce", "--name", _X3000, "--barrier", "schreier", "--ground", "0..4"],
+         f"error: unknown reduction {_cut(_X3000)}; pick from {sorted(REDUCTIONS)}\n"),
+        ("verify-value", _DIAG_THIN + ["--alpha", "1", "--verify", f"e={_NEG},i=0"],
+         f"error: --verify e must be a natural number, got {_cut(str(_NEG))}\n"),
+        ("bound", _diag("thin", "e=0,i=0", "--bound", str(_NEG)),
+         f"error: --bound must be a natural number, got {_cut(_NEG)}\n"),
+        ("random", _FS_TO_RT + ["--random", str(_NEG)], f"error: --random must be at least 0, got {_cut(_NEG)}\n"),
+        *[(f"min-size-{argv[0]}", argv + ["--min-size", str(_NEG)], f"error: min_size must be >= 0, got {_cut(_NEG)}\n")
+          for argv in (_solve(_MIN), _FS_TO_RT + ["--random", "1", "--check"])],
+        ("oracle-index", ["diag", "--kind", "thin", "--alpha", "1", "--verify", "e=0,i=0", "--family",
+                          json.dumps([{"e": -_NEG, "set": [1]}, {"e": -_NEG, "set": [2]}])],
+         f"error: duplicate oracle index {_cut(-_NEG)}\n"),
+        ("tail-step", _CHECK_EVENS + [_TAIL_TEXT], f"error: bad barrier {_cut(_TAIL_TEXT)}: bad tail 0/{_cut(_NEG)}\n"),
+        ("derived-n", _CHECK_EVENS + [_DERIVED_TEXT],
+         f"error: bad barrier {_cut(_DERIVED_TEXT)}: {_cut(_NEG)} is not in the base\n"),
+        ("ordinal-coefficient", ["ordertype", "--barrier", _COEFFICIENT_TEXT],
+         f"error: bad barrier {_cut(_COEFFICIENT_TEXT)}: coefficient must be a positive int, got {_cut('0' * 3000)}\n"),
+        ("coloring-keys", _SOLVE_MIN + [json.dumps({_X3000: 1})],
+         f"error: a coloring needs a 'table' or a 'builtin' key, got the keys {_cut([_X3000])}\n"),
+        ("variant-k-below-the-base", ["variant", "--barrier", "schreier", "--seq", "2,4,5", "--k", str(_NEG)],
+         f"error: {_cut(_NEG)} is not in the base\n"),
+        ("table-gap", _solve('{"table": [[[0], 0]]}', ground=f"0,{-_NEG}"),
+         f"error: coloring 'table' has no value for {_cut((-_NEG,))}\n"),
+        ("bound-violation", ["reduce", "--name", "rrt-to-rt", "--barrier", "exact:1", "--ground", "0..6", "--check",
+                             "--coloring", json.dumps({"table": [[[x], -_NEG] for x in range(6)], "bound": 2})],
+         f"error: color {_cut(-_NEG)} occurs 3 times up to (2,); declared bound 2\n"))],
 ]
 
 ARGPARSE_REFUSALS = [
@@ -583,6 +686,7 @@ globals().update(_refusal_tests())
 # --- the CLI contract over drawn commands -------------------------------------
 
 _POOL_BARRIERS = [json.dumps(spec_to_json(spec)) for spec in SPEC_POOL.values()] + list(EMPTY_FRONT_BARRIERS)
+_POOL_BARRIERS.append(f"exact:{2**64}")  # no member on a finite ground, and past what combinations() takes
 _GROUNDS = st.one_of(
     st.just("0..0"),  # empty
     st.integers(0, 30).map(lambda a: f"{a}..{a + 1}"),  # singleton
