@@ -76,11 +76,14 @@ class Coloring:
 
 def table_coloring(
     barrier: BarrierSpec,
-    table: Mapping[Seq, int],
+    table: Mapping[Seq, int] | Iterable[tuple[Iterable[int], int]],
     name: str = "table",
     declared_bound: int | None = None,
 ) -> Coloring:
-    fixed = {as_seq(k): as_int(v, "a color", 0) for k, v in table.items()}
+    """The coloring of a mapping or of (sequence, color) pairs, the last pair
+    of a sequence winning; the first bad entry, sequence first, raises."""
+    pairs = table.items() if isinstance(table, Mapping) else table
+    fixed = {as_seq(k): as_int(v, "a color", 0) for k, v in pairs}
     return _table_coloring(barrier, fixed, name, declared_bound)
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "StagedColoring",
     "DefeatResult",
     "MAX_STAGE_COORDS",
+    "MAX_DEFEAT_BOUND",
     "verify_defeat_thin",
     "verify_defeat_rainbow",
 ]
@@ -281,6 +282,7 @@ class DefeatResult:
 
 
 MAX_STAGE_COORDS = 1 << 16  # coordinates of the declared set read per stage
+MAX_DEFEAT_BOUND = 1 << 10  # cap on a defeat search's bound; its cost grows as the bound squared
 
 
 def _stages(alpha: Ordinal, entry: OracleEntry, bound: int) -> Iterator[Seq]:
@@ -324,6 +326,8 @@ def _defeat_search(
     empty, so a count it cannot form (a negative i) raises only there."""
     if col.kind != kind:
         raise ValueError(f"{kind} defeat check needs a {kind} defeater")
+    if bound > MAX_DEFEAT_BOUND:
+        raise ValueError(f"the bound of a defeat search is at most {MAX_DEFEAT_BOUND}, got {_clip(bound)}")
     entry = col.family.get(e)
     if entry is None:
         return DefeatResult(None, "no-oracle-entry")

@@ -9,7 +9,7 @@ on any malformed shape.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from .barrier import (
     BarrierSpec,
@@ -24,10 +24,10 @@ from .barrier import (
     make_product,
     make_restrict,
 )
-from .coloring import Coloring, _table_coloring, builtin_coloring
+from .coloring import Coloring, builtin_coloring, table_coloring
 from .diag import OracleEntry, OracleFamily
 from .ordinals import parse_ordinal
-from .seqs import GroundSet, Tail, _clip, as_int, as_seq
+from .seqs import GroundSet, Tail, _clip, as_int
 
 __all__ = [
     "spec_to_json",
@@ -150,20 +150,14 @@ def ground_from_json(obj: Any) -> GroundSet:
     return GroundSet(prefix=tuple(as_int(x, "a ground element") for x in prefix), tail=tail)
 
 
-def _table(rows: list) -> dict:
-    """The rows [seq, color] of a coloring table as a dict from sequences to
-    colors, each row checked in turn as :func:`table_coloring` checks an
-    entry: the first bad row is named, its sequence before its color."""
-    table = {}
+def _rows(rows: list) -> Iterator[list]:
+    """The rows [seq, color] of a table, each shape checked when reached, so
+    :func:`table_coloring`, which checks the pairs, names the first bad row."""
     for row in rows:
-        _shape(row, list, "a table row")
-        try:
-            seq, color = row
-        except ValueError:  # a row of another length
-            raise ValueError(f"a table row must be a [sequence, color] pair, got {_clip(row)}") from None
-        seq = as_seq(_shape(seq, list, "a table sequence"))
-        table[seq] = as_int(color, "a color", 0)
-    return table
+        if len(_shape(row, list, "a table row")) != 2:
+            raise ValueError(f"a table row must be a [sequence, color] pair, got {_clip(row)}")
+        _shape(row[0], list, "a table sequence")
+        yield row
 
 
 def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
@@ -171,7 +165,7 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     optionally with "bound": k >= 1 declared on either form."""
     if "table" in _shape(obj, dict, "a coloring"):
         rows, bound = _object(obj, "a table coloring", ("table",), {"bound": None})
-        f = _table_coloring(barrier, _table(_shape(rows, list, "a coloring table")), "table")
+        f = table_coloring(barrier, _rows(_shape(rows, list, "a coloring table")))
     elif "builtin" in obj:
         name, params, bound = _object(obj, "a builtin coloring", ("builtin",), {"params": {}, "bound": None})
         f = builtin_coloring(barrier, _shape(name, str, "a builtin name"), _shape(params, dict, "builtin params"))

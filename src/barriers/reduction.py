@@ -173,13 +173,15 @@ class _ColorClasses:
 
     def __init__(self, f: Coloring):
         self.f = f
+        self.k = f.declared_bound
         self.done = 0  # members colored, a prefix of the rank order
         self.classes: dict[int, list[Seq]] = {}
         self.place: dict[Seq, tuple[int, int]] = {}
 
     def fill(self, members: Sequence[Seq]) -> list[tuple[int, int]]:
-        """Place every member given and return their places; a non-member
-        raises ValueError."""
+        """Place every member given and return their places.  A non-member
+        raises ValueError, and the first member given whose color has
+        ``f.declared_bound`` earlier members raises BoundViolationError."""
         top, ranks = rank_of(self.f.barrier, members)
         new = list(islice(ranked_up_to(self.f.barrier, top), self.done, max(ranks, default=-1) + 1))
         for t, color in zip(new, self.f.colors_of(new)):
@@ -187,7 +189,12 @@ class _ColorClasses:
             self.place[t] = (color, len(cls))
             cls.append(t)
         self.done += len(new)
-        return list(map(self.place.__getitem__, members))
+        places = list(map(self.place.__getitem__, members))
+        for s, (color, count) in zip(members, places):
+            if count >= self.k:
+                raise BoundViolationError(
+                    f"color {_clip(color)} occurs {count + 1} times up to {_clip(s)}; declared bound {self.k}")
+        return places
 
 
 def rrt_rt_forward(f: Coloring) -> Coloring:
@@ -197,19 +204,12 @@ def rrt_rt_forward(f: Coloring) -> Coloring:
     For a k-bounded f this is a k-coloring; the bound is validated on every
     queried rank prefix and violations raise.
     """
-    k = f.declared_bound
-    if k is None or k < 1:
+    if f.declared_bound is None or f.declared_bound < 1:
         raise ValueError("instance must declare a bound k >= 1")
     place = _ColorClasses(f)
 
     def batch(members: Sequence[Seq]) -> list[int]:
-        counts = []
-        for s, (color, count) in zip(members, place.fill(members)):
-            if count >= k:
-                raise BoundViolationError(
-                    f"color {_clip(color)} occurs {count + 1} times up to {_clip(s)}; declared bound {k}")
-            counts.append(count)
-        return counts
+        return [count for _, count in place.fill(members)]
 
     return Coloring(f.barrier, batch, name=f"twin-count({f.name})")
 
@@ -227,8 +227,6 @@ def rrt2_fs_forward(f: Coloring) -> Coloring:
     def batch(members: Sequence[Seq]) -> list[int]:
         out = []
         for s, (color, count) in zip(members, place.fill(members)):
-            if count > 1:
-                raise BoundViolationError(f"color {_clip(color)} occurs {count + 1} times up to {_clip(s)}")
             if not count:
                 out.append(0)
                 continue

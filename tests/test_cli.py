@@ -500,6 +500,18 @@ REFUSALS = [
     ("lying_bound_is_a_clean_error", ["reduce", "--name", "rrt-to-rt", "--barrier", "exact:1", "--coloring",
                                       json.dumps({"table": [[[x], 0] for x in range(6)], "bound": 2}),
                                       "--ground", "0..6", "--check"], "color 0 occurs 3 times"),
+    # both rainbow forwards refuse a broken bound by one check and one line
+    ("lying_bound_is_a_clean_error", ["reduce", "--name", "rrt2-to-fs", "--barrier", "exact:1", "--coloring",
+                                      json.dumps({"table": [[[x], 0] for x in range(6)], "bound": 2}),
+                                      "--ground", "0..6", "--check"],
+     "error: color 0 occurs 3 times up to (2,); declared bound 2\n"),
+    # a defeat search steps through every stage minimum below its bound, so
+    # a bound past the budget is refused before the search, at once
+    *[("diag_refuses_a_bound_past_its_budget", argv,
+       f"error: the bound of a defeat search is at most 1024, got {bound}\n") for bound, argv in (
+          (1025, _diag("thin", "e=0,i=1", "--bound", "1025")),
+          (10**24, ["diag", "--kind", "thin", "--alpha", "1", "--verify", "e=0,i=0", "--bound", str(10**24), "--family",
+                    json.dumps([{"e": 0, "set": {"tail": {"start": 0, "step": 2}}, "delay": 10**24}])]))],
     # a directory, or a coloring or family file that is not there: a usage
     # error naming the path, not a BUG line or a shape error
     *[("a_path_argument_that_cannot_be_read_exits_2", argv, f"error: cannot read '{path}': {reason}\n")

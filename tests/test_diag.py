@@ -373,6 +373,20 @@ def test_a_replay_without_its_defeat_raises_at_the_first_covered_stage(monkeypat
         search(covered + 1)
 
 
+def test_a_bound_past_the_search_budget_raises():
+    # A search at the budget runs and ends at its first defeat, as below it;
+    # one past the budget is refused before any stage, whatever the entry.
+    assert diag.MAX_DEFEAT_BOUND == 1024
+    thin, rainbow = StagedColoring("thin", OMEGA, FAM), StagedColoring("rainbow", OMEGA, FAM)
+    for search in (lambda bound: verify_defeat_thin(thin, 1, 2, bound),
+                   lambda bound: verify_defeat_rainbow(rainbow, 0, bound)):
+        assert search(1024) == search(16) and search(16).ok
+        with pytest.raises(ValueError, match="^the bound of a defeat search is at most 1024, got 1025$"):
+            search(1025)
+    with pytest.raises(ValueError, match="at most 1024, got 1025$"):
+        verify_defeat_thin(thin, 7, 0, 1025)
+
+
 def test_stages_past_the_coordinate_cap_raise(monkeypatch):
     # under w the stage from 4 along the evens has 11 coordinates
     col = StagedColoring("rainbow", OMEGA, FAM)

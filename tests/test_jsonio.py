@@ -10,6 +10,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, classify, front
+from barriers.cli import main
 from barriers.coloring import PartialColoringError, table_coloring
 from barriers.jsonio import (
     coloring_from_json,
@@ -107,12 +108,14 @@ def test_coloring_from_json():
     ids=["float", "bool", "bool-element", "string", "short-row", "long-row", "negative-color",
          "non-list-sequence", "non-list-row"],
 )
-def test_malformed_table_messages(row, message):
-    # The first bad value is named, after good rows and before other bad ones.
+def test_malformed_table_messages(capsys, row, message):
+    # The first bad value is named, after good rows and before other bad ones,
+    # by the decoder and by the CLI's --coloring alike.
     table = [[[0], 4], row, [[2], 0.5]]
     with pytest.raises(ValueError) as exc:
         coloring_from_json(ExactSize(1), {"table": table})
     assert str(exc.value) == message
+    assert _cli_message(capsys, ExactSize(1), table) == message
     if isinstance(row, list) and len(row) == 2 and isinstance(row[0], list):
         # the same entry in a mapping is named by the same message
         with pytest.raises(ValueError) as exc:
@@ -122,6 +125,25 @@ def test_malformed_table_messages(row, message):
 
 def _json_table(barrier, table):
     return coloring_from_json(barrier, {"table": [[list(seq), color] for seq, color in table.items()]})
+
+
+def _cli_message(capsys, barrier, rows) -> str:
+    """The one error line of ``solve --coloring`` given the table rows."""
+    argv = ["solve", "--property", "mono", "--barrier", json.dumps(spec_to_json(barrier)), "--ground", "0..4",
+            "--coloring", json.dumps({"table": rows})]
+    code, out = main(argv), capsys.readouterr()
+    assert code == 2 and out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1, out
+    return out.err.removeprefix("error: ").removesuffix("\n")
+
+
+def _cli_table(capsys):
+    """A decoder like :func:`_json_table` that passes the table to the CLI
+    and raises its error line as a ValueError."""
+
+    def decode(barrier, table):
+        raise ValueError(_cli_message(capsys, barrier, [[list(seq), color] for seq, color in table.items()]))
+
+    return decode
 
 
 @pytest.mark.parametrize(
@@ -136,27 +158,28 @@ def _json_table(barrier, table):
     ],
     ids=["decreasing", "repeated", "negative", "negative-first", "float", "string"],
 )
-def test_table_key_messages(key, message):
+def test_table_key_messages(capsys, key, message):
     # The bad key is named alone, and first after good keys and before
-    # other bad ones, by one message in a mapping and in JSON rows.
+    # other bad ones, by one message in a mapping, in JSON rows and through
+    # the CLI's --coloring.
     for table in ({(0, 1): 4, key: 0}, {(0, 1): 4, key: 0, (3, 2): 5}):
-        for decode in (table_coloring, _json_table):
+        for decode in (table_coloring, _json_table, _cli_table(capsys)):
             with pytest.raises(ValueError) as exc:
                 decode(ExactSize(2), table)
             assert str(exc.value) == message
     # the first bad row wins, whatever is wrong with a later one
-    for decode in (table_coloring, _json_table):
+    for decode in (table_coloring, _json_table, _cli_table(capsys)):
         with pytest.raises(ValueError) as exc:
             decode(ExactSize(2), {(3, 2): 5, key: 0})
         assert str(exc.value) == "sequence must be strictly increasing, got (3, 2)"
 
 
 @pytest.mark.parametrize("color", [2.9, True, "3"], ids=["float", "bool", "string"])
-def test_table_colors_must_be_integers(color):
+def test_table_colors_must_be_integers(capsys, color):
     # No color is coerced: int() would make 2.9 a 2, True a 1 and "3" a 3.
-    # Both paths name the entries in order, each key before its color.
+    # Every path names the entries in order, each key before its color.
     message = f"a color must be an integer, got {color!r}"
-    for decode in (table_coloring, _json_table):
+    for decode in (table_coloring, _json_table, _cli_table(capsys)):
         for table in ({(0,): 0, (1,): color, (2,): 0.5}, {(0,): color, (1, 0): 0}):
             with pytest.raises(ValueError) as exc:
                 decode(ExactSize(1), table)
@@ -183,8 +206,9 @@ def test_a_bool_is_no_sequence_element(check):
 
 
 def test_table_keeps_the_last_row_of_a_sequence():
-    f = coloring_from_json(ExactSize(2), {"table": [[[0, 1], 4], [[0, 2], 5], [[0, 1], 6]]})
-    assert (f((0, 1)), f((0, 2))) == (6, 5)
+    rows = [[[0, 1], 4], [[0, 2], 5], [[0, 1], 6]]
+    for f in (coloring_from_json(ExactSize(2), {"table": rows}), table_coloring(ExactSize(2), rows)):
+        assert (f((0, 1)), f((0, 2))) == (6, 5)
     with pytest.raises(PartialColoringError):
         coloring_from_json(ExactSize(2), {"table": []})((0, 1))
 
