@@ -384,12 +384,13 @@ def _need(r: BarrierSpec, lo: int, room: int) -> int:
     coordinates are all at least ``lo``, cut short once it passes ``room``
     (the value returned then is still a lower bound, above ``room``).  k
     for ExactSize(k), lo + 1 for Schreier, 1 plus the residual's bound
-    after lo, from lo + 1, for an infinite canonical index, 1 plus the
-    inner's bound from lo - 1 under plus, and for a product the left bound
-    a plus the right bound from lo + a (a left member of length a ends at
-    lo + a - 1 or above).  Loops along right factors, plus and canonical
-    residuals, so it recurses only into left factors, as deep as the
-    spec's nesting."""
+    after lo, from lo + 1, for an infinite canonical index (for a limit
+    index that is at least 1 + lo, returned with no residual built once it
+    passes ``room``), 1 plus the inner's bound from lo - 1 under plus, and
+    for a product the left bound a plus the right bound from lo + a (a left
+    member of length a ends at lo + a - 1 or above).  Loops along right
+    factors, plus and canonical residuals, so it recurses only into left
+    factors, as deep as the spec's nesting."""
     total = 0
     while total <= room:
         t = type(r)
@@ -407,6 +408,8 @@ def _need(r: BarrierSpec, lo: int, room: int) -> int:
             lo -= 1
             r = r.inner
         else:  # an infinite canonical index reads lo, then lo + 1 on
+            if r.index.is_limit and total + 1 + lo > room:  # lo nonempty chain factors follow
+                return total + 1 + lo
             total += 1
             r = _d(r, lo)
             lo += 1
@@ -428,11 +431,13 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
     reaches combinations (it cannot take a k past sys.maxsize).  Any other
     residual takes the children g[j] in turn and stops at the first whose
     residual needs more coordinates (:func:`_need`, from the next coordinate
-    g[j+1] on) than the n-1-j left above g[j].  Stopping there skips no
-    member: the bound never decreases as x grows, since the residual after
-    x needs no fewer coordinates (only Schreier, after x: x more, and a
-    limit canonical index, after x: one more chain factor, read x) and a
-    larger lo never lowers a bound."""
+    g[j+1] on) than the n-1-j left above g[j]; a limit canonical residual
+    stops before that child is built once g[j] passes n-1-j, since the
+    chain after g[j] has g[j] nonempty factors (index[i] >= i).  Stopping
+    there skips no member: the bound never decreases as x grows, since the
+    residual after x needs no fewer coordinates (only Schreier, after x: x
+    more, and a limit canonical index, after x: one more chain factor, read
+    x) and a larger lo never lowers a bound."""
     if type(r) is ExactSize:
         if r.size > len(g) - start:
             return
@@ -443,7 +448,10 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
             raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
         return
     last = len(g) - 1
+    limit = type(r) is Canonical and r.index.is_limit
     for j in range(start, len(g)):
+        if limit and g[j] > last - j:  # the chain after g[j] has g[j] nonempty factors
+            return
         child = _d(r, g[j])
         if _need(child, g[j + 1] if j < last else g[j] + 1, last - j) > last - j:
             return

@@ -49,10 +49,6 @@ from .seqs import _clip, as_seq
 __all__ = ["main"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _load_json_arg(text: str) -> Any:
     """Inline JSON, or else the JSON of the file at the path text."""
     text = text.strip()
@@ -74,7 +70,7 @@ def parse_barrier_arg(text: str) -> BarrierSpec:
             except FileNotFoundError:
                 spec = spec_from_json(text)  # raises: unknown barrier shorthand
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad barrier {_clip(text)}: {exc}")
+        raise ValueError(f"bad barrier {_clip(text)}: {exc}")
     return spec
 
 
@@ -101,14 +97,14 @@ def parse_ground_arg(text: str) -> tuple[int, ...]:
             return tuple(range(lo, hi))
         return tuple(sorted({_integer(x, "a ground element") for x in text.split(",") if x.strip()}))
     except ValueError as exc:
-        raise UsageError(f"bad ground set {_clip(text)}: {exc}")
+        raise ValueError(f"bad ground set {_clip(text)}: {exc}")
 
 
 def parse_seq_arg(text: str) -> tuple[int, ...]:
     try:
         return as_seq(_integer(x, "a sequence element") for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise UsageError(f"bad sequence {_clip(text)}: {exc}")
+        raise ValueError(f"bad sequence {_clip(text)}: {exc}")
 
 
 # --- commands ---------------------------------------------------------------
@@ -194,25 +190,25 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
     if args.name not in REDUCTIONS:
-        raise UsageError(f"unknown reduction {_clip(args.name)}; pick from {sorted(REDUCTIONS)}")
+        raise ValueError(f"unknown reduction {_clip(args.name)}; pick from {sorted(REDUCTIONS)}")
     red = REDUCTIONS[args.name]
     spec = parse_barrier_arg(args.barrier)
     ground = parse_ground_arg(args.ground)
 
     if args.random < 0:
-        raise UsageError(f"--random must be at least 0, got {_clip(args.random)}")
+        raise ValueError(f"--random must be at least 0, got {_clip(args.random)}")
     if not args.check and (args.random > 1 or args.adversarial):
-        raise UsageError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
+        raise ValueError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
     if args.adversarial and not args.random:
-        raise UsageError("--adversarial adds to the --random N instances and needs N >= 1")
+        raise ValueError("--adversarial adds to the --random N instances and needs N >= 1")
     if not (args.random or args.coloring):
-        raise UsageError("reduce needs --coloring or --random N")
+        raise ValueError("reduce needs --coloring or --random N")
     if args.min_size is not None and not args.check:
-        raise UsageError("--min-size bounds the witnesses of --check and needs --check")
+        raise ValueError("--min-size bounds the witnesses of --check and needs --check")
     if args.coloring and args.random:
-        raise UsageError("--coloring and --random N each give the instances; give one of them")
+        raise ValueError("--coloring and --random N each give the instances; give one of them")
     if args.seed is not None and not args.random:
-        raise UsageError("--seed seeds the --random N instances and needs N >= 1")
+        raise ValueError("--seed seeds the --random N instances and needs N >= 1")
     seed = args.seed or 0
     min_size = 3 if args.min_size is None else args.min_size
     if args.random:
@@ -271,21 +267,21 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in keys:
-            raise UsageError(f"{kind} verification reads only {' and '.join(keys)}, not {_clip(key)}")
+            raise ValueError(f"{kind} verification reads only {' and '.join(keys)}, not {_clip(key)}")
         if key in out:
-            raise UsageError(f"--verify gives {key} twice")
+            raise ValueError(f"--verify gives {key} twice")
         out[key] = _integer(value, f"--verify {key}")
         if out[key] < 0:
-            raise UsageError(f"--verify {key} must be a natural number, got {_clip(value)}")
+            raise ValueError(f"--verify {key} must be a natural number, got {_clip(value)}")
     for key in keys:
         if key not in out:
-            raise UsageError(f"{kind} verification needs {' and '.join(keys)}, missing {key}")
+            raise ValueError(f"{kind} verification needs {' and '.join(keys)}, missing {key}")
     return out
 
 
 def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     if args.bound < 0:
-        raise UsageError(f"--bound must be a natural number, got {_clip(args.bound)}")
+        raise ValueError(f"--bound must be a natural number, got {_clip(args.bound)}")
     alpha = parse_ordinal(args.alpha)
     family = family_from_json(_load_json_arg(args.family))
     col = StagedColoring(args.kind, alpha, family)
@@ -309,7 +305,11 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
 # --- wiring -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name (the choices
+    of the subparsers action).  Built on the first call, not at import, and
+    reused: building them costs more than many commands."""
     parser = argparse.ArgumentParser(prog="barriers", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"barriers {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,35 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_diag)
 
-    return parser
-
-
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import, and reused: building it costs
-    # more than many commands.
-    return build_parser()
-
-
-@lru_cache(maxsize=None)
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's parser, from the choices of the subparsers action."""
-    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+    return parser, sub.choices
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as ``_parser()`` would, sending a known command straight to
-    its subparser.  The top-level parser handles everything else (no command,
-    -h, --version, unknown commands) and, by parsing again, an argv whose
-    subparser leaves arguments over, so that error keeps the top-level
-    usage line."""
-    sub = _subparsers().get(argv[0]) if argv else None
+    """Parse argv as the top-level parser would, sending a known command
+    straight to its subparser.  The top-level parser handles everything else
+    (no command, -h, --version, unknown commands) and, by parsing again, an
+    argv whose subparser leaves arguments over, so that error keeps the
+    top-level usage line."""
+    parser, commands = build_parser()
+    sub = commands.get(argv[0]) if argv else None
     if sub is not None:
         args, extra = sub.parse_known_args(argv[1:])
         if not extra:
             return args
-    return _parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -413,7 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the library's recursions are bounded by the input's nesting depth
+    except RecursionError:
+        # Deep input nesting, or a long product chain, which is hashed one
+        # recursion per factor: derived(canonical:w^2, 1000) normalizes to
+        # a chain of 1001 factors, though its input is two levels deep.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:  # only a JSON argument opens a file: a missing path or a directory, say

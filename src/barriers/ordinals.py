@@ -107,12 +107,6 @@ class Ordinal:
             return NotImplemented
         return compare(self, other) < 0
 
-    def __add__(self, other: "Ordinal") -> "Ordinal":
-        return add(self, other)
-
-    def __mul__(self, other: "Ordinal") -> "Ordinal":
-        return mul(self, other)
-
     def __str__(self) -> str:
         return _render(self)
 

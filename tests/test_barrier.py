@@ -836,3 +836,9 @@ def test_walks_skip_branches_that_cannot_fit(monkeypatch):
     calls.clear()
     assert front(Product(ExactSize(1), Schreier()), (0, 10, 11, 12)) == ()
     assert calls == [0, 0]
+    # a limit canonical residual after x has x nonempty chain factors, so
+    # neither the walk nor the bound builds it once x passes what is left
+    for index, ground, read in (("w^w", (5, 2000), []), ("w^w", (0, 2000), [0]), ("w + 1", (0, 2000), [0])):
+        calls.clear()
+        front(Canonical(parse_ordinal(index)), ground)
+        assert calls == read, (index, ground)

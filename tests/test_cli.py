@@ -229,6 +229,16 @@ def test_flat_grounds_with_large_coordinates_exit_0(capsys):
     assert code == 0 and report["front_size"] == 0 and report["sperner_ok"] is True
     code, report = run_json(capsys, "front", "--barrier", "canonical:w^2", "--ground", "990..3000")
     assert code == 0 and report["count"] == 0
+    # a limit canonical branch after x needs x more coordinates, so these
+    # stop before the residual after 5, 100000 or 1000000 is built
+    for argv, count in (
+        (("front", "--barrier", "canonical:w^w", "--ground", "5,1000000"), 0),
+        (("front", "--barrier", "canonical:w^w", "--ground", "0,100000"), 1),
+        (("check", "--barrier", "canonical:w^2", "--ground", "0,3,100000"), 1),
+        (("front", "--barrier", "canonical:w+1", "--ground", "0,1000000"), 0),
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["count" if argv[0] == "front" else "front_size"] == count, argv
     # a long ground keeps no wide masks (the walk's masks are only read over
     # capped bases), so a one-member front of a million elements and the
     # 200000 singletons of 0..200000 come back at once; these reports are
@@ -293,7 +303,7 @@ PARSE_CORPUS = {
 @pytest.mark.parametrize("argv", list(PARSE_CORPUS.values()), ids=list(PARSE_CORPUS))
 def test_command_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
     got = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser()[0].parse_args(argv))
     assert got == _outcome(capsys, argv)
 
 
