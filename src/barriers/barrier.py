@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, islice
 from operator import and_, le, neg
 from typing import Callable, Iterable, Sequence, Union
@@ -321,13 +321,27 @@ def _plus(inner: BarrierSpec) -> BarrierSpec:
     return ExactSize(inner.size + 1) if type(inner) is ExactSize else Plus(inner)
 
 
-@lru_cache(maxsize=None)
-def _limit_chain(index: Ordinal, n: int) -> BarrierSpec:
-    # Canonical(index[n]) * ... * Canonical(index[0]), built in normal form.
-    chain: BarrierSpec = EMPTY
-    for i in range(n + 1):
-        chain = _prod(_norm(Canonical(fund_seq(index, i))), chain)
-    return chain
+@dataclass(frozen=True)
+class _Chain:
+    """canonical:index[n] ... canonical:index[0] for n >= 1 and a limit index
+    other than w, the residual of canonical:index after n: one node built in
+    O(1), unrolled one factor at a time (the first is infinite: no fold)."""
+
+    index: Ordinal
+    n: int
+
+    @cached_property
+    def unrolled(self) -> BarrierSpec:
+        return _prod(_norm(Canonical(fund_seq(self.index, self.n))), _chain(self.index, self.n - 1))
+
+
+@lru_cache(maxsize=1 << 12)
+def _chain(index: Ordinal, n: int) -> BarrierSpec:
+    """The residual of canonical:index after n, for a limit index: the
+    (n(n+1)/2)-sets for w, canonical:index[0] for n = 0, else a chain."""
+    if index == OMEGA:
+        return _norm(ExactSize(n * (n + 1) // 2))
+    return _Chain(index, n) if n else _norm(Canonical(fund_seq(index, 0)))
 
 
 def _norm(spec: BarrierSpec) -> BarrierSpec:
@@ -367,7 +381,9 @@ def _d(r: BarrierSpec, x: int) -> BarrierSpec:
             if r.index.is_successor:
                 # an infinite successor has an infinite predecessor
                 return Canonical(pred(r.index))
-            return _limit_chain(r.index, x)
+            return _chain(r.index, x)
+        case _Chain():
+            return _d(r.unrolled, x)
         case Schreier():
             return EMPTY if x == 0 else ExactSize(x)
         case Plus():
@@ -384,13 +400,13 @@ def _need(r: BarrierSpec, lo: int, room: int) -> int:
     coordinates are all at least ``lo``, cut short once it passes ``room``
     (the value returned then is still a lower bound, above ``room``).  k
     for ExactSize(k), lo + 1 for Schreier, 1 plus the residual's bound
-    after lo, from lo + 1, for an infinite canonical index (for a limit
-    index that is at least 1 + lo, returned with no residual built once it
-    passes ``room``), 1 plus the inner's bound from lo - 1 under plus, and
-    for a product the left bound a plus the right bound from lo + a (a left
+    after lo, from lo + 1, for an infinite canonical index, 1 plus the
+    inner's bound from lo - 1 under plus, n for a chain of n + 1 factors
+    once that passes ``room`` and else the bound of its product, and for a
+    product the left bound a plus the right bound from lo + a (a left
     member of length a ends at lo + a - 1 or above).  Loops along right
-    factors, plus and canonical residuals, so it recurses only into left
-    factors, as deep as the spec's nesting."""
+    factors, plus, chains and canonical residuals, so it recurses only
+    into left factors, as deep as the spec's nesting."""
     total = 0
     while total <= room:
         t = type(r)
@@ -407,9 +423,11 @@ def _need(r: BarrierSpec, lo: int, room: int) -> int:
             total += 1
             lo -= 1
             r = r.inner
+        elif t is _Chain:
+            if total + r.n > room:  # n nonempty factors, then the last
+                return total + r.n
+            r = r.unrolled
         else:  # an infinite canonical index reads lo, then lo + 1 on
-            if r.index.is_limit and total + 1 + lo > room:  # lo nonempty chain factors follow
-                return total + 1 + lo
             total += 1
             r = _d(r, lo)
             lo += 1
@@ -431,13 +449,11 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
     reaches combinations (it cannot take a k past sys.maxsize).  Any other
     residual takes the children g[j] in turn and stops at the first whose
     residual needs more coordinates (:func:`_need`, from the next coordinate
-    g[j+1] on) than the n-1-j left above g[j]; a limit canonical residual
-    stops before that child is built once g[j] passes n-1-j, since the
-    chain after g[j] has g[j] nonempty factors (index[i] >= i).  Stopping
-    there skips no member: the bound never decreases as x grows, since the
-    residual after x needs no fewer coordinates (only Schreier, after x: x
-    more, and a limit canonical index, after x: one more chain factor, read
-    x) and a larger lo never lowers a bound."""
+    g[j+1] on) than the n-1-j left above g[j].  Stopping there skips no
+    member: the bound never decreases as x grows, since the residual after
+    x needs no fewer coordinates (only Schreier, after x: x more, and a
+    limit canonical index, after x: one more chain factor, read x) and a
+    larger lo never lowers a bound."""
     if type(r) is ExactSize:
         if r.size > len(g) - start:
             return
@@ -448,10 +464,7 @@ def _walk(r: BarrierSpec, g: Seq, bits: tuple[int, ...], start: int, prefix: Seq
             raise ValueError(f"the front has more than {MAX_MEMBERS} members; front walks are limited to that many")
         return
     last = len(g) - 1
-    limit = type(r) is Canonical and r.index.is_limit
     for j in range(start, len(g)):
-        if limit and g[j] > last - j:  # the chain after g[j] has g[j] nonempty factors
-            return
         child = _d(r, g[j])
         if _need(child, g[j + 1] if j < last else g[j] + 1, last - j) > last - j:
             return
@@ -693,6 +706,8 @@ def order_type(spec: BarrierSpec) -> Ordinal:
             return mul(order_type(right), order_type(left))
         case Restrict(inner, _):
             return order_type(inner)
+        case _Chain():
+            return order_type(spec.unrolled)
         case Derived():
             raise OrderTypeUnsupportedError("order type of a derived barrier is not tracked")
     raise TypeError(f"not a barrier spec: {spec!r}")

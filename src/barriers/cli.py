@@ -401,9 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Deep input nesting, or a long product chain, which is hashed one
-        # recursion per factor: derived(canonical:w^2, 1000) normalizes to
-        # a chain of 1001 factors, though its input is two levels deep.
+        # Deep input nesting: json.loads and spec_from_json recurse once per
+        # level of it.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:  # only a JSON argument opens a file: a missing path or a directory, say

@@ -16,8 +16,9 @@ the rainbow defeater plants color collisions inside each declared set while
 staying 2-bounded overall.
 
 Stage replays depend only on min(stage) and the family, so they are cached by
-the minimum, and the defeat search inspects one canonical (lex-least) stage of
-at most :data:`MAX_STAGE_COORDS` coordinates per admissible minimum.
+the minimum, and the defeat search replays each admissible minimum and builds
+the canonical (lex-least) stage of at most :data:`MAX_STAGE_COORDS`
+coordinates from its hit alone, or from each minimum of a finite set.
 
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
 color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .barrier import (
@@ -282,21 +283,18 @@ class DefeatResult:
 
 
 MAX_STAGE_COORDS = 1 << 16  # coordinates of the declared set read per stage
-MAX_DEFEAT_BOUND = 1 << 10  # cap on a defeat search's bound; its cost grows as the bound squared
+MAX_DEFEAT_BOUND = 1 << 10  # cap on a defeat search's bound: one replay per minimum below it, each quadratic in the minimum
 
 
-def _stages(alpha: Ordinal, entry: OracleEntry, bound: int) -> Iterator[Seq]:
-    """Canonical stages inside the entry's set: for each admissible minimum
-    m0 with delay < m0 < bound, the lex-least member of the canonical barrier
-    starting at m0 and drawn from the set.  Replays depend on the minimum
-    only, so one stage per minimum is exhaustive for defeat search.  A stage
-    still undecided after MAX_STAGE_COORDS coordinates raises ValueError."""
+def _stages(alpha: Ordinal, entry: OracleEntry, minima: Iterable[int]) -> Iterator[Seq]:
+    """Canonical stages inside the entry's set: for each minimum m0 in turn,
+    the lex-least member of the canonical barrier starting at m0 and drawn
+    from the set, until a finite set runs out.  Replays depend on the
+    minimum only, so one stage per admissible minimum is exhaustive for
+    defeat search.  A stage still undecided after MAX_STAGE_COORDS
+    coordinates raises ValueError."""
     spec: BarrierSpec = Canonical(alpha)
-    for m0 in entry.members.elements():
-        if m0 >= bound:
-            break
-        if m0 <= entry.delay:
-            continue
+    for m0 in minima:
         coords = entry.members.stream_from(m0)
         stage = step(spec, islice(coords, MAX_STAGE_COORDS))
         if stage is None:
@@ -317,13 +315,16 @@ def _defeat_search(
     hit: Callable[[tuple[int, ...], dict[int, int]], tuple | None],
     need: Callable[[], int],
 ) -> DefeatResult:
-    """The search of both defeat checks.  At each stage of :func:`_stages`,
-    ``hit`` reads the replay's labels at xs, the numbers of X_e below
-    min(stage) (every stage passes the delay, so these are the entry's
-    positives), and returns the defeating numbers or None.  The replay of a
-    stage with at least ``need()`` of them plants a defeat, so coming up
-    empty there is a bug.  ``need`` is called only at a stage that comes up
-    empty, so a count it cannot form (a negative i) raises only there."""
+    """The search of both defeat checks.  At each admissible stage minimum
+    m0 (delay < m0 < bound, in X_e), ``hit`` reads the replay's labels at
+    xs, the numbers of X_e below m0 (the entry's positives, since m0 passes
+    the delay), and returns the defeating numbers or None.  The replay of a
+    minimum with at least ``need()`` of them plants a defeat, so coming up
+    empty there is a bug.  ``need`` is called only at a minimum that comes
+    up empty, so a count it cannot form (a negative i) raises only there.
+    A replay reads the minimum alone, and a set with a tail has a stage
+    from every minimum, so only the hit's stage is built (:func:`_stages`);
+    a finite set may run out first, so its stages are built as they come."""
     if col.kind != kind:
         raise ValueError(f"{kind} defeat check needs a {kind} defeater")
     if bound > MAX_DEFEAT_BOUND:
@@ -331,11 +332,13 @@ def _defeat_search(
     entry = col.family.get(e)
     if entry is None:
         return DefeatResult(None, "no-oracle-entry")
-    for stage in _stages(col.alpha, entry, bound):
+    finite = entry.members.is_finite
+    minima = (m0 for m0 in takewhile(bound.__gt__, entry.members.elements()) if m0 > entry.delay)
+    for stage in _stages(col.alpha, entry, minima) if finite else ((m0,) for m0 in minima):
         xs = entry.members.elements_below(stage[0])
         found = hit(xs, col._replay(stage))
         if found is not None:
-            return DefeatResult((*found, stage), "ok")
+            return DefeatResult((*found, stage if finite else next(_stages(col.alpha, entry, stage))), "ok")
         if len(xs) >= need():
             raise InternalInvariantError(f"BUG: no {kind} defeat of X_{e} at the covered stage from {stage[0]}")
     return DefeatResult(None, "bound-too-small")

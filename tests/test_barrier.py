@@ -777,6 +777,22 @@ def test_length_bound_values():
     assert 9 < need(barrier._d(Canonical(parse_ordinal("w^2")), 990), 991, 9)
 
 
+def test_a_limit_residual_is_one_node(monkeypatch):
+    # canonical:w^2 after 10^6 is the chain of canonical:w*10^6 down to
+    # canonical:0, built and bounded with no fundamental sequence read (10^6
+    # nonempty factors pass any room below it); the residual after the next
+    # coordinate unrolls one factor, so it reads one
+    calls = []
+    real = barrier.fund_seq
+    monkeypatch.setattr(barrier, "fund_seq", lambda index, n: calls.append(n) or real(index, n))
+    barrier._chain.cache_clear()
+    r = barrier._d(Canonical(parse_ordinal("w^2")), 10**6)
+    assert barrier._need(r, 10**6 + 1, 5) == 10**6 and calls == []
+    assert barrier._d(r, 10**6 + 1) == Product(barrier._d(Canonical(parse_ordinal("w*1000000")), 10**6 + 1),
+                                              barrier._d(Canonical(parse_ordinal("w^2")), 10**6 - 1))
+    assert calls == [10**6]
+
+
 def test_exact_size_blocks_fold_in_normal_forms():
     assert barrier._norm(Product(ExactSize(2), ExactSize(3))) == ExactSize(5)
     assert barrier._norm(Product(ExactSize(2), Product(ExactSize(1), Schreier()))) == Product(ExactSize(3), Schreier())
@@ -790,11 +806,11 @@ def test_exact_size_blocks_fold_in_normal_forms():
 
 def test_an_empty_right_factor_drops_from_normal_forms():
     # a limit chain ends in its canonical:index[0] block, not in a product
-    # with {()}, so a family has one normal form
+    # with {()}, and unrolls into its first factor and the rest
     w2 = Canonical(parse_ordinal("w*2"))
     assert barrier._norm(Derived(w2, 0)) == barrier._norm(Canonical(OMEGA)) == Canonical(OMEGA)
     assert barrier._norm(Product(Schreier(), ExactSize(0))) == Schreier()
-    assert barrier._d(w2, 1) == Product(Canonical(parse_ordinal("w + 1")), Canonical(OMEGA))
+    assert barrier._d(w2, 1).unrolled == Product(Canonical(parse_ordinal("w + 1")), Canonical(OMEGA))
     for name, spec in ALL_SPECS.items():
         assert front(spec, range(11)) == oracles.front_oracle(spec, range(11)), name
 
@@ -836,9 +852,12 @@ def test_walks_skip_branches_that_cannot_fit(monkeypatch):
     calls.clear()
     assert front(Product(ExactSize(1), Schreier()), (0, 10, 11, 12)) == ()
     assert calls == [0, 0]
-    # a limit canonical residual after x has x nonempty chain factors, so
-    # neither the walk nor the bound builds it once x passes what is left
-    for index, ground, read in (("w^w", (5, 2000), []), ("w^w", (0, 2000), [0]), ("w + 1", (0, 2000), [0])):
+    # a limit canonical residual after x is one chain node, whatever x, of
+    # x nonempty factors and a last one, so the bound reads no factor once x
+    # passes what is left; after 0 in canonical:w+1 it reads canonical:w at
+    # 2000, whose residual is the 2001000-sets
+    for index, ground, read in (("w^w", (5, 2000), [5]), ("w^w", (0, 2000), [0, 2000]),
+                                ("w + 1", (0, 2000), [0, 2000])):
         calls.clear()
         front(Canonical(parse_ordinal(index)), ground)
         assert calls == read, (index, ground)

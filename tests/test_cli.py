@@ -177,6 +177,14 @@ def test_diag_bound_too_small_still_exits_clean(capsys):
         assert code == 0 and report["result"]["reason"] == "bound-too-small", bound
 
 
+def test_a_delay_past_the_bound_ends_a_search_at_once(capsys):
+    # the bound stops the minima before the delay is read: no member of the
+    # tail below 10^24 is stepped through, and no minimum is admissible
+    family = json.dumps([{"e": 0, "set": _EVENS, "delay": 10**24}])
+    code, report = run_json(capsys, "diag", "--kind", "thin", "--alpha", "1", "--family", family, "--verify", "e=0,i=0")
+    assert code == 0 and report["bound"] == 16 and report["result"] == {"found": None, "reason": "bound-too-small"}
+
+
 def test_reduce_takes_what_its_refusals_leave(capsys):
     # one instance without --check, stress instances with it, a coloring with --random 0
     code, report = run_json(capsys, *_FS_TO_RT, "--random", "1")
@@ -223,19 +231,22 @@ def test_a_file_never_shadows_a_barrier_shorthand(tmp_path, monkeypatch, capsys)
 
 
 def test_flat_grounds_with_large_coordinates_exit_0(capsys):
-    # canonical:w^2 after 990 is a product chain of 990 factors; the walk's
-    # length bound loops along it and stops once it passes what is left
+    # canonical:w^2 after 990 is a product chain of 990 factors, one node;
+    # the walk's length bound unrolls it and stops once it passes what is left
     code, report = run_json(capsys, "check", "--barrier", "canonical:w^2", "--ground", "990..1000")
     assert code == 0 and report["front_size"] == 0 and report["sperner_ok"] is True
     code, report = run_json(capsys, "front", "--barrier", "canonical:w^2", "--ground", "990..3000")
     assert code == 0 and report["count"] == 0
-    # a limit canonical branch after x needs x more coordinates, so these
-    # stop before the residual after 5, 100000 or 1000000 is built
+    # a limit canonical residual after x is one node whatever x, and so is
+    # a derived limit barrier, whose base lies above n (the last two fronts
+    # are empty, and their inputs are two levels deep)
     for argv, count in (
         (("front", "--barrier", "canonical:w^w", "--ground", "5,1000000"), 0),
         (("front", "--barrier", "canonical:w^w", "--ground", "0,100000"), 1),
         (("check", "--barrier", "canonical:w^2", "--ground", "0,3,100000"), 1),
         (("front", "--barrier", "canonical:w+1", "--ground", "0,1000000"), 0),
+        (("check", "--barrier", '{"derived":{"inner":"canonical:w^2","n":1000}}', "--ground", "0..5"), 0),
+        (("check", "--barrier", '{"derived":{"inner":"canonical:w^w","n":100000}}', "--ground", "0..12"), 0),
     ):
         code, report = run_json(capsys, *argv)
         assert code == 0 and report["count" if argv[0] == "front" else "front_size"] == count, argv

@@ -405,6 +405,35 @@ def test_stages_past_the_coordinate_cap_raise(monkeypatch):
         verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, short), 0, 16)
 
 
+def test_an_exhausting_search_reads_no_stage(monkeypatch):
+    # a replay reads the minimum alone, so along a set with a tail only the
+    # hit's stage is built: an exhausting search classifies no coordinate,
+    # and a hit reads its own stage's coordinates and no more
+    read = []
+    real = diag.step
+    monkeypatch.setattr(diag, "step", lambda spec, stream: real(spec, (read.append(x) or x for x in stream)))
+    dense = OracleFamily((OracleEntry(0, GroundSet(tail=Tail(0, 1)), 0),))
+    assert verify_defeat_thin(StagedColoring("thin", OMEGA, dense), 0, 10**6, 300).reason == "bound-too-small"
+    assert read == []
+    assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, FAM), 0, 16).found == (0, 2, tuple(range(4, 26, 2)))
+    assert read == list(range(4, 26, 2))
+
+
+@pytest.mark.parametrize("alpha_text", ["1", "2", "w", "w+1"])
+def test_a_defeat_stage_is_the_stage_from_its_minimum(alpha_text):
+    # the stage a search builds for its hit is the one the stages of every
+    # admissible minimum (the evens from 2 below the bound) give there, and
+    # its minimum is the first with a hit: a search below it finds none
+    alpha = parse_ordinal(alpha_text)
+    stages = {s[0]: s for s in diag._stages(alpha, FAM.get(0), range(2, 16, 2))}
+    thin, rainbow = StagedColoring("thin", alpha, FAM), StagedColoring("rainbow", alpha, FAM)
+    searches = [lambda bound, e=e, i=i: verify_defeat_thin(thin, e, i, bound) for e, i in ((0, 0), (0, 1), (1, 0))]
+    searches += [lambda bound, e=e: verify_defeat_rainbow(rainbow, e, bound) for e in (0, 1)]
+    for search in searches:
+        stage = search(16).found[-1]
+        assert stage == stages[stage[0]] and search(stage[0]).reason == "bound-too-small", (alpha_text, stage)
+
+
 def test_defeat_result_json():
     assert DefeatResult(None, "bound-too-small").to_json() == {
         "found": None,
