@@ -15,10 +15,11 @@ stage.  The thin defeater plants every color i on each declared-infinite set;
 the rainbow defeater plants color collisions inside each declared set while
 staying 2-bounded overall.
 
-Stage replays depend only on min(stage) and the family, so they are cached by
-the minimum, and the defeat search replays each admissible minimum and builds
-the canonical (lex-least) stage of at most :data:`MAX_STAGE_COORDS`
-coordinates from its hit alone, or from each minimum of a finite set.
+Stage replays depend only on min(stage) and the family, so they take the
+minimum and are cached by it.  The defeat search replays each admissible
+minimum and builds the canonical (lex-least) stage of at most
+:data:`MAX_STAGE_COORDS` coordinates only where it ends: at its hit, or at a
+covered minimum.
 
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
 color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
@@ -31,16 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, takewhile
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .barrier import (
-    BarrierSpec,
-    Canonical,
-    ExactSize,
-    InternalInvariantError,
-    Product,
-    step,
-)
+from .barrier import Canonical, ExactSize, InternalInvariantError, Product, step
 from .coloring import Coloring
 from .ordinals import Ordinal
 from .seqs import GroundSet, Seq, _clip, as_seq
@@ -122,24 +116,18 @@ class OracleFamily:
                 return entry
         return None
 
-    def _correct_entry(self, e: int, stage: Seq) -> OracleEntry | None:
-        """Entry e if the approximation at this stage is correct for it:
-        min(stage) passes the entry's delay."""
-        entry = self.get(e)
-        return entry if entry is not None and stage and stage[0] > entry.delay else None
-
     def g(self, e: int, x: int, stage: Seq) -> int:
         """Total {0,1} approximation: correct once min(stage) passes the
         entry's delay, 0 in every other situation."""
-        entry = self._correct_entry(e, stage)
-        return int(entry is not None and x in entry.members)
+        entry = self.get(e)
+        return int(bool(stage) and entry is not None and stage[0] > entry.delay and x in entry.members)
 
 
-def _positives(fam: OracleFamily, e: int, stage: Seq) -> tuple[int, ...]:
-    """The numbers x < min(stage) with g(e, x, stage) = 1, in order, read
-    off the entry once."""
-    entry = fam._correct_entry(e, stage)
-    return () if entry is None else entry.members.elements_below(stage[0])
+def _positives(fam: OracleFamily, e: int, m0: int) -> tuple[int, ...]:
+    """The numbers x < m0 with g(e, x, stage) = 1 at a stage of minimum m0,
+    in order, read off the entry once."""
+    entry = fam.get(e)
+    return () if entry is None or m0 <= entry.delay else entry.members.elements_below(m0)
 
 
 def f_approx(fam: OracleFamily, e: int, i: int, stage: Seq) -> tuple[int, ...] | None:
@@ -149,57 +137,56 @@ def f_approx(fam: OracleFamily, e: int, i: int, stage: Seq) -> tuple[int, ...] |
     if not stage:
         return None
     need = pair(e, i) + 1
-    xs = _positives(fam, e, stage)
+    xs = _positives(fam, e, stage[0])
     return tuple(xs[:need]) if len(xs) >= need else None
 
 
 # --- staged colorings --------------------------------------------------------
 
 
-def _thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    """Replay the thin-defeating substage loop at one stage.
+def _thin_stage(fam: OracleFamily, m0: int) -> dict[int, int]:
+    """Replay the thin-defeating substage loop at a stage of minimum m0.
 
-    Substages 0..min(stage)-1 are read as pair codes (e, i); a substage with
+    Substages 0..m0-1 are read as pair codes (e, i); a substage with
     a defined approximation claims its least still-uncolored member and
     colors it i.  The closing substage colors everything left with 1.  The
     approximation at substage u = pair(e, i) is the first u + 1 numbers of
-    entry e's positives below min(stage) (:func:`f_approx`), which are read
-    once per entry.
+    entry e's positives below m0 (:func:`f_approx`), which are read once
+    per entry.
     """
-    s1 = stage[0]
     positives: dict[int, tuple[int, ...]] = {}
     colors: dict[int, int] = {}
-    for u in range(s1):
+    for u in range(m0):
         e, i = unpair(u)
         if e not in positives:
-            positives[e] = _positives(fam, e, stage)
+            positives[e] = _positives(fam, e, m0)
         approx = positives[e][: u + 1]
         if len(approx) <= u:
             continue
         free = [m for m in approx if m not in colors]
         if free:
             colors[free[0]] = i
-    for m in range(s1):
+    for m in range(m0):
         colors.setdefault(m, 1)
     return colors
 
 
-def _rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    """Replay the rainbow-defeating substage loop at one stage, as owners.
+def _rainbow_stage(fam: OracleFamily, m0: int) -> dict[int, int]:
+    """Replay the rainbow-defeating substage loop at a stage of minimum m0,
+    as owners.
 
-    Substage e claims the two least unclaimed numbers below min(stage) that
+    Substage e claims the two least unclaimed numbers below m0 that
     the e-th approximation puts in X_e; the smaller one m owns both, and
     both get the color <m, stage>.  The closing substage lets every
     remaining l own itself.  Each stage's codes are fresh, so the whole
     coloring is 2-bounded.
     """
-    s1 = stage[0]
     owner: dict[int, int] = {}
-    for e in range(s1):
-        cands = [x for x in _positives(fam, e, stage) if x not in owner]
+    for e in range(m0):
+        cands = [x for x in _positives(fam, e, m0) if x not in owner]
         if len(cands) >= 2:
             owner[cands[0]] = owner[cands[1]] = cands[0]
-    return {l: owner.get(l, l) for l in range(s1)}
+    return {l: owner.get(l, l) for l in range(m0)}
 
 
 class StagedColoring(Coloring):
@@ -227,13 +214,13 @@ class StagedColoring(Coloring):
             declared_bound=2 if kind == "rainbow" else None,
         )
 
-    def _replay(self, stage: Seq) -> dict[int, int]:
-        """m -> thin color or rainbow owner for m < min(stage); a replay is a
-        pure function of (min(stage), family)."""
-        if stage[0] not in self._cache:
+    def _replay(self, m0: int) -> dict[int, int]:
+        """m -> thin color or rainbow owner for m < m0 at a stage of minimum
+        m0; a replay is a pure function of (m0, family)."""
+        if m0 not in self._cache:
             replay = _thin_stage if self.kind == "thin" else _rainbow_stage
-            self._cache[stage[0]] = replay(self.family, stage)
-        return self._cache[stage[0]]
+            self._cache[m0] = replay(self.family, m0)
+        return self._cache[m0]
 
     def _code(self, stage: Seq) -> int:
         """code_seq(stage), built once per stage for every color asked of it."""
@@ -251,7 +238,7 @@ class StagedColoring(Coloring):
         key = as_seq(stage)
         if not key:
             raise ValueError("stage must be nonempty")
-        labels = self._replay(key)
+        labels = self._replay(key[0])
         if self.kind == "thin":
             return labels
         code = self._code(key)
@@ -259,7 +246,7 @@ class StagedColoring(Coloring):
         return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
 
     def _eval(self, s: Seq) -> int:
-        label = self._replay(s[1:])[s[0]]
+        label = self._replay(s[1])[s[0]]
         return label if self.kind == "thin" else pair(label, self._code(s[1:]))
 
 
@@ -286,25 +273,19 @@ MAX_STAGE_COORDS = 1 << 16  # coordinates of the declared set read per stage
 MAX_DEFEAT_BOUND = 1 << 10  # cap on a defeat search's bound: one replay per minimum below it, each quadratic in the minimum
 
 
-def _stages(alpha: Ordinal, entry: OracleEntry, minima: Iterable[int]) -> Iterator[Seq]:
-    """Canonical stages inside the entry's set: for each minimum m0 in turn,
-    the lex-least member of the canonical barrier starting at m0 and drawn
-    from the set, until a finite set runs out.  Replays depend on the
-    minimum only, so one stage per admissible minimum is exhaustive for
-    defeat search.  A stage still undecided after MAX_STAGE_COORDS
-    coordinates raises ValueError."""
-    spec: BarrierSpec = Canonical(alpha)
-    for m0 in minima:
-        coords = entry.members.stream_from(m0)
-        stage = step(spec, islice(coords, MAX_STAGE_COORDS))
-        if stage is None:
-            if next(coords, None) is not None:
-                raise ValueError(
-                    f"the stage from {m0} has more than {MAX_STAGE_COORDS} coordinates; "
-                    "stages are limited to that many"
-                )
-            return  # finite declared set ran out
-        yield stage
+def _stage(alpha: Ordinal, entry: OracleEntry, m0: int) -> Seq | None:
+    """The canonical stage from m0 inside the entry's set: the lex-least
+    member of the canonical barrier starting at m0 and drawn from the set,
+    or None when a finite set runs out first.  A stage still undecided
+    after MAX_STAGE_COORDS coordinates raises ValueError."""
+    coords = entry.members.stream_from(m0)
+    stage = step(Canonical(alpha), islice(coords, MAX_STAGE_COORDS))
+    if stage is None and next(coords, None) is not None:
+        raise ValueError(
+            f"the stage from {m0} has more than {MAX_STAGE_COORDS} coordinates; "
+            "stages are limited to that many"
+        )
+    return stage
 
 
 def _defeat_search(
@@ -322,9 +303,10 @@ def _defeat_search(
     minimum with at least ``need()`` of them plants a defeat, so coming up
     empty there is a bug.  ``need`` is called only at a minimum that comes
     up empty, so a count it cannot form (a negative i) raises only there.
-    A replay reads the minimum alone, and a set with a tail has a stage
-    from every minimum, so only the hit's stage is built (:func:`_stages`);
-    a finite set may run out first, so its stages are built as they come."""
+    A replay reads the minimum alone, so a stage (:func:`_stage`) is built
+    only where the search ends: at a hit, or at a covered minimum.  A
+    finite set that has run out by then has no stage there or at any later
+    minimum, so the search ends with ``bound-too-small``."""
     if col.kind != kind:
         raise ValueError(f"{kind} defeat check needs a {kind} defeater")
     if bound > MAX_DEFEAT_BOUND:
@@ -332,15 +314,18 @@ def _defeat_search(
     entry = col.family.get(e)
     if entry is None:
         return DefeatResult(None, "no-oracle-entry")
-    finite = entry.members.is_finite
     minima = (m0 for m0 in takewhile(bound.__gt__, entry.members.elements()) if m0 > entry.delay)
-    for stage in _stages(col.alpha, entry, minima) if finite else ((m0,) for m0 in minima):
-        xs = entry.members.elements_below(stage[0])
-        found = hit(xs, col._replay(stage))
-        if found is not None:
-            return DefeatResult((*found, stage if finite else next(_stages(col.alpha, entry, stage))), "ok")
-        if len(xs) >= need():
-            raise InternalInvariantError(f"BUG: no {kind} defeat of X_{e} at the covered stage from {stage[0]}")
+    for m0 in minima:
+        xs = entry.members.elements_below(m0)
+        found = hit(xs, col._replay(m0))
+        if found is None and len(xs) < need():
+            continue
+        stage = _stage(col.alpha, entry, m0)
+        if stage is None:
+            break
+        if found is None:
+            raise InternalInvariantError(f"BUG: no {kind} defeat of X_{e} at the covered stage from {m0}")
+        return DefeatResult((*found, stage), "ok")
     return DefeatResult(None, "bound-too-small")
 
 

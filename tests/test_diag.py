@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -215,7 +215,7 @@ def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
     want = oracles.slow_rainbow_stage(fam, stage)
     assert len(set(want.values())) < len(want)  # some pair is claimed
     assert StagedColoring("rainbow", alpha, fam).stage_colors(stage) == want
-    owner = StagedColoring("rainbow", alpha, fam)._replay(stage)
+    owner = StagedColoring("rainbow", alpha, fam)._replay(stage[0])
     assert all((owner[m] == owner[l]) == (want[m] == want[l]) for m in want for l in want)
 
 
@@ -228,7 +228,7 @@ def test_stages_with_one_minimum_share_their_labels():
         col = StagedColoring(kind, alpha, FAM)
         assert col.stage_colors(a) == slow(FAM, a)
         assert col.stage_colors(b) == slow(FAM, b)
-        assert col._replay(a) is col._replay(b) and len(col._cache) == 1
+        assert len(col._cache) == 1
     # each stage's rainbow codes are fresh
     assert not set(col.stage_colors(a).values()) & set(col.stage_colors(b).values())
 
@@ -287,12 +287,16 @@ def test_rainbow_defeat_collision(alpha_text):
     assert col.stage_colors(stage)[m] == col.stage_colors(stage)[l]
 
 
-def _double_loop_rainbow(fam: OracleFamily, alpha: Ordinal, e: int, bound: int, colors_of) -> DefeatResult | None:
-    """The rainbow defeat search as a double loop over the numbers below
-    each stage, with the colors ``colors_of(stage)``.  None when it reaches
-    a stage of more than 12 coordinates: the straight-line oracle builds
-    every color from a code that doubles with every coordinate, and longer
-    stages are compared in test_big_rainbow_stages_match_the_direct_definition."""
+def _double_loop(
+    fam: OracleFamily, alpha: Ordinal, e: int, bound: int, colors_of, defeat, need: int
+) -> DefeatResult | None:
+    """A defeat search as a loop that builds the stage from each admissible
+    minimum in turn, stops at the first minimum with no stage, and reads
+    ``defeat(below, colors)`` for the numbers of X_e below the stage and the
+    colors ``colors_of(stage)``.  None when it reaches a stage of more than
+    12 coordinates: the straight-line rainbow oracle builds every color from
+    a code that doubles with every coordinate, and longer stages are
+    compared in test_big_rainbow_stages_match_the_direct_definition."""
     entry = fam.get(e)
     for m0 in entry.members.elements():
         if m0 >= bound:
@@ -304,14 +308,27 @@ def _double_loop_rainbow(fam: OracleFamily, alpha: Ordinal, e: int, bound: int, 
             break
         if len(stage) > 12:
             return None
-        colors = colors_of(stage)
         below = [x for x in range(m0) if x in entry.members]
-        for a, m in enumerate(below):
-            for l in below[a + 1 :]:
-                if colors[m] == colors[l]:
-                    return DefeatResult((m, l, stage), "ok")
-        assert len(below) < 2 * e + 2, f"no collision at the covered stage {stage}"
+        found = defeat(below, colors_of(stage))
+        if found is not None:
+            return DefeatResult((*found, stage), "ok")
+        assert len(below) < need, f"no defeat at the covered stage {stage}"
     return DefeatResult(None, "bound-too-small")
+
+
+def _first_collision(below: list[int], colors: dict[int, int]) -> tuple[int, int] | None:
+    for a, m in enumerate(below):
+        for l in below[a + 1 :]:
+            if colors[m] == colors[l]:
+                return m, l
+    return None
+
+
+def _first_planted(i: int, below: list[int], colors: dict[int, int]) -> tuple[int] | None:
+    for m in below:
+        if colors[m] == i:
+            return (m,)
+    return None
 
 
 def _seeded_family(rng: random.Random) -> OracleFamily:
@@ -324,22 +341,43 @@ def _seeded_family(rng: random.Random) -> OracleFamily:
     return OracleFamily(tuple(entries))
 
 
-@pytest.mark.parametrize("alpha_text, bounds", [("1", (3, 13)), ("w", (3, 5)), ("w+1", (3, 5))])
-def test_rainbow_defeat_matches_the_double_loop(alpha_text, bounds):
+@pytest.mark.parametrize(
+    "kind, alpha_text, bounds",
+    [
+        pytest.param("rainbow", "1", (3, 13), id="1-bounds0"),
+        pytest.param("rainbow", "w", (3, 5), id="w-bounds1"),
+        pytest.param("rainbow", "w+1", (3, 5), id="w+1-bounds2"),
+        pytest.param("thin", "1", (3, 13), id="thin-1"),
+        pytest.param("thin", "w", (3, 5), id="thin-w"),
+        pytest.param("thin", "w+1", (3, 5), id="thin-w+1"),
+    ],
+)
+def test_rainbow_defeat_matches_the_double_loop(kind, alpha_text, bounds):
+    # The seeded families give about one finite entry in five, so the loop
+    # also pins where a search along a finite set stops.
     alpha = parse_ordinal(alpha_text)
     rng = random.Random(alpha_text)
     reasons = Counter()
     # substages 0 and 1 both claim pairs of evens at the first stage past 6
     twice = OracleFamily((OracleEntry(0, EVENS, 6), OracleEntry(1, EVENS, 0)))
     for fam in [twice] + [_seeded_family(rng) for _ in range(40)]:
-        col = StagedColoring("rainbow", alpha, fam)
-        slow = lru_cache(maxsize=None)(lambda stage: oracles.slow_rainbow_stage(fam, stage))
-        for entry in fam.entries:
-            for bound in bounds:
-                want = _double_loop_rainbow(fam, alpha, entry.e, bound, slow)
-                if want is not None:
-                    assert verify_defeat_rainbow(col, entry.e, bound) == want, (fam, entry.e, bound)
-                    reasons[want.reason] += 1
+        col = StagedColoring(kind, alpha, fam)
+        replay = oracles.slow_thin_stage if kind == "thin" else oracles.slow_rainbow_stage
+        slow = lru_cache(maxsize=None)(lambda stage: replay(fam, stage))
+        for e in (entry.e for entry in fam.entries):
+            if kind == "rainbow":
+                cases = [(partial(verify_defeat_rainbow, col, e), _first_collision, 2 * e + 2)]
+            else:
+                cases = [
+                    (partial(verify_defeat_thin, col, e, i), partial(_first_planted, i), pair(e, i) + 1)
+                    for i in range(3)
+                ]
+            for search, defeat, need in cases:
+                for bound in bounds:
+                    want = _double_loop(fam, alpha, e, bound, slow, defeat, need)
+                    if want is not None:
+                        assert search(bound) == want, (fam, search, bound)
+                        reasons[want.reason] += 1
     assert reasons["ok"] >= 10 and reasons["bound-too-small"] >= 10, reasons
 
 
@@ -361,16 +399,22 @@ def test_a_replay_without_its_defeat_raises_at_the_first_covered_stage(monkeypat
     # below the stage minimum, rainbow e once 2e + 2 do.  A replay that
     # plants nothing (every number its own color or owner) comes up empty
     # below that stage and is a bug at it.
-    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, stage: {m: m for m in range(stage[0])})
+    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, m0: {m: m for m in range(m0)})
 
-    def search(bound):
-        col = StagedColoring(kind, ONE, FAM)
+    def search(bound, alpha=ONE, fam=FAM):
+        col = StagedColoring(kind, alpha, fam)
         return verify_defeat_thin(col, e, i, bound) if kind == "thin" else verify_defeat_rainbow(col, e, bound)
 
     assert search(covered).reason == "bound-too-small"
     bug = f"BUG: no {kind} defeat of X_{e} at the covered stage from {covered}$"
     with pytest.raises(InternalInvariantError, match=bug):
         search(covered + 1)
+    # Along a finite set of the evens up to the covered minimum, no stage
+    # under w starts there: the set has run out, which is no bug.
+    short = GroundSet(prefix=tuple(range(0, covered + 1, 2)))
+    assert search(covered + 1, OMEGA, OracleFamily((OracleEntry(0, short), OracleEntry(1, short)))).reason == (
+        "bound-too-small"
+    )
 
 
 def test_a_bound_past_the_search_budget_raises():
@@ -397,24 +441,27 @@ def test_stages_past_the_coordinate_cap_raise(monkeypatch):
         verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, FAM), 0, 16)
     with pytest.raises(ValueError, match="limited"):
         verify_defeat_thin(StagedColoring("thin", OMEGA, FAM), 0, 1, 16)
-    # a finite declared set that runs out before the cap still ends the search
+    # a finite declared set that runs out before the cap still ends the
+    # search, and one whose hit stage passes the cap raises there
     short = OracleFamily((OracleEntry(0, GroundSet(prefix=(1, 3, 4, 5)), 0),))
     assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, short), 0, 16).reason == "bound-too-small"
-    monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 2)
-    with pytest.raises(ValueError, match="the stage from 3 has more than 2 coordinates"):
-        verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, short), 0, 16)
+    evens = OracleFamily((OracleEntry(0, GroundSet(prefix=tuple(range(0, 41, 2))), 0),))
+    with pytest.raises(ValueError, match="the stage from 4 has more than 10 coordinates"):
+        verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, evens), 0, 16)
 
 
 def test_an_exhausting_search_reads_no_stage(monkeypatch):
-    # a replay reads the minimum alone, so along a set with a tail only the
-    # hit's stage is built: an exhausting search classifies no coordinate,
-    # and a hit reads its own stage's coordinates and no more
+    # a replay reads the minimum alone, so only the hit's stage is built:
+    # an exhausting search classifies no coordinate, along a set with a
+    # tail or a finite one, and a hit reads its own stage's coordinates and
+    # no more
     read = []
     real = diag.step
     monkeypatch.setattr(diag, "step", lambda spec, stream: real(spec, (read.append(x) or x for x in stream)))
-    dense = OracleFamily((OracleEntry(0, GroundSet(tail=Tail(0, 1)), 0),))
-    assert verify_defeat_thin(StagedColoring("thin", OMEGA, dense), 0, 10**6, 300).reason == "bound-too-small"
-    assert read == []
+    for members in (GroundSet(tail=Tail(0, 1)), GroundSet(prefix=tuple(range(300)))):
+        dense = OracleFamily((OracleEntry(0, members, 0),))
+        assert verify_defeat_thin(StagedColoring("thin", OMEGA, dense), 0, 10**6, 300).reason == "bound-too-small"
+        assert read == []
     assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, FAM), 0, 16).found == (0, 2, tuple(range(4, 26, 2)))
     assert read == list(range(4, 26, 2))
 
@@ -425,7 +472,7 @@ def test_a_defeat_stage_is_the_stage_from_its_minimum(alpha_text):
     # admissible minimum (the evens from 2 below the bound) give there, and
     # its minimum is the first with a hit: a search below it finds none
     alpha = parse_ordinal(alpha_text)
-    stages = {s[0]: s for s in diag._stages(alpha, FAM.get(0), range(2, 16, 2))}
+    stages = {m0: diag._stage(alpha, FAM.get(0), m0) for m0 in range(2, 16, 2)}
     thin, rainbow = StagedColoring("thin", alpha, FAM), StagedColoring("rainbow", alpha, FAM)
     searches = [lambda bound, e=e, i=i: verify_defeat_thin(thin, e, i, bound) for e, i in ((0, 0), (0, 1), (1, 0))]
     searches += [lambda bound, e=e: verify_defeat_rainbow(rainbow, e, bound) for e in (0, 1)]
