@@ -17,9 +17,10 @@ staying 2-bounded overall.
 
 Stage replays depend only on min(stage) and the family, so they take the
 minimum and are cached by it.  The defeat search replays each admissible
-minimum and builds the canonical (lex-least) stage of at most
-:data:`MAX_STAGE_COORDS` coordinates only where it ends: at its hit, or at a
-covered minimum.
+minimum from which the declared set holds a stage, and builds the canonical
+(lex-least) stage of at most :data:`MAX_STAGE_COORDS` coordinates only at
+its hit.  A finite set's minima with a stage come first, so a gallop and a
+bisection find where they end.
 
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
 color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
@@ -30,6 +31,7 @@ coordinates), so it is built only when a color is asked for as a number.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, takewhile
 from typing import Callable, Iterable
@@ -288,6 +290,31 @@ def _stage(alpha: Ordinal, entry: OracleEntry, m0: int) -> Seq | None:
     return stage
 
 
+def _with_stages(alpha: Ordinal, entry: OracleEntry, minima: list[int]) -> int:
+    """How many of the increasing minima have a stage in the entry's set.
+
+    A set with a tail has one from every minimum.  A finite set with a stage
+    t from m0 has one from every smaller minimum m: else its run from m,
+    continued past the set, would start a barrier member holding t as a
+    proper subset.  So the minima with a stage come first, and a gallop
+    from the front (indices 0, 1, 3, 7, ...) and a bisection find their end
+    in O(log n) stages, the short early ones first.  A stage past the cap
+    counts as one: the set was not seen to run out there."""
+    if not entry.members.is_finite:
+        return len(minima)
+
+    def runs_out(m0: int) -> bool:
+        try:
+            return _stage(alpha, entry, m0) is None
+        except ValueError:
+            return False
+
+    hi = 1
+    while hi <= len(minima) and not runs_out(minima[hi - 1]):
+        hi *= 2
+    return bisect_left(minima, True, hi // 2, min(hi - 1, len(minima)), key=runs_out)
+
+
 def _defeat_search(
     col: StagedColoring,
     kind: str,
@@ -303,10 +330,9 @@ def _defeat_search(
     minimum with at least ``need()`` of them plants a defeat, so coming up
     empty there is a bug.  ``need`` is called only at a minimum that comes
     up empty, so a count it cannot form (a negative i) raises only there.
-    A replay reads the minimum alone, so a stage (:func:`_stage`) is built
-    only where the search ends: at a hit, or at a covered minimum.  A
-    finite set that has run out by then has no stage there or at any later
-    minimum, so the search ends with ``bound-too-small``."""
+    A replay reads the minimum alone, so the one stage built is the hit's
+    (:func:`_stage`), and the minima stop where the set's stages end
+    (:func:`_with_stages`)."""
     if col.kind != kind:
         raise ValueError(f"{kind} defeat check needs a {kind} defeater")
     if bound > MAX_DEFEAT_BOUND:
@@ -314,18 +340,14 @@ def _defeat_search(
     entry = col.family.get(e)
     if entry is None:
         return DefeatResult(None, "no-oracle-entry")
-    minima = (m0 for m0 in takewhile(bound.__gt__, entry.members.elements()) if m0 > entry.delay)
-    for m0 in minima:
+    minima = [m0 for m0 in takewhile(bound.__gt__, entry.members.elements()) if m0 > entry.delay]
+    for m0 in minima[: _with_stages(col.alpha, entry, minima)]:
         xs = entry.members.elements_below(m0)
         found = hit(xs, col._replay(m0))
-        if found is None and len(xs) < need():
-            continue
-        stage = _stage(col.alpha, entry, m0)
-        if stage is None:
-            break
-        if found is None:
+        if found is not None:
+            return DefeatResult((*found, _stage(col.alpha, entry, m0)), "ok")
+        if len(xs) >= need():
             raise InternalInvariantError(f"BUG: no {kind} defeat of X_{e} at the covered stage from {m0}")
-        return DefeatResult((*found, stage), "ok")
     return DefeatResult(None, "bound-too-small")
 
 

@@ -163,10 +163,11 @@ def test_diag_command(capsys):
 @pytest.mark.parametrize("kind, verify", [("thin", "e=0,i=1"), ("rainbow", "e=0")])
 def test_diag_broken_guarantee_exits_3_with_one_bug_line(capsys, monkeypatch, kind, verify):
     # a replay that plants nothing breaks the guarantee at the first covered stage
-    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, stage: {m: m for m in range(stage[0])})
+    monkeypatch.setattr(diag, f"_{kind}_stage", lambda fam, m0: {m: m for m in range(m0)})
     assert main(_diag(kind, verify, "--json")) == 3
     out = capsys.readouterr()
     assert out.err == "" and len(out.out.splitlines()) == 1 and list(json.loads(out.out)) == ["BUG"]
+    assert json.loads(out.out)["BUG"].startswith(f"BUG: no {kind} defeat of X_0 at the covered stage from ")
 
 
 def test_diag_bound_too_small_still_exits_clean(capsys):

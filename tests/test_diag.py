@@ -448,22 +448,45 @@ def test_stages_past_the_coordinate_cap_raise(monkeypatch):
     evens = OracleFamily((OracleEntry(0, GroundSet(prefix=tuple(range(0, 41, 2))), 0),))
     with pytest.raises(ValueError, match="the stage from 4 has more than 10 coordinates"):
         verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, evens), 0, 16)
+    # the walks that find where a finite set's stages end stop at the cap
+    # too: the stages from 8 and 16 pass it, so the set was not seen to run
+    # out there, and the hit at 4 stands
+    monkeypatch.setattr(diag, "MAX_STAGE_COORDS", 11)
+    assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, evens), 0, 40).found == (0, 2, tuple(range(4, 26, 2)))
 
 
 def test_an_exhausting_search_reads_no_stage(monkeypatch):
     # a replay reads the minimum alone, so only the hit's stage is built:
-    # an exhausting search classifies no coordinate, along a set with a
-    # tail or a finite one, and a hit reads its own stage's coordinates and
-    # no more
+    # an exhausting search along a set with a tail classifies no coordinate,
+    # and a hit reads its own stage's coordinates and no more
     read = []
     real = diag.step
     monkeypatch.setattr(diag, "step", lambda spec, stream: real(spec, (read.append(x) or x for x in stream)))
-    for members in (GroundSet(tail=Tail(0, 1)), GroundSet(prefix=tuple(range(300)))):
-        dense = OracleFamily((OracleEntry(0, members, 0),))
-        assert verify_defeat_thin(StagedColoring("thin", OMEGA, dense), 0, 10**6, 300).reason == "bound-too-small"
-        assert read == []
+    dense = OracleFamily((OracleEntry(0, GroundSet(tail=Tail(0, 1)), 0),))
+    assert verify_defeat_thin(StagedColoring("thin", OMEGA, dense), 0, 10**6, 300).reason == "bound-too-small"
+    assert read == []
     assert verify_defeat_rainbow(StagedColoring("rainbow", OMEGA, FAM), 0, 16).found == (0, 2, tuple(range(4, 26, 2)))
     assert read == list(range(4, 26, 2))
+
+
+def test_a_search_along_a_finite_set_stops_where_its_stages_end(monkeypatch):
+    # under w the stage from 23 inside 0..299 ends at 299, and none starts
+    # at 24: an exhausting search replays the 23 minima with a stage, not
+    # all 299 below the bound, and a gallop from 1 (stages from 1, 2, 4, 8,
+    # 16, none from 32) and a bisection between 16 and 32 find that end in
+    # 10 stage walks.  No replay below 300 reaches substage (0, 10^6) or 10^6.
+    members = GroundSet(prefix=tuple(range(300)))
+    assert diag._stage(OMEGA, OracleEntry(0, members), 23)[-1] == 299
+    assert diag._stage(OMEGA, OracleEntry(0, members), 24) is None
+    walks = []
+    real = diag.step
+    monkeypatch.setattr(diag, "step", lambda spec, stream: walks.append(spec) or real(spec, stream))
+    for kind, e, search in (("thin", 0, lambda col: verify_defeat_thin(col, 0, 10**6, 300)),
+                            ("rainbow", 10**6, lambda col: verify_defeat_rainbow(col, 10**6, 300))):
+        walks.clear()
+        col = StagedColoring(kind, OMEGA, OracleFamily((OracleEntry(e, members),)))
+        assert search(col).reason == "bound-too-small"
+        assert sorted(col._cache) == list(range(1, 24)) and len(walks) == 10, (kind, len(walks))
 
 
 @pytest.mark.parametrize("alpha_text", ["1", "2", "w", "w+1"])
