@@ -209,31 +209,38 @@ BarrierSpec = Union[ExactSize, Schreier, Canonical, Product, Plus, Derived, Rest
 
 
 def in_base(spec: BarrierSpec, x: int) -> bool:
-    if x < 0:
-        return False
-    match spec:
-        case ExactSize() | Schreier() | Canonical():
-            return True
-        case Plus(inner):
-            return x >= 1 and in_base(inner, x - 1)
-        case Derived(inner, n):
-            return x > n and in_base(inner, x)
-        case Restrict(inner, base):
-            return x in base and in_base(inner, x)
-        case Product(left, right):
-            return in_base(left, x) and in_base(right, x)
-    raise TypeError(f"not a barrier spec: {spec!r}")
+    return _base_test(spec)(x)
+
+
+_NATURALS = partial(le, 0)  # the base of every plain factor and of their products
 
 
 @lru_cache(maxsize=256)
 def _base_test(spec: BarrierSpec) -> Callable[[int], bool]:
-    """``in_base(spec, .)`` as one callable, built once per spec: on a plain
-    base (naturals, see :func:`_plain_base`) under j pluses it is the C-level
-    ``j <= x``; other specs fall back to :func:`in_base`."""
-    j, inner = 0, spec
-    while type(inner) is Plus:
-        j, inner = j + 1, inner.inner
-    return partial(le, j) if _plain_base(inner) else partial(in_base, spec)
+    """The base of the spec as one callable, built once per spec along its
+    constructors: plain factors and their products live on the naturals
+    (:data:`_NATURALS`), j pluses over the naturals are the C-level
+    ``j <= x``, and every other wrapper puts its own check in front of the
+    test of what it wraps."""
+    match spec:
+        case ExactSize() | Schreier() | Canonical():
+            return _NATURALS
+        case Plus():
+            j, inner = 0, spec
+            while type(inner) is Plus:
+                j, inner = j + 1, inner.inner
+            t = _base_test(inner)
+            return partial(le, j) if t is _NATURALS else lambda x: x >= j and t(x - j)
+        case Derived(inner, n):
+            t = _base_test(inner)
+            return lambda x: x > n and t(x)
+        case Restrict(inner, base):
+            t = _base_test(inner)
+            return lambda x: x in base and t(x)
+        case Product(left, right):
+            lt, rt = _base_test(left), _base_test(right)
+            return lt if lt is rt else lambda x: lt(x) and rt(x)
+    raise TypeError(f"not a barrier spec: {spec!r}")
 
 
 def base_members(spec: BarrierSpec, ground: Iterable[int]) -> tuple[int, ...]:
@@ -716,24 +723,14 @@ def order_type(spec: BarrierSpec) -> Ordinal:
 # --- validated constructors ---------------------------------------------
 
 
-def _plain_base(spec: BarrierSpec) -> bool:
-    match spec:
-        case ExactSize() | Schreier() | Canonical():
-            return True
-        case Product(left, right):
-            return _plain_base(left) and _plain_base(right)
-        case _:
-            return False
-
-
 def make_product(left: BarrierSpec, right: BarrierSpec) -> Product:
-    if not (_plain_base(left) and _plain_base(right)):
+    if not (_base_test(left) is _base_test(right) is _NATURALS):
         raise ValueError("product factors must live on the full base of naturals")
     return Product(left, right)
 
 
 def make_derived(inner: BarrierSpec, n: int) -> Derived:
-    if n < 0 or not in_base(inner, n):
+    if not in_base(inner, n):
         raise ValueError(f"{_clip(n)} is not in the base")
     t = classify(inner, (n,))
     if t not in (ELEMENT, PROPER_PREFIX):

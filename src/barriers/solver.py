@@ -39,16 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, starmap
+from itertools import combinations, filterfalse, starmap
 from operator import or_
 from typing import Iterable, Iterator
 
 from .barrier import (
     MAX_GROUND,
+    _base_test,
     capped_front,
     front,
     has_sets,
-    in_base,
     point_set,
     up_closure,
     up_closure2,
@@ -83,7 +83,7 @@ class Witness:
 
 def _checked(f: Coloring, h: Iterable[int]) -> tuple[int, ...]:
     hs = tuple(sorted(set(h)))
-    bad = [x for x in hs if not in_base(f.barrier, x)]
+    bad = list(filterfalse(_base_test(f.barrier), hs))
     if bad:
         raise ValueError(f"{bad} not in the base of the barrier")
     return hs

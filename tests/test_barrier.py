@@ -610,9 +610,20 @@ def test_make_restrict_requires_tail(evens):
 
 
 def test_make_product_rejects_shifted_factors():
-    with pytest.raises(ValueError):
-        make_product(Plus(ExactSize(1)), Schreier())
+    # a product lives on the base of both factors, so each must be a plain
+    # factor or a product of them, on either side
+    for factor in (
+        Plus(ExactSize(1)),
+        Derived(Schreier(), 1),
+        Restrict(Schreier(), GroundSet(tail=Tail(0, 2))),
+        Product(ExactSize(1), Plus(ExactSize(1))),
+    ):
+        for left, right in ((factor, Schreier()), (Schreier(), factor)):
+            with pytest.raises(ValueError, match="^product factors must live on the full base of naturals$"):
+                make_product(left, right)
     assert classify(make_product(ExactSize(1), ExactSize(1)), (3, 9)) is ELEMENT
+    spec = make_product(make_product(ExactSize(1), Schreier()), Canonical(OMEGA))
+    assert step(spec, range(20)) == tuple(range(10))  # (0,), (1, 2), then 3 and exact:6
 
 
 # --- enumeration rank ----------------------------------------------------------------
@@ -671,11 +682,6 @@ def test_enum_rank_refuses_a_non_member_before_ranking(s):
         enum_rank(ExactSize(2), s)
 
 
-def test_in_base():
-    assert in_base(Plus(Schreier()), 1) and not in_base(Plus(Schreier()), 0)
-    assert in_base(Derived(Schreier(), 2), 3) and not in_base(Derived(Schreier(), 2), 2)
-
-
 _ATOMS = st.sampled_from(
     [
         ExactSize(1),
@@ -711,6 +717,33 @@ def composite_specs(draw):
             except ValueError:
                 pass
     return spec
+
+
+def _plain(spec):
+    """Built from plain factors and products of them."""
+    match spec:
+        case ExactSize() | Schreier() | Canonical():
+            return True
+        case Product(left, right):
+            return _plain(left) and _plain(right)
+    return False
+
+
+_EVENS = GroundSet(tail=Tail(0, 2))
+
+
+@given(composite_specs(), st.integers(-3, 14))
+@example(Plus(Derived(Schreier(), 2)), 4)
+@example(Plus(Restrict(Schreier(), _EVENS)), 3)
+@example(Product(Restrict(ExactSize(1), _EVENS), ExactSize(1)), 4)
+@example(Product(Schreier(), Plus(Derived(Schreier(), 0))), 2)
+@example(Plus(Plus(Derived(Schreier(), 2))), 4)  # two pluses shift by two
+@example(Product(Plus(Schreier()), Plus(Schreier())), 0)  # equal factors share one shifted test
+def test_in_base(spec, x):
+    # the one base predicate agrees with the recursive definition, and the
+    # naturals are one constant, shared by exactly the plain specs
+    assert in_base(spec, x) == oracles.obase(spec, x)
+    assert (barrier._base_test(spec) is barrier._NATURALS) == _plain(spec)
 
 
 @given(composite_specs(), st.sets(st.integers(0, 8)))
