@@ -1,110 +1,108 @@
-"""Independent oracles for the test suite.
+"""Reference answers for the test suite.
 
-Everything here recomputes expected answers by a different route than the
-library: set membership by direct definition with brute-force splits instead
-of prefix walks, ordinal arithmetic on coefficient vectors, a non-memoized
-re-evaluation of the recursive forward coloring, and straight-line stage
-replays.  Tests compare library output against these.
+The paper's objects are defined once, in ``benchmarks/oracle.py``, which
+imports nothing from the library: base, membership with brute-force splits,
+fronts by filtering every subset, (max, lex) rank tables, and the thin and
+rainbow stage replays.  A change of definition is made there.  This module
+loads that file by path and hands it specs and families as its own tuples
+and dicts, read off the data-class fields (:func:`ospec`, :func:`ofamily`),
+so no library code sits between a spec and its reference.  What that oracle
+does not define stays here: ordinal arithmetic on coefficient vectors, a
+non-memoized re-evaluation of the recursive forward coloring, and Sperner.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, combinations
+import importlib.util
+from pathlib import Path
 
-from barriers.barrier import (
-    BarrierSpec,
-    Canonical,
-    Derived,
-    ELEMENT,
-    ExactSize,
-    NOT_IN_BASE,
-    OVERRUN,
-    PROPER_PREFIX,
-    Plus,
-    Product,
-    Restrict,
-    Schreier,
-    step,
-)
-from barriers.diag import OracleFamily, code_seq, pair, unpair
-from barriers.ordinals import Ordinal, fund_seq, pred
-from barriers.seqs import Seq, insert_sorted
+from barriers.barrier import ELEMENT, NOT_IN_BASE, OVERRUN, PROPER_PREFIX, BarrierSpec, Canonical, Derived
+from barriers.barrier import ExactSize, Plus, Product, Restrict, Schreier, step
+from barriers.diag import OracleFamily
+from barriers.ordinals import Ordinal
+from barriers.seqs import Seq, Tail, insert_sorted
 
-# --- membership by direct definition ---------------------------------------
+_ORACLE = Path(__file__).resolve().parents[1] / "benchmarks" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("benchmark_oracle", _ORACLE)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+# --- specs and families as the oracle's tuples and dicts ---------------------
+
+
+def oterms(a: Ordinal) -> tuple:
+    """An ordinal as nested (exponent, coefficient) tuples."""
+    return tuple((oterms(exp), c) for exp, c in a.terms)
+
+
+def _otail(tail: Tail | None) -> tuple | None:
+    return None if tail is None else (tail.start, tail.step)
+
+
+def ospec(spec: BarrierSpec) -> tuple:
+    match spec:
+        case ExactSize(size):
+            return ("exact", size)
+        case Schreier():
+            return ("schreier",)
+        case Canonical(index):
+            return ("canonical", oterms(index))
+        case Product(left, right):
+            return ("product", ospec(left), ospec(right))
+        case Plus(inner):
+            return ("plus", ospec(inner))
+        case Derived(inner, n):
+            return ("derived", ospec(inner), n)
+        case Restrict(inner, base):
+            return ("restrict", ospec(inner), base.prefix, _otail(base.tail))
+    raise TypeError(spec)
+
+
+def ofamily(fam: OracleFamily) -> dict:
+    return {e.e: {"prefix": e.members.prefix, "tail": _otail(e.members.tail), "delay": e.delay} for e in fam.entries}
+
+
+# --- membership, fronts, ranks and stage replays -----------------------------
 
 
 def obase(spec: BarrierSpec, x: int) -> bool:
-    if x < 0:
-        return False
-    if isinstance(spec, (ExactSize, Schreier, Canonical)):
-        return True
-    if isinstance(spec, Plus):
-        return x >= 1 and obase(spec.inner, x - 1)
-    if isinstance(spec, Derived):
-        return x > spec.n and obase(spec.inner, x)
-    if isinstance(spec, Restrict):
-        return x in spec.base and obase(spec.inner, x)
-    if isinstance(spec, Product):
-        return obase(spec.left, x) and obase(spec.right, x)
-    raise TypeError(spec)
-
-
-@lru_cache(maxsize=None)
-def member(spec: BarrierSpec, s: Seq) -> bool:
-    """Set membership computed from the definitions, with brute-force splits
-    for products and limit chains."""
-    if isinstance(spec, ExactSize):
-        return len(s) == spec.size
-    if isinstance(spec, Schreier):
-        return bool(s) and len(s) == s[0] + 1
-    if isinstance(spec, Plus):
-        return bool(s) and member(spec.inner, tuple(x - 1 for x in s[:-1]))
-    if isinstance(spec, Derived):
-        return member(spec.inner, (spec.n,) + s)
-    if isinstance(spec, Restrict):
-        return all(x in spec.base for x in s) and member(spec.inner, s)
-    if isinstance(spec, Product):
-        return any(
-            member(spec.left, s[:i]) and member(spec.right, s[i:]) for i in range(len(s) + 1)
-        )
-    if isinstance(spec, Canonical):
-        a = spec.index
-        if a.is_zero:
-            return s == ()
-        if not s:
-            return False
-        if a.is_successor:
-            return member(Canonical(pred(a)), s[1:])
-        blocks = [Canonical(fund_seq(a, j)) for j in range(s[0], -1, -1)]
-        return _chain_member(tuple(blocks), s[1:])
-    raise TypeError(spec)
-
-
-@lru_cache(maxsize=None)
-def _chain_member(blocks: tuple[BarrierSpec, ...], rest: Seq) -> bool:
-    if not blocks:
-        return rest == ()
-    return any(
-        member(blocks[0], rest[:i]) and _chain_member(blocks[1:], rest[i:])
-        for i in range(len(rest) + 1)
-    )
+    return oracle.in_base(ospec(spec), x)
 
 
 def tag_oracle(spec: BarrierSpec, s: Seq):
-    if any(not obase(spec, x) for x in s):
+    o = ospec(spec)
+    if not all(oracle.in_base(o, x) for x in s):
         return NOT_IN_BASE
-    if member(spec, s):
+    if oracle.member(o, s):
         return ELEMENT
-    if any(member(spec, s[:i]) for i in range(len(s))):
+    if any(oracle.member(o, s[:i]) for i in range(len(s))):
         return OVERRUN
     return PROPER_PREFIX
 
 
 def front_oracle(spec: BarrierSpec, ground) -> tuple[Seq, ...]:
-    g = tuple(sorted(x for x in set(ground) if obase(spec, x)))
-    subsets = chain.from_iterable(combinations(g, size) for size in range(len(g) + 1))
-    return tuple(sorted(s for s in subsets if member(spec, s)))
+    return oracle.front(ospec(spec), tuple(ground))
+
+
+def rank_table(spec: BarrierSpec, top: int) -> dict[Seq, int]:
+    return oracle.rank_table(ospec(spec), top)
+
+
+def slow_thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
+    return dict(enumerate(oracle.thin_colors(ofamily(fam), stage[0])))
+
+
+def slow_rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
+    """A color is an anchor paired with the stage's code: its length paired
+    with the right fold of its coordinates."""
+    payload = 0
+    for x in reversed(stage):
+        payload = oracle.pair(x, payload)
+    code = oracle.pair(len(stage), payload)
+    return {m: oracle.pair(a, code) for m, a in enumerate(oracle.rainbow_anchors(ofamily(fam), stage[0]))}
+
+
+# --- kept here: Sperner, ordinal vectors (exponents below a fixed K) --------
 
 
 def slow_sperner(members) -> bool:
@@ -112,8 +110,6 @@ def slow_sperner(members) -> bool:
     sets = [frozenset(s) for s in members]
     return not any(a < b for a in sets for b in sets)
 
-
-# --- ordinal vectors (exponents below a fixed K) ----------------------------
 
 K = 8  # vectors live below w^K
 
@@ -210,62 +206,3 @@ def slow_fs_chain(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> tuple[in
     if n >= 1 and s[n - 1] - 1 < v < s[n] - 1:
         return 0, 0
     return 1, 0
-
-
-# --- straight-line stage replays ---------------------------------------------
-
-
-def slow_thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    s1 = stage[0]
-    assigned: list[tuple[int, int]] = []
-
-    def taken(m: int) -> bool:
-        return any(mm == m for mm, _ in assigned)
-
-    for u in range(s1):
-        e, i = unpair(u)
-        need = pair(e, i) + 1
-        hits = []
-        for x in range(s1):
-            if fam.g(e, x, stage) == 1:
-                hits.append(x)
-        if len(hits) < need:
-            continue
-        approx = hits[:need]
-        chosen = None
-        for m in approx:
-            if not taken(m):
-                chosen = m
-                break
-        if chosen is not None:
-            assigned.append((chosen, i))
-    out = dict(assigned)
-    for m in range(s1):
-        if m not in out:
-            out[m] = 1
-    return out
-
-
-def slow_rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    s1 = stage[0]
-    claimed: list[int] = []
-    out: dict[int, int] = {}
-    for e in range(s1):
-        pairs_found = []
-        for m in range(s1):
-            for l in range(m + 1, s1):
-                if (
-                    m not in claimed
-                    and l not in claimed
-                    and fam.g(e, m, stage) == 1
-                    and fam.g(e, l, stage) == 1
-                ):
-                    pairs_found.append((m, l))
-        if pairs_found:
-            m, l = min(pairs_found)
-            claimed.extend([m, l])
-            out[m] = out[l] = pair(m, code_seq(stage))
-    for l in range(s1):
-        if l not in out:
-            out[l] = pair(l, code_seq(stage))
-    return out

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import lru_cache, partial
 
 import pytest
 
@@ -204,7 +203,7 @@ def test_replays_match_straight_line_reimplementation():
 def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
     # Long stages carry big-integer codes (no stage under canonical w or w+1
     # has 13 to 15 coordinates); a stage with a large minimum has many
-    # colors.  The oracle calls pair(m, code_seq(stage)) for every color.
+    # colors.  The oracle pairs every color's anchor with the stage's code.
     alpha = parse_ordinal(alpha_text)
     fam = OracleFamily((
         OracleEntry(0, GroundSet(tail=Tail(1, 3)), 0),
@@ -287,17 +286,13 @@ def test_rainbow_defeat_collision(alpha_text):
     assert col.stage_colors(stage)[m] == col.stage_colors(stage)[l]
 
 
-def _double_loop(
-    fam: OracleFamily, alpha: Ordinal, e: int, bound: int, colors_of, defeat, need: int
-) -> DefeatResult | None:
+def _double_loop(kind: str, fam: OracleFamily, alpha: Ordinal, e: int, i: int | None, bound: int) -> DefeatResult:
     """A defeat search as a loop that builds the stage from each admissible
-    minimum in turn, stops at the first minimum with no stage, and reads
-    ``defeat(below, colors)`` for the numbers of X_e below the stage and the
-    colors ``colors_of(stage)``.  None when it reaches a stage of more than
-    12 coordinates: the straight-line rainbow oracle builds every color from
-    a code that doubles with every coordinate, and longer stages are
-    compared in test_big_rainbow_stages_match_the_direct_definition."""
-    entry = fam.get(e)
+    minimum in turn, stops at the first minimum with no stage, and reads the
+    witness there from the oracle's ``defeat_at``.  A minimum without one
+    has fewer numbers of X_e below it than the substage needs."""
+    entry, family = fam.get(e), oracles.ofamily(fam)
+    need = oracles.oracle.pair(e, i) + 1 if kind == "thin" else 2 * e + 2
     for m0 in entry.members.elements():
         if m0 >= bound:
             break
@@ -306,29 +301,11 @@ def _double_loop(
         stage = step(Canonical(alpha), entry.members.stream_from(m0))
         if stage is None:
             break
-        if len(stage) > 12:
-            return None
-        below = [x for x in range(m0) if x in entry.members]
-        found = defeat(below, colors_of(stage))
+        found = oracles.oracle.defeat_at(kind, family, e, i, m0)
         if found is not None:
             return DefeatResult((*found, stage), "ok")
-        assert len(below) < need, f"no defeat at the covered stage {stage}"
+        assert len(entry.members.elements_below(m0)) < need, f"no defeat at the covered stage {stage}"
     return DefeatResult(None, "bound-too-small")
-
-
-def _first_collision(below: list[int], colors: dict[int, int]) -> tuple[int, int] | None:
-    for a, m in enumerate(below):
-        for l in below[a + 1 :]:
-            if colors[m] == colors[l]:
-                return m, l
-    return None
-
-
-def _first_planted(i: int, below: list[int], colors: dict[int, int]) -> tuple[int] | None:
-    for m in below:
-        if colors[m] == i:
-            return (m,)
-    return None
 
 
 def _seeded_family(rng: random.Random) -> OracleFamily:
@@ -362,22 +339,13 @@ def test_rainbow_defeat_matches_the_double_loop(kind, alpha_text, bounds):
     twice = OracleFamily((OracleEntry(0, EVENS, 6), OracleEntry(1, EVENS, 0)))
     for fam in [twice] + [_seeded_family(rng) for _ in range(40)]:
         col = StagedColoring(kind, alpha, fam)
-        replay = oracles.slow_thin_stage if kind == "thin" else oracles.slow_rainbow_stage
-        slow = lru_cache(maxsize=None)(lambda stage: replay(fam, stage))
         for e in (entry.e for entry in fam.entries):
-            if kind == "rainbow":
-                cases = [(partial(verify_defeat_rainbow, col, e), _first_collision, 2 * e + 2)]
-            else:
-                cases = [
-                    (partial(verify_defeat_thin, col, e, i), partial(_first_planted, i), pair(e, i) + 1)
-                    for i in range(3)
-                ]
-            for search, defeat, need in cases:
+            for i in (None,) if kind == "rainbow" else range(3):
                 for bound in bounds:
-                    want = _double_loop(fam, alpha, e, bound, slow, defeat, need)
-                    if want is not None:
-                        assert search(bound) == want, (fam, search, bound)
-                        reasons[want.reason] += 1
+                    want = _double_loop(kind, fam, alpha, e, i, bound)
+                    got = verify_defeat_rainbow(col, e, bound) if i is None else verify_defeat_thin(col, e, i, bound)
+                    assert got == want, (fam, e, i, bound)
+                    reasons[want.reason] += 1
     assert reasons["ok"] >= 10 and reasons["bound-too-small"] >= 10, reasons
 
 
