@@ -69,7 +69,7 @@ def parse_barrier_arg(text: str) -> BarrierSpec:
                 spec = spec_from_json(_load_json_arg(text))
             except FileNotFoundError:
                 spec = spec_from_json(text)  # raises: unknown barrier shorthand
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad barrier {_clip(text)}: {exc}")
     return spec
 
@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(json.dumps({"BUG": str(exc)}, sort_keys=True))
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

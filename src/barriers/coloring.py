@@ -34,10 +34,8 @@ __all__ = [
 ]
 
 
-class PartialColoringError(KeyError):
+class PartialColoringError(ValueError):
     """The coloring was queried outside its table."""
-
-    __str__ = Exception.__str__  # the message, not the repr KeyError prints
 
 
 class BoundViolationError(ValueError):

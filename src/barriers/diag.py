@@ -25,7 +25,8 @@ bisection find where they end.
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
 color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
 bits of the stage code, which doubles with every coordinate (0.9 Mbit at 17
-coordinates), so it is built only when a color is asked for as a number.
+coordinates), so it is built only when a color is asked for as a number: one
+code per stage of each batch, and every color of that stage from it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, takewhile
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .barrier import Canonical, ExactSize, InternalInvariantError, Product, step
 from .coloring import Coloring
@@ -207,11 +208,10 @@ class StagedColoring(Coloring):
         self.alpha = alpha
         self.family = family
         self._cache: dict[int, dict[int, int]] = {}  # min(stage) -> labels
-        self._codes: dict[Seq, int] = {}  # stage -> code_seq(stage), rainbow only
         barrier = Product(ExactSize(1), Canonical(alpha))
         super().__init__(
             barrier,
-            lambda ms: list(map(self._eval, ms)),
+            self._batch,
             name=f"{kind}-defeater",
             declared_bound=2 if kind == "rainbow" else None,
         )
@@ -224,32 +224,33 @@ class StagedColoring(Coloring):
             self._cache[m0] = replay(self.family, m0)
         return self._cache[m0]
 
-    def _code(self, stage: Seq) -> int:
-        """code_seq(stage), built once per stage for every color asked of it."""
-        if stage not in self._codes:
-            self._codes[stage] = code_seq(stage)
-        return self._codes[stage]
-
-    def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
-        """All colors assigned at one stage: m -> f(m, stage) for m < min.
+    def _colors(self, stage: Seq) -> dict[int, int]:
+        """All colors assigned at a nonempty stage, m -> f(m, stage) for
+        m < min(stage), in a fresh dict: the one place a color is formed.
 
         A rainbow color is <owner, stage> = pair(owner, C) for the stage
         code C, which equals pair(0, C) + owner*C + owner(owner+1)/2 + owner:
         C is squared once, and each color costs one small multiply.
         """
-        key = as_seq(stage)
-        if not key:
-            raise ValueError("stage must be nonempty")
-        labels = self._replay(key[0])
+        labels = self._replay(stage[0])
         if self.kind == "thin":
-            return labels
-        code = self._code(key)
+            return dict(labels)
+        code = code_seq(stage)
         base = pair(0, code)
         return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
 
-    def _eval(self, s: Seq) -> int:
-        label = self._replay(s[1])[s[0]]
-        return label if self.kind == "thin" else pair(label, self._code(s[1:]))
+    def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
+        """All colors assigned at one stage: m -> f(m, stage) for m < min."""
+        key = as_seq(stage)
+        if not key:
+            raise ValueError("stage must be nonempty")
+        return self._colors(key)
+
+    def _batch(self, members: Sequence[Seq]) -> list[int]:
+        """The members' colors, each distinct stage colored once."""
+        stages = [s[1:] for s in members]
+        colors = {stage: self._colors(stage) for stage in dict.fromkeys(stages)}
+        return [colors[stage][s[0]] for s, stage in zip(members, stages)]
 
 
 # --- defeat verification ------------------------------------------------------

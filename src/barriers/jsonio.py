@@ -113,8 +113,6 @@ def spec_from_json(obj: Any) -> BarrierSpec:
     (tag, value), = obj.items()
     if tag == "exact":
         return ExactSize(as_int(value, "exact size"))
-    if tag == "schreier":
-        return Schreier()
     if tag == "canonical":
         return Canonical(parse_ordinal(_shape(value, str, "a canonical index")))
     if tag == "product":

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,6 +25,7 @@ from barriers.solver import PROPERTIES
 from conftest import SPEC_POOL
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def report_validator() -> Draft202012Validator:
@@ -84,6 +86,19 @@ def _usage_error(capsys, argv, width: int | None = 200) -> str:
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err, (argv, out, err)
     assert width is None or len(err.rstrip("\n").encode()) <= width, (argv, err)
     return err
+
+
+def test_the_readme_cli_examples_exit_0(capsys):
+    # the sh block under "## CLI", one command per line once a trailing
+    # backslash joins a line to the next
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert commands and all(argv[0] == "barriers" for argv in commands)
+    for _, *argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if "--json" in argv:
+            VALIDATOR.validate(json.loads(out))
 
 
 def test_ground_ranges_are_half_open():
@@ -392,6 +407,18 @@ def test_unexpected_exceptions_exit_3_tagged_bug(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == {"BUG": "IndexError: tuple index out of range"}
 
 
+@pytest.mark.parametrize("name, exc", [("front", KeyError("x")), ("spec_from_json", TypeError("not a spec"))])
+def test_a_library_key_or_type_error_is_a_bug_not_a_usage_error(capsys, monkeypatch, name, exc):
+    # every refusal is a ValueError, so any other exception is a bug
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, name, broken)
+    assert main(["front", "--barrier", '{"exact": 1}', "--ground", "0..4"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.splitlines() == [json.dumps({"BUG": f"{type(exc).__name__}: {exc}"})]
+
+
 # --- the refusal table --------------------------------------------------------
 # A row (id, argv, line) of REFUSALS exits 2 with nothing on stdout and one
 # stderr line, no traceback, of at most 200 bytes: line itself if line starts
@@ -514,6 +541,10 @@ REFUSALS = [
         ("const-negative", _SOLVE_MIN + ['{"builtin":"const","params":{"value":-3}}'],
          "builtin param 'value' must be >= 0, got -3"),
         ("params-0", _SOLVE_MIN + ['{"builtin":"min","params":0}'], "builtin params must be an object, got an integer"),
+        # "schreier" is a shorthand only, not a constructor taking a value
+        *[(f"schreier-object-{case}", ["front", "--ground", "0..4", "--json", "--barrier", json.dumps({"schreier": v})],
+           "unknown barrier constructor 'schreier'")
+          for case, v in (("typo", {"typo": 1}), ("array", [1, 2, 3]), ("null", None))],
         *[(f"exact-{case}", ["front", "--ground", "0..4", "--barrier", f"exact:{size}"],
            f"an exact size is written in the digits 0-9, got 'exact:{size}'")
           for case, size in (("underscore", "2_0"), ("space", " 2"), ("minus-0", "-0"))])],

@@ -123,6 +123,16 @@ def test_thin_stage_trace():
     # with a second entry, substage 2 = (1,0) additionally claims 4 with 0.
 
 
+@pytest.mark.parametrize("kind", ["thin", "rainbow"])
+def test_stage_colors_hands_out_a_fresh_dict(kind):
+    col = StagedColoring(kind, ONE, FAM)
+    colors = col.stage_colors((5,))
+    want = dict(colors)
+    colors[0] = 7
+    assert col.stage_colors((5,)) == want
+    assert col((0, 5)) == want[0] != 7
+
+
 def test_thin_defeater_empty_family_is_all_ones():
     col = StagedColoring("thin", ONE, EMPTY)
     assert col.stage_colors((4,)) == {m: 1 for m in range(4)}
@@ -173,10 +183,13 @@ def test_rainbow_codes_are_built_once_per_stage(monkeypatch):
     col = StagedColoring("rainbow", parse_ordinal("w+1"), FAM)
     assert check_bounded(col, range(14))[0]
     stages = {s[1:] for s in front(col.barrier, range(14))}
-    assert calls == Counter(dict.fromkeys(stages, 1))
-    for stage in stages:  # stage_colors reads the codes the calls built
-        assert col.stage_colors(stage) == {m: col((m, *stage)) for m in range(stage[0])}
-    assert calls == Counter(dict.fromkeys(stages, 1))
+    want = Counter(dict.fromkeys(stages, 1))
+    assert calls == want
+    for stage in stages:  # one batch per stage builds that stage's code once
+        colors = col.colors_of([(m, *stage) for m in range(stage[0])])
+        want[stage] += 1
+        assert calls == want
+        assert colors == list(oracles.slow_rainbow_stage(FAM, stage).values())
     calls.clear()
     assert verify_defeat_rainbow(StagedColoring("rainbow", parse_ordinal("w+1"), FAM), 0, 16).ok
     assert not calls  # the defeat search compares owners and builds no code
@@ -214,6 +227,8 @@ def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
     want = oracles.slow_rainbow_stage(fam, stage)
     assert len(set(want.values())) < len(want)  # some pair is claimed
     assert StagedColoring("rainbow", alpha, fam).stage_colors(stage) == want
+    members = [(m, *stage) for m in want]
+    assert StagedColoring("rainbow", alpha, fam).colors_of(members) == list(want.values())
     owner = StagedColoring("rainbow", alpha, fam)._replay(stage[0])
     assert all((owner[m] == owner[l]) == (want[m] == want[l]) for m in want for l in want)
 

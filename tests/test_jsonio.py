@@ -68,7 +68,7 @@ def test_shorthand_specs():
 
 def test_spec_from_json_rejects_garbage():
     for bad in ("nope", {"exact": 1, "plus": "schreier"}, {"weird": 1}, 42):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ValueError):
             spec_from_json(bad)
 
 
@@ -335,10 +335,13 @@ _EXACT = "an exact size is written in the digits 0-9, got "
         ("spec", "exact:+2", _EXACT + "'exact:+2'"),
         ("spec", "exact:\u0662", _EXACT + "'exact:\u0662'"),
         ("spec", "exact:", _EXACT + "'exact:'"),
+        # "schreier" is a shorthand only, not a constructor taking a value
+        ("spec", {"schreier": {"typo": 1}}, "unknown barrier constructor 'schreier'"),
     ],
     ids=["restrict", "table-params", "no-form", "tail-start",
          "restrict-inner", "bound-negative", "k-0", "m-negative", "params-array", "params-false", "params-null",
-         "rank-k", "name-not-a-string", "exact-plus", "exact-arabic-indic", "exact-empty"],
+         "rank-k", "name-not-a-string", "exact-plus", "exact-arabic-indic", "exact-empty",
+         "schreier-object"],
 )
 def test_a_decoder_names_what_it_refuses(name, obj, message):
     with pytest.raises(ValueError) as exc:
