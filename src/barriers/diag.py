@@ -25,8 +25,7 @@ bisection find where they end.
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
 color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
 bits of the stage code, which doubles with every coordinate (0.9 Mbit at 17
-coordinates), so it is built only when a color is asked for as a number: one
-code per stage of each batch, and every color of that stage from it.
+coordinates), so it is built only when a color is asked for as a number.
 """
 
 from __future__ import annotations
@@ -224,33 +223,36 @@ class StagedColoring(Coloring):
             self._cache[m0] = replay(self.family, m0)
         return self._cache[m0]
 
-    def _colors(self, stage: Seq) -> dict[int, int]:
-        """All colors assigned at a nonempty stage, m -> f(m, stage) for
-        m < min(stage), in a fresh dict: the one place a color is formed.
+    def _colors(self, stage: Seq, ms: Iterable[int]) -> dict[int, int]:
+        """m -> f(m, stage) for the asked m < min(stage) of a nonempty stage,
+        in a fresh dict: the one place a color is formed.
 
         A rainbow color is <owner, stage> = pair(owner, C) for the stage
         code C, which equals pair(0, C) + owner*C + owner(owner+1)/2 + owner:
         C is squared once, and each color costs one small multiply.
         """
         labels = self._replay(stage[0])
+        asked = {m: labels[m] for m in ms}
         if self.kind == "thin":
-            return dict(labels)
+            return asked
         code = code_seq(stage)
         base = pair(0, code)
-        return {m: base + o * code + o * (o + 1) // 2 + o for m, o in labels.items()}
+        return {m: base + o * code + o * (o + 1) // 2 + o for m, o in asked.items()}
 
     def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
         """All colors assigned at one stage: m -> f(m, stage) for m < min."""
         key = as_seq(stage)
         if not key:
             raise ValueError("stage must be nonempty")
-        return self._colors(key)
+        return self._colors(key, range(key[0]))
 
     def _batch(self, members: Sequence[Seq]) -> list[int]:
-        """The members' colors, each distinct stage colored once."""
-        stages = [s[1:] for s in members]
-        colors = {stage: self._colors(stage) for stage in dict.fromkeys(stages)}
-        return [colors[stage][s[0]] for s, stage in zip(members, stages)]
+        """The members' colors, from one `_colors` call per distinct stage."""
+        asked: dict[Seq, list[int]] = {}
+        for s in members:
+            asked.setdefault(s[1:], []).append(s[0])
+        colors = {stage: self._colors(stage, ms) for stage, ms in asked.items()}
+        return [colors[s[1:]][s[0]] for s in members]
 
 
 # --- defeat verification ------------------------------------------------------

@@ -195,6 +195,35 @@ def test_rainbow_codes_are_built_once_per_stage(monkeypatch):
     assert not calls  # the defeat search compares owners and builds no code
 
 
+@pytest.mark.parametrize("kind", ["thin", "rainbow"])
+def test_a_call_forms_only_the_colors_asked_for(kind, monkeypatch):
+    codes = Counter()
+    real = diag.code_seq
+
+    def counting_code_seq(s):
+        codes[s] += 1
+        return real(s)
+
+    monkeypatch.setattr(diag, "code_seq", counting_code_seq)
+    stage = step(Canonical(OMEGA), iter(range(5, 40)))  # 16 coordinates
+    col = StagedColoring(kind, OMEGA, FAM)
+    labels = col._replay(stage[0])
+    read = []
+
+    class Labels:  # the replay, read one label at a time
+        def __getitem__(self, m):
+            read.append(m)
+            return labels[m]
+
+    col._cache[stage[0]] = Labels()
+    slow = oracles.slow_thin_stage if kind == "thin" else oracles.slow_rainbow_stage
+    want = slow(FAM, stage)
+    assert col((3, *stage)) == want[3]
+    assert col.colors_of([(1, *stage), (4, *stage)]) == [want[1], want[4]]
+    assert read == [3, 1, 4]  # no other member's color is formed
+    assert codes == Counter({stage: 2} if kind == "rainbow" else {})  # one code per call
+
+
 def test_replays_match_straight_line_reimplementation():
     stages = [s for s in front(Canonical(OMEGA), range(11)) if s] + [(5,), (6,), (9,)]
     for fam in (FAM, EMPTY, OracleFamily((OracleEntry(0, EVENS, delay=4),))):
