@@ -23,9 +23,8 @@ its hit.  A finite set's minima with a stage come first, so a gallop and a
 bisection find where they end.
 
 A replay yields small labels: thin colors, or rainbow owners.  The rainbow
-color <o, stage> = pair(o, code_seq(stage)) of owner o has about twice the
-bits of the stage code, which doubles with every coordinate (0.9 Mbit at 17
-coordinates), so it is built only when a color is asked for as a number.
+color <o, stage> of owner o is pair(o, code_seq(stage)), where the stage
+code has max(stage) + 1 bits.
 """
 
 from __future__ import annotations
@@ -79,12 +78,11 @@ def unpair(z: int) -> tuple[int, int]:
 
 
 def code_seq(s: Seq) -> int:
-    """Injective code of a finite sequence: a length tag paired with the
-    right fold of the coordinates."""
-    payload = 0
-    for x in reversed(s):
-        payload = pair(x, payload)
-    return pair(len(s), payload)
+    """Injective code of a strictly increasing sequence: the canonical index
+    of its set, sum(1 << x), of max(s) + 1 bits.  PAPER.md holds only the
+    abstract, so the paper's <m, stage> may code stages otherwise; any
+    injective stage code gives the same defeats and the same 2-boundedness."""
+    return sum(1 << x for x in s)
 
 
 # --- oracle families --------------------------------------------------------
@@ -225,19 +223,15 @@ class StagedColoring(Coloring):
 
     def _colors(self, stage: Seq, ms: Iterable[int]) -> dict[int, int]:
         """m -> f(m, stage) for the asked m < min(stage) of a nonempty stage,
-        in a fresh dict: the one place a color is formed.
-
-        A rainbow color is <owner, stage> = pair(owner, C) for the stage
-        code C, which equals pair(0, C) + owner*C + owner(owner+1)/2 + owner:
-        C is squared once, and each color costs one small multiply.
+        in a fresh dict: the one place a color is formed.  A rainbow color
+        is <owner, stage> = pair(owner, code_seq(stage)).
         """
         labels = self._replay(stage[0])
         asked = {m: labels[m] for m in ms}
         if self.kind == "thin":
             return asked
         code = code_seq(stage)
-        base = pair(0, code)
-        return {m: base + o * code + o * (o + 1) // 2 + o for m, o in asked.items()}
+        return {m: pair(o, code) for m, o in asked.items()}
 
     def stage_colors(self, stage: Iterable[int]) -> dict[int, int]:
         """All colors assigned at one stage: m -> f(m, stage) for m < min."""

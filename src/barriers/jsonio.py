@@ -36,7 +36,6 @@ __all__ = [
     "ground_to_json",
     "ground_from_json",
     "coloring_from_json",
-    "family_to_json",
     "family_from_json",
 ]
 
@@ -172,13 +171,6 @@ def coloring_from_json(barrier: BarrierSpec, obj: Any) -> Coloring:
     if bound is not None:
         f.declared_bound = as_int(bound, "bound", 1)
     return f
-
-
-def family_to_json(fam: OracleFamily) -> list:
-    return [
-        {"e": entry.e, "set": ground_to_json(entry.members), "delay": entry.delay}
-        for entry in fam.entries
-    ]
 
 
 def family_from_json(obj: Any) -> OracleFamily:

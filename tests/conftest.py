@@ -44,6 +44,27 @@ EXTRA_POOL: dict[str, object] = {
     "product(exact:2, exact:1)": Product(ExactSize(2), ExactSize(1)),
 }
 
+# The reduction grid of the acceptance battery's criterion 5.  In this order,
+# so that each barrier keeps its seeds as the grid grows.
+REDUCTION_BARRIERS = {
+    "canonical:w": Canonical(OMEGA),
+    "exact:1": ExactSize(1),
+    "exact:2": ExactSize(2),
+    "schreier": Schreier(),
+    "derived(schreier, 2)": SPEC_POOL["derived(schreier, 2)"],
+    "restrict(schreier, evens)": EXTRA_POOL["restrict(schreier, evens)"],
+}
+
+# (reduction, declared bound of the rainbow instances)
+REDUCTION_ARMS = (
+    ("fs-to-rt", None),
+    ("ts-to-rt", None),
+    ("ts-to-fs", None),
+    ("rrt-to-rt", 2),
+    ("rrt-to-rt", 3),
+    ("rrt2-to-fs", None),
+)
+
 
 @pytest.fixture(scope="session")
 def spec_pool():

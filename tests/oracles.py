@@ -93,12 +93,9 @@ def slow_thin_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
 
 
 def slow_rainbow_stage(fam: OracleFamily, stage: Seq) -> dict[int, int]:
-    """A color is an anchor paired with the stage's code: its length paired
-    with the right fold of its coordinates."""
-    payload = 0
-    for x in reversed(stage):
-        payload = oracle.pair(x, payload)
-    code = oracle.pair(len(stage), payload)
+    """A color is an anchor paired with the stage's code: the canonical
+    index of its set."""
+    code = sum(1 << x for x in stage)
     return {m: oracle.pair(a, code) for m, a in enumerate(oracle.rainbow_anchors(ofamily(fam), stage[0]))}
 
 

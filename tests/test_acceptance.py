@@ -31,32 +31,13 @@ from barriers.reduction import REDUCTIONS, adversarial_instances, check_reductio
 from barriers.seqs import GroundSet, Tail
 
 import oracles
-from conftest import EXTRA_POOL, SPEC_POOL
+from conftest import REDUCTION_ARMS, REDUCTION_BARRIERS, SPEC_POOL
 
 GROUND_AXIOMS = tuple(range(20))  # [0..19]
 GROUND_REDUCTIONS = tuple(range(15))  # [0..14]
 MIN_WITNESS_SIZE = 3
 RANDOM_INSTANCES = 100
 BASE_SEED = 20240801
-
-# In this order, so that each barrier keeps its seeds as the grid grows.
-REDUCTION_BARRIERS = {
-    "canonical:w": Canonical(OMEGA),
-    "exact:1": ExactSize(1),
-    "exact:2": ExactSize(2),
-    "schreier": Schreier(),
-    "derived(schreier, 2)": SPEC_POOL["derived(schreier, 2)"],
-    "restrict(schreier, evens)": EXTRA_POOL["restrict(schreier, evens)"],
-}
-
-REDUCTION_ARMS = (
-    ("fs-to-rt", None),
-    ("ts-to-rt", None),
-    ("ts-to-fs", None),
-    ("rrt-to-rt", 2),
-    ("rrt-to-rt", 3),
-    ("rrt2-to-fs", None),
-)
 
 
 # --- criterion reports -------------------------------------------------------

