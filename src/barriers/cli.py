@@ -86,16 +86,25 @@ def _integer(text: str, what: str = "a number") -> int:
     return int(text)
 
 
+def _natural(text: str, what: str) -> int:
+    """text as a natural number, read by _integer; a negative one is refused
+    by name."""
+    n = _integer(text, what)
+    if n < 0:
+        raise ValueError(f"{what} must be a natural number, got {_clip(text)}")
+    return n
+
+
 def parse_ground_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            lo, hi = _integer(lo, "a range end"), _integer(hi, "a range end")
+            lo, hi = _natural(lo, "a range end"), _natural(hi, "a range end")
             if hi - lo > MAX_MEMBERS:  # before the tuple is built; len() of a range stops at sys.maxsize
                 raise ValueError(f"a range has more than {MAX_MEMBERS} elements; ranges are limited to that many")
             return tuple(range(lo, hi))
-        return tuple(sorted({_integer(x, "a ground element") for x in text.split(",") if x.strip()}))
+        return tuple(sorted({_natural(x, "a ground element") for x in text.split(",") if x.strip()}))
     except ValueError as exc:
         raise ValueError(f"bad ground set {_clip(text)}: {exc}")
 
@@ -197,6 +206,8 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
 
     if args.random < 0:
         raise ValueError(f"--random must be at least 0, got {_clip(args.random)}")
+    if args.seed is not None and args.seed < 0:  # random.Random seeds by |seed|: -1 draws seed 1's first instance
+        raise ValueError(f"--seed must be at least 0, got {_clip(args.seed)}")
     if not args.check and (args.random > 1 or args.adversarial):
         raise ValueError("without --check reduce prints one instance; --random N > 1 and --adversarial need --check")
     if args.adversarial and not args.random:
@@ -270,9 +281,7 @@ def _parse_verify(text: str, kind: str) -> dict[str, int]:
             raise ValueError(f"{kind} verification reads only {' and '.join(keys)}, not {_clip(key)}")
         if key in out:
             raise ValueError(f"--verify gives {key} twice")
-        out[key] = _integer(value, f"--verify {key}")
-        if out[key] < 0:
-            raise ValueError(f"--verify {key} must be a natural number, got {_clip(value)}")
+        out[key] = _natural(value, f"--verify {key}")
     for key in keys:
         if key not in out:
             raise ValueError(f"{kind} verification needs {' and '.join(keys)}, missing {key}")
@@ -305,85 +314,131 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
 # --- wiring -----------------------------------------------------------------
 
 
+_Options = dict[str, argparse.Action]  # a subcommand's actions by option string
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name (the choices
-    of the subparsers action).  Built on the first call, not at import, and
-    reused: building them costs more than many commands."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, _Options]]]:
+    """The top-level parser, and by subcommand name its parser and the
+    actions that add_argument returned for its options.  Built on the first
+    call, not at import, and reused: building them costs more than many
+    commands."""
     parser = argparse.ArgumentParser(prog="barriers", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"barriers {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[argparse.ArgumentParser, _Options] = {}
+
+    def add(p: argparse.ArgumentParser, *names: str, **kwargs: Any) -> None:
+        action = p.add_argument(*names, **kwargs)
+        options.setdefault(p, {}).update(dict.fromkeys(action.option_strings, action))
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a machine-readable report")
+        add(p, "--json", action="store_true", help="emit a machine-readable report")
 
     p = sub.add_parser("front", help="list the members inside a finite ground set")
-    p.add_argument("--barrier", required=True)
-    p.add_argument("--ground", required=True, help="a..b (half-open) or comma list")
+    add(p, "--barrier", required=True)
+    add(p, "--ground", required=True, help="a..b (half-open) or comma list")
     add_common(p)
     p.set_defaults(fn=cmd_front)
 
     p = sub.add_parser("check", help="probe the Sperner and Density properties")
-    p.add_argument("--barrier", required=True)
-    p.add_argument("--ground", required=True)
+    add(p, "--barrier", required=True)
+    add(p, "--ground", required=True)
     add_common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("variant", help="the k-variant of a member")
-    p.add_argument("--barrier", required=True)
-    p.add_argument("--seq", required=True, help="comma list, e.g. 2,4,5")
-    p.add_argument("--k", required=True, type=_integer)
+    add(p, "--barrier", required=True)
+    add(p, "--seq", required=True, help="comma list, e.g. 2,4,5")
+    add(p, "--k", required=True, type=_integer)
     add_common(p)
     p.set_defaults(fn=cmd_variant)
 
     p = sub.add_parser("ordertype", help="symbolic order type")
-    p.add_argument("--barrier", required=True)
+    add(p, "--barrier", required=True)
     add_common(p)
     p.set_defaults(fn=cmd_ordertype)
 
     p = sub.add_parser("solve", help="search for a solution set on a finite ground set")
-    p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--barrier", required=True)
-    p.add_argument("--coloring", required=True, help="JSON (inline or path)")
-    p.add_argument("--ground", required=True)
-    p.add_argument("--min-size", type=_integer, default=1)
+    add(p, "--property", required=True, choices=PROPERTIES)
+    add(p, "--barrier", required=True)
+    add(p, "--coloring", required=True, help="JSON (inline or path)")
+    add(p, "--ground", required=True)
+    add(p, "--min-size", type=_integer, default=1)
     add_common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("reduce", help="apply or exhaustively check a reduction")
-    p.add_argument("--name", required=True)
-    p.add_argument("--barrier", required=True)
-    p.add_argument("--coloring", help="JSON (inline or path)")
-    p.add_argument("--ground", required=True)
-    p.add_argument("--check", action="store_true", help="validate solutions exhaustively")
-    p.add_argument("--min-size", type=_integer, help="with --check, the least witness size (default 3)")
-    p.add_argument("--random", type=_integer, default=0, metavar="N", help="check N seeded random instances")
-    p.add_argument("--adversarial", action="store_true", help="add the stress instances to the --random ones")
-    p.add_argument("--seed", type=_integer, help="with --random N, the seed of the instances (default 0)")
+    add(p, "--name", required=True)
+    add(p, "--barrier", required=True)
+    add(p, "--coloring", help="JSON (inline or path)")
+    add(p, "--ground", required=True)
+    add(p, "--check", action="store_true", help="validate solutions exhaustively")
+    add(p, "--min-size", type=_integer, help="with --check, the least witness size (default 3)")
+    add(p, "--random", type=_integer, default=0, metavar="N", help="check N seeded random instances")
+    add(p, "--adversarial", action="store_true", help="add the stress instances to the --random ones")
+    add(p, "--seed", type=_integer, help="with --random N, the seed of the instances (default 0)")
     add_common(p)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("diag", help="verify a diagonalizing coloring defeats a declared set")
-    p.add_argument("--kind", required=True, choices=("thin", "rainbow"))
-    p.add_argument("--alpha", required=True, help="ordinal, e.g. w")
-    p.add_argument("--family", required=True, help="JSON (inline or path)")
-    p.add_argument("--verify", required=True, help="e=0 or e=0,i=2")
-    p.add_argument("--bound", type=_integer, default=16, help="cap on the stage minimum")
+    add(p, "--kind", required=True, choices=("thin", "rainbow"))
+    add(p, "--alpha", required=True, help="ordinal, e.g. w")
+    add(p, "--family", required=True, help="JSON (inline or path)")
+    add(p, "--verify", required=True, help="e=0 or e=0,i=2")
+    add(p, "--bound", type=_integer, default=16, help="cap on the stage minimum")
     add_common(p)
     p.set_defaults(fn=cmd_diag)
 
-    return parser, sub.choices
+    return parser, {name: (p, options[p]) for name, p in sub.choices.items()}
+
+
+def _exact_form(sub: argparse.ArgumentParser, options: _Options, words: list[str]) -> argparse.Namespace | None:
+    """The namespace sub.parse_known_args(words) returns, read straight off
+    the options when words are (--opt VALUE | --flag)* in exact option
+    strings, no VALUE starts with '-', each passes its option's type and
+    choices, and every required option is given; None otherwise, for
+    argparse to read (abbreviations, --opt=VALUE, -h, refusals)."""
+    values = {action.dest: action.default for action in options.values()}
+    given: set[argparse.Action] = set()
+    rest = iter(words)
+    for word in rest:
+        action = options.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        given.add(action)
+    if any(action.required and action not in given for action in options.values()):
+        return None
+    return argparse.Namespace(**values, fn=sub.get_default("fn"))
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as the top-level parser would, sending a known command
-    straight to its subparser.  The top-level parser handles everything else
-    (no command, -h, --version, unknown commands) and, by parsing again, an
-    argv whose subparser leaves arguments over, so that error keeps the
-    top-level usage line."""
+    """Parse argv as the top-level parser would.  A known command in exact
+    form is read off its options; any other argv of a known command goes to
+    its subparser.  The top-level parser handles everything else (no
+    command, -h, --version, unknown commands) and, by parsing again, an argv
+    whose subparser leaves arguments over, so that error keeps the top-level
+    usage line."""
     parser, commands = build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
+    if argv and argv[0] in commands:
+        sub, options = commands[argv[0]]
+        args = _exact_form(sub, options, argv[1:])
+        if args is not None:
+            return args
         args, extra = sub.parse_known_args(argv[1:])
         if not extra:
             return args

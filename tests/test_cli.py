@@ -324,6 +324,15 @@ PARSE_CORPUS = {
     "version": ["--version"],
     "unknown-command": ["frobnicate", "--json"],
     "no-arguments": [],
+    # the edges of the exact form: argparse reads the first four and the
+    # last; the reader takes a repeat (the last value wins) and an empty value
+    "option-equals-value": _solve(_TABLE, ground="0..6") + ["--min-size=3"],
+    "bare-double-dash": ["check", "--barrier", "schreier", "--ground", "0..5", "--"],
+    "flag-with-a-value": _FS_TO_RT + ["--random", "1", "--check", "yes"],
+    "value-of-the-wrong-type": ["variant", "--barrier", "schreier", "--seq", "2,4,5", "--k", "x"],
+    "repeated-option": ["check", "--barrier", "exact:1", "--ground", "0..5", "--barrier", "schreier", "--json"],
+    "empty-value": ["variant", "--barrier", "exact:0", "--seq", "", "--k", "0"],
+    "negative-value": _FS_TO_RT + ["--random", "1", "--seed", "-1"],
 }
 
 
@@ -332,6 +341,64 @@ def test_command_dispatch_matches_the_full_parser(capsys, monkeypatch, argv):
     got = _outcome(capsys, argv)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser()[0].parse_args(argv))
     assert got == _outcome(capsys, argv)
+
+
+def test_well_formed_commands_are_read_in_exact_form():
+    # the shape of every benchmark item; argparse reads only the other shapes
+    for name in ("front", "check", "solve", "reduce", "repeated-option", "empty-value"):
+        argv = PARSE_CORPUS[name]
+        assert cli._exact_form(*cli.build_parser()[1][argv[0]], argv[1:]) is not None, name
+    for name in ("abbreviation", "option-equals-value", "bare-double-dash", "flag-with-a-value",
+                 "value-of-the-wrong-type", "negative-value", "missing-required", "bad-choice", "command-help"):
+        argv = PARSE_CORPUS[name]
+        assert cli._exact_form(*cli.build_parser()[1][argv[0]], argv[1:]) is None, name
+
+
+@st.composite
+def _option_words(draw):
+    """A subcommand and words drawn from its own option strings: its required
+    options and a few more in any order, each with a value drawn for its type
+    or choices when it takes one, maybe less one option or plus a word the
+    exact form refuses.  Returns the command, the words and whether they are
+    in exact form up to types, choices and required options."""
+    name = draw(st.sampled_from(sorted(cli.build_parser()[1])))
+    options = cli.build_parser()[1][name][1]
+    required = [o for o, action in options.items() if action.required]
+    picked = draw(st.permutations(required + draw(st.lists(st.sampled_from(sorted(options)), max_size=4))))
+    if picked and draw(st.integers(0, 3)) == 0:
+        del picked[draw(st.integers(0, len(picked) - 1))]
+    words, exact = [], True
+    for option in picked:
+        action = options[option]
+        words.append(option)
+        if action.nargs != 0:
+            pool = [*action.choices, "blue"] if action.choices else (
+                ["3", "0", " 7 ", "x", "-1"] if action.type else ["schreier", "0..5", "e=0", "", "a b", "-1", "--"])
+            words.append(draw(st.sampled_from(pool)))
+            exact = exact and not words[-1].startswith("-")
+    if draw(st.integers(0, 3)) == 0:
+        stray = draw(st.sampled_from(["--", "-h", "--bar", "--json=1", "--ground=0..5", "yes"]))
+        words.insert(draw(st.integers(0, len(words))), stray)
+        exact = False
+    return name, words, exact
+
+
+@settings(max_examples=400, deadline=None)
+@given(_option_words())
+def test_the_exact_form_reads_what_the_full_parser_reads(drawn):
+    name, words, exact = drawn
+    parser, commands = cli.build_parser()
+    read = cli._exact_form(*commands[name], words)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            full = vars(parser.parse_args([name, *words]))
+        del full["command"]
+    except SystemExit:
+        full = None
+    if read is not None:
+        assert vars(read) == full, (name, words)
+    # every argv argparse takes in exact form is read without it
+    assert read is not None or full is None or not exact, (name, words)
 
 
 EMPTY_FRONT_BARRIERS = ("exact:0", "canonical:0", '{"product": ["exact:0", "exact:0"]}')
@@ -497,6 +564,17 @@ REFUSALS = [
     *[("reduce_refuses_a_seed_without_random", _FS_TO_RT + extra + ["--seed", seed], "--seed seeds the --random")
       for extra in (["--coloring", _MIN], ["--coloring", _MIN, "--check"], ["--random", "0", "--coloring", _MIN])
       for seed in ("0", "7")],
+    *[("reduce_refuses_a_negative_seed", _FS_TO_RT + ["--seed", "-1", "--random", "1"] + extra,
+       "error: --seed must be at least 0, got -1\n") for extra in ([], ["--check"])],
+    # a ground set is of naturals, as a JSON ground set is (these exited 0 on the negatives)
+    *[(f"a_negative_ground_element_is_refused[{case}]", argv, f"error: bad ground set {line}\n")
+      for case, argv, line in (
+          ("element", ["check", "--barrier", "exact:1", "--ground", "0,-1,2", "--json"],
+           "'0,-1,2': a ground element must be a natural number, got '-1'"),
+          ("range-start", ["front", "--barrier", "schreier", "--ground=-2..2"],
+           "'-2..2': a range end must be a natural number, got '-2'"),
+          ("range-end", ["front", "--barrier", "schreier", "--ground", "0..-2"],
+           "'0..-2': a range end must be a natural number, got '-2'"))],
     *[("a_negative_min_size_is_refused_by_solve_and_reduce", argv + ["--min-size", size],
        f"error: min_size must be >= 0, got {size}\n") for argv in (
           _solve(_MIN), _FS_TO_RT + ["--random", "1", "--check"], _FS_TO_RT + ["--random", "1", "--check", "--json"])
