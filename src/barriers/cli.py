@@ -428,19 +428,12 @@ def _exact_form(sub: argparse.ArgumentParser, options: _Options, words: list[str
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv as the top-level parser would.  A known command in exact
-    form is read off its options; any other argv of a known command goes to
-    its subparser.  The top-level parser handles everything else (no
-    command, -h, --version, unknown commands) and, by parsing again, an argv
-    whose subparser leaves arguments over, so that error keeps the top-level
-    usage line."""
+    form is read off its options; the top-level parser reads every other
+    argv (abbreviations, --opt=VALUE, -h, --version, refusals)."""
     parser, commands = build_parser()
     if argv and argv[0] in commands:
-        sub, options = commands[argv[0]]
-        args = _exact_form(sub, options, argv[1:])
+        args = _exact_form(*commands[argv[0]], argv[1:])
         if args is not None:
-            return args
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
             return args
     return parser.parse_args(argv)
 
