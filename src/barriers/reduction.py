@@ -90,8 +90,9 @@ class FreeToMonoColoring(Coloring):
     where s[v+1] is the (v+1)-variant, lexicographically below s.
 
     The members with one prefix p = s[:-1] share t and k = v + 1: ``memo``
-    maps each prefix reached to its k, fetched for all new prefixes of a
-    batch by one ``f.colors_of`` call.  A member at or below k takes 1;
+    maps each prefix reached to its k, read off f when a member or a hop
+    first reaches the prefix.  A batch is the rule applied to each member
+    in turn.  A member at or below k takes 1;
     above k it takes 0 when k is in p, above max(p) or outside the base (then
     v lies outside the base of ``f.barrier`` and no solution contains it),
     and otherwise hops to the member with k inserted, whose value it
@@ -107,7 +108,7 @@ class FreeToMonoColoring(Coloring):
         self.memo: dict[Seq, int] = {}  # prefix -> k
         self.above: dict[Seq, tuple[int, int]] = {}  # prefix that hops -> (value, depth)
         self.max_chain = 0
-        super().__init__(Plus(f.barrier), self._batch, name=f"free-to-mono({f.name})")
+        super().__init__(Plus(f.barrier), lambda ms: list(map(self._eval, ms)), name=f"free-to-mono({f.name})")
         self.in_base = _base_test(self.barrier)
 
     def _eval(self, s: Seq) -> int:
@@ -140,12 +141,6 @@ class FreeToMonoColoring(Coloring):
             self.max_chain = depth
         return value
 
-    def _batch(self, members: Sequence[Seq]) -> list[int]:
-        fresh = [p for p in dict.fromkeys(s[:-1] for s in members) if p not in self.memo]
-        colors = self.f.colors_of([tuple(x - 1 for x in p) for p in fresh])
-        self.memo.update(zip(fresh, (c + 1 for c in colors)))
-        return list(map(self._eval, members))
-
 
 # --- thin set from monochromatic / free set ------------------------------
 
@@ -167,8 +162,7 @@ class _ColorClasses:
     (:meth:`fill`) takes a whole batch at once: its ranks are read in one
     go (:func:`rank_of`) off the rank table at its largest max
     (:func:`ranked_up_to`), and the table's members from the first uncolored
-    one up to its highest-ranked member are colored by one ``f.colors_of``
-    call.
+    one up to its highest-ranked member are colored by one ``f.batch`` call.
     """
 
     def __init__(self, f: Coloring):
@@ -184,7 +178,7 @@ class _ColorClasses:
         ``f.declared_bound`` earlier members raises BoundViolationError."""
         top, ranks = rank_of(self.f.barrier, members)
         new = list(islice(ranked_up_to(self.f.barrier, top), self.done, max(ranks, default=-1) + 1))
-        for t, color in zip(new, self.f.colors_of(new)):
+        for t, color in zip(new, self.f.batch(new)):
             cls = self.classes.setdefault(color, [])
             self.place[t] = (color, len(cls))
             cls.append(t)
@@ -341,7 +335,7 @@ class ReductionReport:
 
 
 def check_reduction(
-    red: Reduction | str,
+    red: Reduction,
     f: Coloring,
     ground: Iterable[int],
     min_size: int,
@@ -360,8 +354,6 @@ def check_reduction(
     whose base inside the target ground is not ``red.target_ground`` of the
     source base.
     """
-    if isinstance(red, str):
-        red = REDUCTIONS[red]
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {_clip(min_size)}")
     g = base_members(f.barrier, ground)
@@ -408,7 +400,7 @@ def _tabled_front(spec: BarrierSpec, g: tuple[int, ...]) -> tuple[Seq, ...]:
 
 
 def random_instance(
-    red: Reduction | str,
+    red: Reduction,
     spec: BarrierSpec,
     ground: Iterable[int],
     seed: int,
@@ -418,8 +410,6 @@ def random_instance(
     colorings for free/thin sources, exactly-bounded color multisets for
     rainbow sources.  It tables the front of 0..max of the ground's base
     (see :func:`_tabled_front`)."""
-    if isinstance(red, str):
-        red = REDUCTIONS[red]
     g = base_members(spec, ground)
     members = _tabled_front(spec, g)
     rng = random.Random(seed)
@@ -434,15 +424,13 @@ def random_instance(
 
 
 def adversarial_instances(
-    red: Reduction | str,
+    red: Reduction,
     spec: BarrierSpec,
     ground: Iterable[int],
     bound: int | None = None,
 ) -> list[Coloring]:
     """Deterministic stress instances per reduction, tabled like
     :func:`random_instance`."""
-    if isinstance(red, str):
-        red = REDUCTIONS[red]
     g = base_members(spec, ground)
     members = _tabled_front(spec, g)
     out: list[Coloring] = []

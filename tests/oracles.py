@@ -17,10 +17,10 @@ import importlib.util
 from pathlib import Path
 
 from barriers.barrier import ELEMENT, NOT_IN_BASE, OVERRUN, PROPER_PREFIX, BarrierSpec, Canonical, Derived
-from barriers.barrier import ExactSize, Plus, Product, Restrict, Schreier, step
+from barriers.barrier import ExactSize, Plus, Product, Restrict, Schreier
 from barriers.diag import OracleFamily
 from barriers.ordinals import Ordinal
-from barriers.seqs import Seq, Tail, insert_sorted
+from barriers.seqs import Seq, Tail
 
 _ORACLE = Path(__file__).resolve().parents[1] / "benchmarks" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("benchmark_oracle", _ORACLE)
@@ -180,7 +180,9 @@ def slow_fs(plus_spec: BarrierSpec, f, s: Seq) -> int:
 
 def slow_fs_chain(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> tuple[int, int]:
     """The free-to-mono value at s and the number of hops the straight
-    recursion takes below s."""
+    recursion takes below s.  A hop goes to the shortest prefix of s with
+    v + 1 inserted that the oracle calls a member; a v outside the base of
+    f's barrier takes 0 instead."""
     assert depth < 500, "runaway recursion"
     t = tuple(x - 1 for x in s[:-1])
     v = f(t)
@@ -197,7 +199,10 @@ def slow_fs_chain(plus_spec: BarrierSpec, f, s: Seq, depth: int = 0) -> tuple[in
                 hop = v + 1
                 break
     if hop is not None:
-        nxt = step(plus_spec, insert_sorted(s, hop))
+        if not oracle.in_base(ospec(f.barrier), v):
+            return 0, 0
+        stream = tuple(sorted(s + (hop,)))
+        nxt = next(stream[:i] for i in range(len(stream) + 1) if oracle.member(ospec(plus_spec), stream[:i]))
         value, below = slow_fs_chain(plus_spec, f, nxt, depth + 1)
         return 1 - value, below + 1
     if n >= 1 and s[n - 1] - 1 < v < s[n] - 1:

@@ -107,10 +107,11 @@ def criterion_5() -> dict:
     arms = {}
     ok = True
     for arm_idx, (red_name, bound) in enumerate(REDUCTION_ARMS):
+        red = REDUCTIONS[red_name]
         for b_idx, (b_name, spec) in enumerate(REDUCTION_BARRIERS.items()):
             instances = [
                 random_instance(
-                    red_name,
+                    red,
                     spec,
                     GROUND_REDUCTIONS,
                     seed=BASE_SEED + 1_000_000 * arm_idx + 10_000 * b_idx + i,
@@ -118,13 +119,13 @@ def criterion_5() -> dict:
                 )
                 for i in range(RANDOM_INSTANCES)
             ]
-            instances.extend(adversarial_instances(red_name, spec, GROUND_REDUCTIONS, bound=bound))
+            instances.extend(adversarial_instances(red, spec, GROUND_REDUCTIONS, bound=bound))
             counterexamples = 0
             checked = 0
             max_chain = 0
             worst_color = None
             for f in instances:
-                report = check_reduction(red_name, f, GROUND_REDUCTIONS, MIN_WITNESS_SIZE)
+                report = check_reduction(red, f, GROUND_REDUCTIONS, MIN_WITNESS_SIZE)
                 counterexamples += len(report.counterexamples)
                 checked += report.checked_witnesses
                 max_chain = max(max_chain, report.max_recursion_chain)
@@ -136,7 +137,7 @@ def criterion_5() -> dict:
                 "checked_witnesses": checked,
                 "counterexamples": counterexamples,
                 "max_recursion_chain": max_chain,
-                "bound": 2 if bound is None and REDUCTIONS[red_name].source_property == "rainbow" else bound,
+                "bound": 2 if bound is None and red.source_property == "rainbow" else bound,
                 "forward_max_color": worst_color,
             }
             ok = ok and counterexamples == 0

@@ -48,7 +48,7 @@ def _library_imports(path: Path) -> list[tuple[str, str | None]]:
 def test_the_oracles_import_no_library_definitions():
     # benchmarks/oracle.py defines every reference without the library, and
     # tests/oracles.py reads it through data classes, type aliases and the
-    # classification constants; slow_fs classifies with step and insert_sorted
+    # classification constants
     root = Path(__file__).resolve().parents[1]
     assert _library_imports(root / "benchmarks" / "oracle.py") == []
     imported = _library_imports(root / "tests" / "oracles.py")
@@ -60,5 +60,30 @@ def test_the_oracles_import_no_library_definitions():
             (isinstance(obj, type) and dataclasses.is_dataclass(obj))
             or typing.get_origin(obj) is not None
             or isinstance(obj, Classification)
-            or name in {"step", "insert_sorted"}
         ), f"tests/oracles.py imports {name} from {module}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a file's top-level imports bind that nothing in it reads;
+    a name listed in ``__all__`` is read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_file_imports_a_name_it_does_not_use():
+    # the package's __init__ imports only to re-export
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "barriers").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "tests").glob("*.py"))
+    assert len(files) > 10
+    assert [u for path in files for u in _unused_imports(path)] == []

@@ -28,7 +28,6 @@ from barriers.barrier import (
     front,
     in_base,
     rank_key,
-    ranked_up_to,
     spec_label,
 )
 from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
@@ -81,7 +80,7 @@ def test_fs_forward_matches_slow_reevaluation():
     for inner in (ExactSize(1), ExactSize(2), Schreier()):
         plus = Plus(inner)
         for seed in range(12):
-            f = random_instance("fs-to-rt", inner, range(8), seed=seed)
+            f = random_instance(REDUCTIONS["fs-to-rt"], inner, range(8), seed=seed)
             g = FreeToMonoColoring(f)
             for s in front(plus, range(1, 9)):
                 assert g(s) == oracles.slow_fs(plus, f, s), (inner, seed, s)
@@ -107,7 +106,8 @@ def test_fs_forward_matches_slow_recursion_in_any_order(data):
     # The prefix memo and the variant lookup against the straight recursion,
     # queried in lex order and shuffled.  On a sparse ground the hops reach
     # members outside it, so the lookup misses and the forward steps.
-    inner = data.draw(st.sampled_from((ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA))))
+    inner = data.draw(st.sampled_from((ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA),
+                                       Derived(Schreier(), 2), Restrict(Schreier(), EVENS))))
     top = data.draw(st.integers(2, 8))
     ground = _ground(data, top)
     tabled = front(inner, range(top + 1))
@@ -133,7 +133,7 @@ def test_twin_count_forwards_agree_in_any_order(data):
     members = front(spec, ground)
     seed = data.draw(st.integers(0, 1000))
     for name, forward in (("rrt-to-rt", rrt_rt_forward), ("rrt2-to-fs", rrt2_fs_forward)):
-        f = random_instance(name, spec, ground, seed=seed)
+        f = random_instance(REDUCTIONS[name], spec, ground, seed=seed)
         in_lex = forward(f)
         colors = [in_lex(s) for s in members]
         shuffled = forward(f)
@@ -234,7 +234,7 @@ def test_check_reduction_fs_trims_the_top_of_the_witness():
     table = {s: 0 for s in members}
     table[(8,)] = 1
     f = table_coloring(ExactSize(1), table, name="top-probe")
-    report = check_reduction("fs-to-rt", f, range(9), 3)
+    report = check_reduction(REDUCTIONS["fs-to-rt"], f, range(9), 3)
     assert not report.counterexamples
     # Untrimmed, the same witnesses would fail: exhibit one.
     g = FreeToMonoColoring(f)
@@ -246,13 +246,14 @@ def test_check_reduction_fs_trims_the_top_of_the_witness():
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
 def test_check_reduction_zero_counterexamples_smoke(name):
+    red = REDUCTIONS[name]
     for spec in (ExactSize(1), Schreier()):
         for seed in (3, 4):
-            f = random_instance(name, spec, range(8), seed=seed)
-            report = check_reduction(name, f, range(8), 3)
+            f = random_instance(red, spec, range(8), seed=seed)
+            report = check_reduction(red, f, range(8), 3)
             assert not report.counterexamples, report.counterexamples[:3]
-        for f in adversarial_instances(name, spec, range(8)):
-            report = check_reduction(name, f, range(8), 3)
+        for f in adversarial_instances(red, spec, range(8)):
+            report = check_reduction(red, f, range(8), 3)
             assert not report.counterexamples, (f.name, report.counterexamples[:3])
 
 
@@ -316,23 +317,23 @@ def test_every_weakening_of_a_reduction_is_caught():
 
 def test_check_reduction_twin_count_range():
     for k in (2, 3):
-        f = random_instance("rrt-to-rt", Schreier(), range(8), seed=11, bound=k)
-        report = check_reduction("rrt-to-rt", f, range(8), 3)
+        f = random_instance(REDUCTIONS["rrt-to-rt"], Schreier(), range(8), seed=11, bound=k)
+        report = check_reduction(REDUCTIONS["rrt-to-rt"], f, range(8), 3)
         assert report.forward_max_color is not None and report.forward_max_color < k
 
 
 def test_check_reduction_requires_declared_bound():
     f = singles({x: x for x in range(5)})  # no declared bound
     with pytest.raises(ValueError):
-        check_reduction("rrt-to-rt", f, range(5), 2)
+        check_reduction(REDUCTIONS["rrt-to-rt"], f, range(5), 2)
     f2 = table_coloring(ExactSize(1), {(x,): x for x in range(5)}, declared_bound=3)
     with pytest.raises(ValueError):
-        check_reduction("rrt2-to-fs", f2, range(5), 2)
+        check_reduction(REDUCTIONS["rrt2-to-fs"], f2, range(5), 2)
 
 
 def test_random_instances_are_seed_deterministic():
-    a = random_instance("fs-to-rt", Schreier(), range(8), seed=42)
-    b = random_instance("fs-to-rt", Schreier(), range(8), seed=42)
+    a = random_instance(REDUCTIONS["fs-to-rt"], Schreier(), range(8), seed=42)
+    b = random_instance(REDUCTIONS["fs-to-rt"], Schreier(), range(8), seed=42)
     members = front(Schreier(), range(8))
     assert [a(s) for s in members] == [b(s) for s in members]
 
@@ -341,7 +342,7 @@ def test_bounded_random_instances_respect_bound():
     from barriers.coloring import check_bounded
 
     for k in (2, 3):
-        f = random_instance("rrt-to-rt", Schreier(), range(8), seed=5, bound=k)
+        f = random_instance(REDUCTIONS["rrt-to-rt"], Schreier(), range(8), seed=5, bound=k)
         ok, worst = check_bounded(f, range(8))
         assert ok and worst <= k
 
@@ -412,9 +413,9 @@ def test_check_reduction_lists_counterexamples_in_brute_force_order():
 
 
 def test_check_reduction_ground_cap():
-    f = random_instance("ts-to-rt", ExactSize(1), range(MAX_GROUND + 1), seed=0)
+    f = random_instance(REDUCTIONS["ts-to-rt"], ExactSize(1), range(MAX_GROUND + 1), seed=0)
     with pytest.raises(ValueError, match=str(MAX_GROUND)):
-        check_reduction("ts-to-rt", f, range(MAX_GROUND + 1), 3)
+        check_reduction(REDUCTIONS["ts-to-rt"], f, range(MAX_GROUND + 1), 3)
 
 
 # --- the backward map as data -------------------------------------------------------
@@ -507,9 +508,11 @@ def counting(coloring):
 
 
 def twin_definition(spec, f, s):
-    """The earlier members of s's color, by the definition over the rank list."""
+    """The earlier members of s's color, by the definition over the oracle's
+    rank table."""
     color = f(s)
-    return [t for t in ranked_up_to(spec, s[-1]) if rank_key(t) < rank_key(s) and f(t) == color]
+    ranks = oracles.rank_table(spec, s[-1])
+    return [t for t, r in ranks.items() if r < ranks[s] and f(t) == color]
 
 
 def rrt_rt_definition(spec, f, k, s):
@@ -632,7 +635,7 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
 
     monkeypatch.setattr(barrier, "classify", counting_classify)
     spec, ground = Schreier(), range(9)
-    f = random_instance("rrt2-to-fs", spec, ground, seed=3)
+    f = random_instance(REDUCTIONS["rrt2-to-fs"], spec, ground, seed=3)
     definitions = {
         rrt_rt_forward: lambda s: rrt_rt_definition(spec, f, 2, s),
         rrt2_fs_forward: lambda s: rrt2_fs_definition(spec, f, s),
@@ -648,7 +651,7 @@ def test_twin_forwards_classify_no_front_member(monkeypatch):
             g((2, 3))  # a proper prefix
     calls.clear()
     for name in ("rrt-to-rt", "rrt2-to-fs"):
-        assert check_reduction(name, f, ground, 2).ok
+        assert check_reduction(REDUCTIONS[name], f, ground, 2).ok
     assert calls == []
 
 
@@ -664,8 +667,8 @@ def test_free_to_mono_hops_call_no_variant(monkeypatch):
 
     monkeypatch.setattr(barrier, "variant", counting_variant)
     monkeypatch.setattr(reduction, "variant", counting_variant, raising=False)
-    f = random_instance("fs-to-rt", Schreier(), range(9), seed=0)
-    report = check_reduction("fs-to-rt", f, range(9), 3)
+    f = random_instance(REDUCTIONS["fs-to-rt"], Schreier(), range(9), seed=0)
+    report = check_reduction(REDUCTIONS["fs-to-rt"], f, range(9), 3)
     assert report.ok and report.max_recursion_chain == 2  # the check hops
     assert calls == []
 
@@ -684,15 +687,15 @@ def test_free_to_mono_hops_step_to_the_variant(monkeypatch):
     chains = []
     for spec in (ExactSize(0), ExactSize(1), ExactSize(2), Schreier(), Canonical(OMEGA)):
         for seed in range(6):
-            f = random_instance("fs-to-rt", spec, range(9), seed=seed)
+            f = random_instance(REDUCTIONS["fs-to-rt"], spec, range(9), seed=seed)
             steps.clear()
-            report = check_reduction("fs-to-rt", f, range(9), 3)
+            report = check_reduction(REDUCTIONS["fs-to-rt"], f, range(9), 3)
             assert report.ok, (spec, seed)
             assert bool(steps) == (report.max_recursion_chain > 0), (spec, seed)
             chains.append(report.max_recursion_chain)
     assert max(chains[:6]) == 1 and max(chains) > 1  # exact:0 hops to (k,), which ends at k
     sparse = (0, 2, 3, 5, 7, 8)
-    f = random_instance("fs-to-rt", Schreier(), sparse, seed=1)
+    f = random_instance(REDUCTIONS["fs-to-rt"], Schreier(), sparse, seed=1)
     g = FreeToMonoColoring(f)
     members = front(g.barrier, [x + 1 for x in sparse])
     want = [oracles.slow_fs(g.barrier, f, s) for s in members]
@@ -702,18 +705,38 @@ def test_free_to_mono_hops_step_to_the_variant(monkeypatch):
     assert any(k - 1 not in sparse for _, k in steps)
 
 
+def test_free_to_mono_reads_each_prefix_once():
+    # The memo is filled by the rule alone: whether a front comes as one
+    # batch or as single calls, in lex order or shuffled, f is read once per
+    # prefix reached, by a member or by a hop.
+    rng = random.Random(3)
+    red = REDUCTIONS["fs-to-rt"]
+    for spec in (ExactSize(1), ExactSize(2), Schreier(), Restrict(Schreier(), EVENS)):
+        for ground in (range(10), (0, 2, 3, 5, 7, 8)):
+            f = random_instance(red, spec, ground, seed=rng.randrange(1000))
+            members = front(Plus(spec), red.target_ground(base_members(spec, ground)))
+            shuffled = rng.sample(members, len(members))
+            for label, ask in (("batch", lambda g: g.colors_of(members)),
+                               ("lex", lambda g: [g(s) for s in members]),
+                               ("shuffled", lambda g: [g(s) for s in shuffled])):
+                counted, calls = counting(f)
+                g = FreeToMonoColoring(counted)
+                ask(g)
+                assert len(calls) == len(set(calls)) == len(g.memo), (spec_label(spec), ground, label)
+
+
 def test_free_to_mono_hops_are_shared_across_instances():
     # A hop target depends on the barrier, the member and k alone, so a
     # second instance on one barrier steps through the first one's hops, and
     # its report is the one computed with no hop kept.
-    first, second = (random_instance("fs-to-rt", Schreier(), range(9), seed=seed) for seed in (0, 1))
+    first, second = (random_instance(REDUCTIONS["fs-to-rt"], Schreier(), range(9), seed=seed) for seed in (0, 1))
     barrier._variant.cache_clear()
-    assert check_reduction("fs-to-rt", first, range(9), 3).max_recursion_chain > 0
+    assert check_reduction(REDUCTIONS["fs-to-rt"], first, range(9), 3).max_recursion_chain > 0
     hits = barrier._variant.cache_info().hits
-    shared = check_reduction("fs-to-rt", second, range(9), 3)
+    shared = check_reduction(REDUCTIONS["fs-to-rt"], second, range(9), 3)
     assert barrier._variant.cache_info().hits > hits
     barrier._variant.cache_clear()
-    assert check_reduction("fs-to-rt", second, range(9), 3) == shared
+    assert check_reduction(REDUCTIONS["fs-to-rt"], second, range(9), 3) == shared
 
 
 def test_free_to_mono_colors_hops_outside_the_base_0():
@@ -729,7 +752,7 @@ def test_free_to_mono_colors_hops_outside_the_base_0():
     evens = Restrict(ExactSize(1), EVENS)
     odd = table_coloring(evens, {(x,): 1 for x in range(0, 12, 2)})
     assert FreeToMonoColoring(odd)((5, 7)) == 0
-    report = check_reduction("fs-to-rt", odd, range(12), 3)
+    report = check_reduction(REDUCTIONS["fs-to-rt"], odd, range(12), 3)
     assert report.checked_witnesses > 0 and not report.counterexamples
 
 
@@ -781,7 +804,7 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == "d683a2cabb289c3ccc05ff7014e2437a33c977997d0968cd93dbb2acae75d89d"
 
-    g = FreeToMonoColoring(random_instance("fs-to-rt", Schreier(), range(8), seed=4))
+    g = FreeToMonoColoring(random_instance(REDUCTIONS["fs-to-rt"], Schreier(), range(8), seed=4))
     member = front(Plus(Schreier()), range(1, 9))[5]
     want = oracles.slow_fs(Plus(Schreier()), g.f, member)
     calls.clear()
