@@ -95,8 +95,9 @@ class OracleEntry:
     delay: int = 0
 
     def __post_init__(self) -> None:
-        if self.e < 0 or self.delay < 0:
-            raise ValueError("index and delay must be naturals")
+        for field, value in (("e", self.e), ("delay", self.delay)):
+            if value < 0:
+                raise ValueError(f"entry {field} must be a natural number, got {_clip(value)}")
 
 
 @dataclass(frozen=True)

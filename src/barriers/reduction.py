@@ -47,13 +47,14 @@ from .barrier import (
     _variant,
     front,
     base_members,
+    has_sets,
     rank_key,
     rank_of,
     ranked_up_to,
 )
 from .coloring import BoundViolationError, Coloring, _table_coloring
 from .seqs import Seq, _clip, seq_minus
-from .solver import FrontIndex, drop_preimage, in_order
+from .solver import FrontIndex, in_order
 
 __all__ = [
     "FreeToMonoColoring",
@@ -242,7 +243,9 @@ class Reduction:
     """A source principle, a target principle, the instance map ``forward``
     and the solution map as data: ``backward`` drops the ends of H named in
     ``drop`` ("min" or "max"), in turn, and shifts the rest down by
-    ``shift``; the target ground is the source ground shifted up by it."""
+    ``shift``; the target ground is the source ground shifted up by it.
+    On the subset lattice, where a mask's min is its top bit and its max its
+    lowest bit (as in FrontIndex), ``preimage`` undoes the drops, last first."""
 
     name: str
     source_property: str
@@ -275,10 +278,19 @@ class Reduction:
 
     def preimage(self, s: int, n: int) -> int:
         """The target masks over n ground elements whose backward image lies
-        in the 2^n-bit set s of source masks (masks as in FrontIndex; the
-        shift keeps the indices)."""
+        in the 2^n-bit set s of source masks (the shift keeps the indices).
+        A mask with min at bit p drops it into a mask below 2^p, one with
+        max at bit p into a mask with no bit up to p: O(n) big-int
+        operations a drop."""
         for end in reversed(self.drop):
-            s = drop_preimage(s, n, end)
+            out, free = 0, (1 << (1 << n)) - 1
+            for p in range(n):
+                if end == "min":
+                    out |= (s & ((1 << (1 << p)) - 1)) << (1 << p)
+                else:
+                    free &= ~has_sets(n)[p]
+                    out |= (s & free) << (1 << p)
+            s = out
         return s
 
 

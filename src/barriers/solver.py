@@ -27,7 +27,8 @@ order exactly as their masks go down, so with the size layers
 (:func:`size_layers`) an answer is read off the bitset without a loop over
 subsets: ``find`` takes the highest clean mask of the first nonempty layer
 from ``min_size`` on, and ``check_reduction`` intersects the clean target
-masks with the preimage of the source violations (:func:`drop_preimage`).
+masks with the preimage of the source violations under the reduction's
+backward map (:meth:`barriers.reduction.Reduction.preimage`).
 Because the bitsets have 2^n bits, both refuse a ground whose base has more
 than :data:`MAX_GROUND` elements.
 
@@ -48,7 +49,6 @@ from .barrier import (
     _base_test,
     capped_front,
     front,
-    has_sets,
     point_set,
     up_closure,
     up_closure2,
@@ -138,21 +138,6 @@ def in_order(bits: int, layers: Iterable[int]) -> Iterator[int]:
             m = x.bit_length() - 1
             yield m
             x ^= 1 << m
-
-
-def drop_preimage(s: int, n: int, end: str) -> int:
-    """The masks over range(n) that lose their "min" or "max" element into
-    the 2^n-bit set s.  The minimum is the top bit p of a mask, above a mask
-    below 2^p; the maximum is the lowest bit p, below a mask with no bit up
-    to p.  O(n) big-int operations."""
-    out, free = 0, (1 << (1 << n)) - 1
-    for p in range(n):
-        if end == "min":
-            out |= (s & ((1 << (1 << p)) - 1)) << (1 << p)
-        else:
-            free &= ~has_sets(n)[p]
-            out |= (s & free) << (1 << p)
-    return out
 
 
 class FrontIndex:

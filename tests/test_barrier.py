@@ -469,6 +469,9 @@ def test_append_variant():
     assert append_variant(ExactSize(2), (4, 9), 6) == (4, 6)
     with pytest.raises(VariantRangeError):
         append_variant(Schreier(), (2, 4, 5), 3)  # not in the last gap
+    evens = Restrict(ExactSize(2), GroundSet(tail=Tail(0, 2)))
+    with pytest.raises(barrier.NotInBaseError, match=r"^5 is not in the base$"):
+        append_variant(evens, (2, 8), 5)  # in the last gap, outside the base
 
 
 @pytest.mark.parametrize(

@@ -543,7 +543,15 @@ REFUSALS = [
           "--verify", "e=0,i=0", "--bound", "-5"], "error: --bound must be a natural number, got -5\n"),
         # text that is no shorthand and names no file is a misspelt shorthand
         (["check", "--barrier", "schriber", "--ground", "0..5"],
-         "error: bad barrier 'schriber': unknown barrier shorthand 'schriber'\n"))],
+         "error: bad barrier 'schriber': unknown barrier shorthand 'schriber'\n"),
+        (["ordertype", "--barrier", "canonical:w^(w"], "error: bad barrier 'canonical:w^(w': expected ')'\n"))],
+    # a negative exact size is refused, and a negative oracle index or delay is named with its value
+    ("negative_numbers_in_a_spec_or_family_are_refused[exact]", ["check", "--barrier", '{"exact": -1}', "--ground",
+     "0..4"], "error: bad barrier '{\"exact\": -1}': size must be >= 0\n"),
+    *[(f"negative_numbers_in_a_spec_or_family_are_refused[{key}]",
+       ["diag", "--kind", "thin", "--alpha", "1", "--verify", "e=0,i=0", "--family",
+        json.dumps([{"e": 0, "set": _EVENS, key: value}])],
+       f"error: entry {key} must be a natural number, got {value}\n") for key, value in (("e", -1), ("delay", -2))],
     # without --check reduce prints one instance; a coloring and --random N >= 1
     # both name the instances; --adversarial, --min-size and --seed need another option
     *[(f"reduce_refuses_a_negative_random[{random}]", _FS_TO_RT + ["--random", random] + extra,

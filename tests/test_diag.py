@@ -58,6 +58,13 @@ def test_unpair_is_closed_form_on_huge_codes():
     assert unpair(pair(code, 5)) == (code, 5)
 
 
+def test_pair_and_unpair_refuse_negatives():
+    with pytest.raises(ValueError, match="pair needs naturals"):
+        pair(-1, 0)
+    with pytest.raises(ValueError, match="unpair needs a natural"):
+        unpair(-1)
+
+
 def test_code_seq_injective_on_sets():
     assert code_seq(()) == 0
     subsets = [tuple(x for x in range(10) if bits >> x & 1) for bits in range(1 << 10)]
@@ -107,6 +114,7 @@ def test_f_approx_examples():
     assert f_approx(FAM, 0, 0, (1,)) == (0,)
     assert f_approx(FAM, 0, 1, (1,)) is None  # needs two members below 1
     assert f_approx(EMPTY, 0, 0, (5,)) is None
+    assert f_approx(FAM, 0, 0, ()) is None  # the empty stage has no minimum
 
 
 # --- stage replays --------------------------------------------------------------
@@ -131,6 +139,8 @@ def test_stage_colors_hands_out_a_fresh_dict(kind):
     colors[0] = 7
     assert col.stage_colors((5,)) == want
     assert col((0, 5)) == want[0] != 7
+    with pytest.raises(ValueError, match="stage must be nonempty"):
+        col.stage_colors(())
 
 
 def test_thin_defeater_empty_family_is_all_ones():

@@ -94,6 +94,8 @@ def test_fund_seq_rejects_non_limits():
         fund_seq(nat(5), 1)
     with pytest.raises(ValueError):
         fund_seq(add(OMEGA, ONE), 1)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        fund_seq(OMEGA, -1)
 
 
 def test_pred():
@@ -212,6 +214,8 @@ def test_parse_rejects_garbage():
 
 
 def test_canonical_form_validation():
+    with pytest.raises(ValueError, match="ordinals are non-negative"):
+        Ordinal.from_int(-1)
     with pytest.raises(ValueError):
         Ordinal(((ZERO, 0),))
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 import random
 import re
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +30,14 @@ from barriers.barrier import (
     rank_key,
     spec_label,
 )
-from barriers.coloring import BUILTIN_COLORINGS, BoundViolationError, Coloring, builtin_coloring, table_coloring
+from barriers.coloring import (
+    BUILTIN_COLORINGS,
+    BoundViolationError,
+    Coloring,
+    _table_coloring,
+    builtin_coloring,
+    table_coloring,
+)
 from barriers.diag import OracleEntry, OracleFamily, StagedColoring
 from barriers.ordinals import OMEGA, Ordinal
 from barriers.reduction import (
@@ -315,6 +322,30 @@ def test_every_weakening_of_a_reduction_is_caught():
                 assert hits == [("exact:1", "min", 1)]
 
 
+def test_every_instance_of_exact_1_on_0_to_4_for_the_drop_arms():
+    # all 7^5 tables of exact:1 on 0..4 with colors below 7, tabled as
+    # random_instance tables them: neither drop arm shows a counterexample,
+    # and each needs its drop.  Without it fs-to-rt fails on 14,776 of them
+    # (the sweep stops at the first) and ts-to-fs on one, f(x) = x.
+    spec, ground = ExactSize(1), range(5)
+    members = front(spec, ground)
+
+    def failing(red, first=False):
+        out = []
+        for colors in product(range(7), repeat=len(members)):
+            f = _table_coloring(spec, dict(zip(members, colors)), name="table")
+            if check_reduction(red, f, ground, 3).counterexamples:
+                out.append(colors)
+                if first:
+                    break
+        return out
+
+    for name in ("fs-to-rt", "ts-to-fs"):
+        assert failing(REDUCTIONS[name]) == [], name
+    assert failing(replace(REDUCTIONS["fs-to-rt"], drop=()), first=True)
+    assert failing(replace(REDUCTIONS["ts-to-fs"], drop=())) == [(0, 1, 2, 3, 4)]
+
+
 def test_check_reduction_twin_count_range():
     for k in (2, 3):
         f = random_instance(REDUCTIONS["rrt-to-rt"], Schreier(), range(8), seed=11, bound=k)
@@ -440,7 +471,7 @@ def test_registry_backward_maps_are_the_callables():
     assert {n: r.min_witness for n, r in REDUCTIONS.items() if r.min_witness > 1} == {"fs-to-rt": 2, "ts-to-fs": 2}
 
 
-DROPS = ((), ("min",), ("max",), ("min", "max"), ("max", "min"))
+DROPS = ((), ("min",), ("max",), ("min", "max"), ("max", "min"), ("min", "min"), ("max", "max"))
 
 
 def backward_images(red, n):
@@ -474,6 +505,23 @@ def test_preimage_matches_the_backward_map(n, drop, shift, data):
     s = data.draw(st.integers(0, (1 << (1 << n)) - 1))
     want = sum(1 << m for m, b in enumerate(backward_images(red, n)) if b is not None and s >> b & 1)
     assert red.preimage(s, n) == want
+
+
+@pytest.mark.parametrize("drop", DROPS)
+def test_preimage_agrees_with_backward_mask_by_mask(drop):
+    # bit m of preimage(s, n) is set iff m keeps an element per drop and
+    # the mask of backward of its subset lies in s
+    rng = random.Random(f"preimage {drop}")
+    for shift in (0, 1):
+        red = replace(REDUCTIONS["ts-to-rt"], drop=drop, shift=shift)
+        for n in range(7):
+            images = backward_images(red, n)
+            for _ in range(16):
+                s = rng.getrandbits(1 << n)
+                got = red.preimage(s, n)
+                for m, image in enumerate(images):
+                    want = m.bit_count() >= len(drop) and bool(s >> image & 1)
+                    assert bool(got >> m & 1) == want, (drop, shift, n, s, m)
 
 
 def test_reduction_fields_are_checked():

@@ -166,6 +166,8 @@ def test_check_bounded_detects_violations():
     g = table_coloring(ExactSize(1), {s: i // 2 for i, s in enumerate(members)}, declared_bound=2)
     ok, worst = check_bounded(g, range(6))
     assert ok and worst == 2
+    # no declared bound: vacuously ok, with the worst multiplicity still read
+    assert check_bounded(table_coloring(ExactSize(1), {s: 0 for s in members}), range(6)) == (True, 6)
 
 
 def test_witness_json():
@@ -288,6 +290,8 @@ def test_find_min_size_out_of_range():
     assert find("mono", f, range(4), 5) is None  # no layer that large
     with pytest.raises(ValueError, match="min_size"):
         find("mono", f, range(4), -1)
+    with pytest.raises(ValueError, match="unknown property 'blue'"):
+        find("blue", f, range(4), 0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
