@@ -150,7 +150,7 @@ class ExactSize:
 
     def __post_init__(self) -> None:
         if self.size < 0:
-            raise ValueError("size must be >= 0")
+            raise ValueError(f"size must be >= 0, got {_clip(self.size)}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .barrier import (
     sperner_of_masks,
     variant,
 )
-from .diag import StagedColoring, verify_defeat_rainbow, verify_defeat_thin
+from .diag import KINDS, StagedColoring
 from .jsonio import coloring_from_json, family_from_json, spec_from_json, spec_from_shorthand
 from .ordinals import parse_ordinal
 from .reduction import REDUCTIONS, adversarial_instances, check_reduction, random_instance
@@ -270,9 +270,9 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[dict, int, str]:
 
 
 def _parse_verify(text: str, kind: str) -> dict[str, int]:
-    """The key=value pairs of --verify: each key the kind reads (e and i for
-    thin, e for rainbow), given once, with a natural number."""
-    keys = ("e", "i") if kind == "thin" else ("e",)
+    """The key=value pairs of --verify: each key the kind's check reads
+    (:data:`barriers.diag.KINDS`), given once, with a natural number."""
+    keys = KINDS[kind][1]
     out: dict[str, int] = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
@@ -295,10 +295,7 @@ def cmd_diag(args: argparse.Namespace) -> tuple[dict, int, str]:
     family = family_from_json(_load_json_arg(args.family))
     col = StagedColoring(args.kind, alpha, family)
     params = _parse_verify(args.verify, args.kind)
-    if args.kind == "thin":
-        result = verify_defeat_thin(col, params["e"], params["i"], args.bound)
-    else:
-        result = verify_defeat_rainbow(col, params["e"], args.bound)
+    result = KINDS[args.kind][0](col, bound=args.bound, **params)
     report = {
         "command": "diag",
         "kind": args.kind,
@@ -382,7 +379,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.Ar
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("diag", help="verify a diagonalizing coloring defeats a declared set")
-    add(p, "--kind", required=True, choices=("thin", "rainbow"))
+    add(p, "--kind", required=True, choices=tuple(KINDS))
     add(p, "--alpha", required=True, help="ordinal, e.g. w")
     add(p, "--family", required=True, help="JSON (inline or path)")
     add(p, "--verify", required=True, help="e=0 or e=0,i=2")

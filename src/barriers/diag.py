@@ -53,6 +53,7 @@ __all__ = [
     "MAX_DEFEAT_BOUND",
     "verify_defeat_thin",
     "verify_defeat_rainbow",
+    "KINDS",
 ]
 
 
@@ -198,7 +199,7 @@ class StagedColoring(Coloring):
     declared set."""
 
     def __init__(self, kind: str, alpha: Ordinal, family: OracleFamily):
-        if kind not in ("thin", "rainbow"):
+        if kind not in KINDS:
             raise ValueError(f"unknown defeater kind {kind!r}")
         if not alpha.terms:
             raise ValueError("alpha must be at least 1")
@@ -381,3 +382,7 @@ def verify_defeat_rainbow(col: StagedColoring, e: int, bound: int) -> DefeatResu
     unclaimed pair.
     """
     return _defeat_search(col, "rainbow", e, bound, _collision, lambda: 2 * e + 2)
+
+
+# kind -> its defeat check and the names of the numbers it reads (--verify)
+KINDS = {"thin": (verify_defeat_thin, ("e", "i")), "rainbow": (verify_defeat_rainbow, ("e",))}

@@ -176,7 +176,8 @@ class FrontIndex:
         in the up-set of every universe color's class (none once a color has
         no member or the intersection is empty), rainbow those that contain
         two members of one class, and free closes the points m | bit(c) of
-        the members m whose color c is a ground element outside m."""
+        the members m whose color c is a ground element outside m.  A name
+        outside PROPERTIES raises ValueError."""
         n = len(self.g)
         if prop == "free":
             pos = self.pos
@@ -199,8 +200,10 @@ class FrontIndex:
                 bad |= seen & x
                 seen |= x
             return bad
-        # rainbow: a class of m members is violated above the union of two
-        # of them; up to m = n the C(m, 2) unions join one closure, a larger
+        if prop != "rainbow":
+            raise ValueError(f"unknown property {prop!r}")
+        # a rainbow class of m members is violated above the union of two of
+        # them; up to m = n the C(m, 2) unions join one closure, a larger
         # class counts its members below each mask
         pairs, bad = [], 0
         for ms in classes.values():
@@ -226,21 +229,16 @@ def find(
 ) -> Witness | None:
     """Smallest (by size, then lex) subset of the ground set of at least
     min_size that verifies the property; None when the search exhausts.
-    A thin search reads its colors from ``universe``, by default the colors
-    used on the ground front.
+    Every property is handed ``universe``, by default the colors used on
+    the ground front; only thin reads it.
 
     Colors every member of the ground front, so a partial table raises
     even where a witness avoids its gaps; grounds with more than
     MAX_GROUND base elements raise ValueError."""
-    if property not in PROPERTIES:
-        raise ValueError(f"unknown property {property!r}")
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {_clip(min_size)}")
     index = FrontIndex(f, ground)
-    if property != "thin":
-        universe = ()
-    else:
-        universe = tuple(sorted(set(index.colors if universe is None else universe)))
+    universe = set(index.colors if universe is None else universe)
     clean = index.all & ~index.violations(property, universe)
     m = next(in_order(clean, index.layers[min_size:]), None)
     if m is None:

@@ -547,7 +547,7 @@ REFUSALS = [
         (["ordertype", "--barrier", "canonical:w^(w"], "error: bad barrier 'canonical:w^(w': expected ')'\n"))],
     # a negative exact size is refused, and a negative oracle index or delay is named with its value
     ("negative_numbers_in_a_spec_or_family_are_refused[exact]", ["check", "--barrier", '{"exact": -1}', "--ground",
-     "0..4"], "error: bad barrier '{\"exact\": -1}': size must be >= 0\n"),
+     "0..4"], "error: bad barrier '{\"exact\": -1}': size must be >= 0, got -1\n"),
     *[(f"negative_numbers_in_a_spec_or_family_are_refused[{key}]",
        ["diag", "--kind", "thin", "--alpha", "1", "--verify", "e=0,i=0", "--family",
         json.dumps([{"e": 0, "set": _EVENS, key: value}])],

@@ -11,7 +11,8 @@ from referencing import Registry, Resource
 
 from barriers.barrier import Canonical, ExactSize, Plus, Product, Schreier, classify, front
 from barriers.cli import main
-from barriers.coloring import PartialColoringError, table_coloring
+from barriers.coloring import BUILTIN_COLORINGS, PartialColoringError, table_coloring
+from barriers.diag import KINDS
 from barriers.jsonio import (
     coloring_from_json,
     family_from_json,
@@ -22,6 +23,7 @@ from barriers.jsonio import (
 )
 from barriers.ordinals import OMEGA
 from barriers.seqs import GroundSet, Tail, as_seq
+from barriers.solver import PROPERTIES
 
 from conftest import EXTRA_POOL, SPEC_POOL
 
@@ -54,6 +56,14 @@ def test_spec_roundtrip_and_schema(name):
 def test_every_schema_is_a_valid_schema(name):
     # an invalid schema would make the agreement with the decoders vacuous
     Draft202012Validator.check_schema(load_schema(name))
+
+
+def test_the_schema_enums_are_the_library_name_tables():
+    # a name added to a table and not to its enum, or the reverse, fails here
+    report = {b["properties"]["command"]["const"]: b["properties"] for b in load_schema("report.schema.json")["oneOf"]}
+    assert report["solve"]["property"]["enum"] == list(PROPERTIES)
+    assert report["diag"]["kind"]["enum"] == list(KINDS)
+    assert load_schema("coloring.schema.json")["properties"]["builtin"]["enum"] == list(BUILTIN_COLORINGS)
 
 
 def test_shorthand_specs():

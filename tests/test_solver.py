@@ -290,8 +290,12 @@ def test_find_min_size_out_of_range():
     assert find("mono", f, range(4), 5) is None  # no layer that large
     with pytest.raises(ValueError, match="min_size"):
         find("mono", f, range(4), -1)
+    # the index is the one reader of a property name, for find and every
+    # other caller
     with pytest.raises(ValueError, match="unknown property 'blue'"):
         find("blue", f, range(4), 0)
+    with pytest.raises(ValueError, match="unknown property 'blue'"):
+        FrontIndex(f, range(4)).violations("blue")
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
