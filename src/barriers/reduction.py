@@ -340,6 +340,7 @@ class ReductionReport:
     counterexamples: tuple[dict, ...]
     max_recursion_chain: int
     forward_max_color: int | None
+    power: int
 
     @property
     def ok(self) -> bool:
@@ -358,13 +359,14 @@ def check_reduction(
     (and ``red.min_witness``) elements whose front solves the target
     instance is mapped back; the report collects any H whose image fails
     the source property, by size then lex.  For a correct reduction the
-    counterexample list is empty.  Both fronts are indexed once (see
-    :class:`FrontIndex`) and the check is a few operations on their 2^n-bit
-    sets, so grounds with more than MAX_GROUND base elements raise
-    ValueError, as do an instance that ``red.forward`` refuses (the rainbow
-    forwards refuse one without the bound they need) and a forward barrier
-    whose base inside the target ground is not ``red.target_ground`` of the
-    source base.
+    counterexample list is empty.  ``power`` counts the H of those sizes
+    whose image fails, clean or not: with power 0 no forward can fail.
+    Both fronts are indexed once (see :class:`FrontIndex`) and the check is
+    a few operations on their 2^n-bit sets, so grounds with more than
+    MAX_GROUND base elements raise ValueError, as do an instance that
+    ``red.forward`` refuses (the rainbow forwards refuse one without the
+    bound they need) and a forward barrier whose base inside the target
+    ground is not ``red.target_ground`` of the source base.
     """
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {_clip(min_size)}")
@@ -384,7 +386,8 @@ def check_reduction(
     universe = tuple(sorted(set(source.colors) | {0, 1} | set(g))) if red.source_property == "thin" else ()
     clean = target.all & ~target.violations(red.target_property)
     layers = target.layers[max(min_size, red.min_witness) :]
-    bad = clean & red.preimage(source.violations(red.source_property, universe), len(g))
+    refutable = red.preimage(source.violations(red.source_property, universe), len(g))
+    bad = clean & refutable
     counterexamples = []
     for m in in_order(bad, layers):
         h = target.subset(m)
@@ -396,6 +399,7 @@ def check_reduction(
         counterexamples=tuple(counterexamples),
         max_recursion_chain=getattr(gvals, "max_chain", 0),
         forward_max_color=max(target.colors, default=None),
+        power=sum((refutable & layer).bit_count() for layer in layers),
     )
 
 

@@ -66,6 +66,18 @@ REDUCTION_ARMS = (
 )
 
 
+def colorings(n, top, k=None):
+    """The colorings of n members up to a renaming of the colors above top,
+    each class once: colors up to top are kept as they are, the others are
+    numbered from top + 1 in order of first use, and with k no color has
+    more than k members.  With top = -1 these are the restricted growth
+    strings (Knuth, TAOCP 4A, 7.2.1.5)."""
+    out = [()]
+    for _ in range(n):
+        out = [s + (c,) for s in out for c in range(max((*s, top)) + 2) if k is None or s.count(c) < k]
+    return out
+
+
 @pytest.fixture(scope="session")
 def spec_pool():
     return dict(SPEC_POOL)
