@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 from barriers.barrier import Canonical, Derived, ExactSize, Plus, Product, Restrict, Schreier
-from barriers.ordinals import OMEGA, omega_pow, parse_ordinal
+from barriers.ordinals import OMEGA, Ordinal, omega_pow, parse_ordinal
 from barriers.seqs import GroundSet, Tail
+from barriers.solver import verify_free, verify_mono, verify_rainbow, verify_thin
 
 settings.register_profile(
     "suite",
@@ -17,6 +17,13 @@ settings.register_profile(
 settings.load_profile("suite")
 
 EVENS = GroundSet(tail=Tail(0, 2))
+
+# The three specs whose front is {()}, one member with no coordinates.
+EMPTY_MEMBER_SPECS: dict[str, object] = {
+    "exact:0": ExactSize(0),
+    "canonical:0": Canonical(Ordinal.from_int(0)),
+    "product(exact:0, exact:0)": Product(ExactSize(0), ExactSize(0)),
+}
 
 # Specs exercised across the suite.  Keys double as report labels.
 SPEC_POOL: dict[str, object] = {
@@ -78,16 +85,9 @@ def colorings(n, top, k=None):
     return out
 
 
-@pytest.fixture(scope="session")
-def spec_pool():
-    return dict(SPEC_POOL)
-
-
-@pytest.fixture(scope="session")
-def full_pool():
-    return {**SPEC_POOL, **EXTRA_POOL}
-
-
-@pytest.fixture(scope="session")
-def evens():
-    return EVENS
+def holds(prop, f, h, universe=None):
+    """Whether H has the property for f, by its verify_* definition on the
+    front of H; thin omits a color of the given universe."""
+    if prop == "thin":
+        return verify_thin(f, h, universe)
+    return {"mono": verify_mono, "free": verify_free, "rainbow": verify_rainbow}[prop](f, h)

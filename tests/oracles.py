@@ -154,15 +154,6 @@ def vmul(a, b) -> tuple[int, ...]:
     return total
 
 
-def vfund(l, n) -> tuple[int, ...]:
-    j = min(i for i in range(K) if l[i])
-    assert j >= 1, "not a limit"
-    out = list(l)
-    out[j] -= 1
-    out[j - 1] = n
-    return tuple(out)
-
-
 def v_to_ordinal(v) -> Ordinal:
     terms = tuple(
         (Ordinal.from_int(i), v[i]) for i in range(K - 1, -1, -1) if v[i]

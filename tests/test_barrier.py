@@ -54,7 +54,7 @@ from barriers.seqs import GroundSet, Tail
 
 import oracles
 
-from conftest import EXTRA_POOL, SPEC_POOL
+from conftest import EMPTY_MEMBER_SPECS, EVENS, EXTRA_POOL, SPEC_POOL
 
 ALL_SPECS = {**SPEC_POOL, **EXTRA_POOL}
 
@@ -83,7 +83,7 @@ def test_classify_canonical_limit():
 def test_classify_not_in_base():
     assert classify(Plus(Schreier()), (0, 2)) is NOT_IN_BASE
     assert classify(Derived(Schreier(), 2), (1, 5)) is NOT_IN_BASE
-    assert classify(make_restrict(Schreier(), GroundSet(tail=Tail(0, 2))), (1, 2)) is NOT_IN_BASE
+    assert classify(make_restrict(Schreier(), EVENS), (1, 2)) is NOT_IN_BASE
 
 
 def test_step_examples():
@@ -105,7 +105,7 @@ def test_step_examples():
     with pytest.raises(ValueError, match="got 7 after 7"):
         step(Canonical(OMEGA), (3, 4, 7, 7, 8, 9, 10))
     with pytest.raises(barrier.NotInBaseError, match="7 is not in the base"):
-        step(make_restrict(Canonical(OMEGA), GroundSet(tail=Tail(0, 2))), (2, 4, 7, 8))
+        step(make_restrict(Canonical(OMEGA), EVENS), (2, 4, 7, 8))
 
 
 def _step_by_prefixes(spec, xs):
@@ -256,14 +256,6 @@ def test_front_cache_matches_subset_filter(name):
         assert masks == tuple(sum(1 << len(g) - 1 - g.index(x) for x in s) for s in want)
 
 
-# the three specs whose front is {()}, with the one mask 0
-EMPTY_MEMBER_SPECS = {
-    "exact:0": ExactSize(0),
-    "canonical:0": Canonical(Ordinal.from_int(0)),
-    "product(exact:0, exact:0)": Product(ExactSize(0), ExactSize(0)),
-}
-
-
 @pytest.mark.parametrize("name", sorted({**ALL_SPECS, **EMPTY_MEMBER_SPECS}))
 @settings(max_examples=12)
 @given(ground=st.lists(st.integers(0, 3 * MAX_GROUND), max_size=MAX_GROUND, unique=True))
@@ -306,7 +298,7 @@ def test_capped_front_refuses_bases_past_the_ground_cap():
 
 def test_restrict_and_derived_share_the_front_of_their_normal_form():
     evens = (0, 2, 4, 6, 8, 10, 12)  # inside the restricted base
-    restricted = Restrict(Schreier(), GroundSet(tail=Tail(0, 2)))
+    restricted = Restrict(Schreier(), EVENS)
     assert (barrier._norm(restricted), base_members(restricted, evens)) == (Schreier(), evens)
     assert front(restricted, evens) is front(Schreier(), evens)
     assert front(restricted, range(13)) == front(Schreier(), evens)
@@ -425,10 +417,10 @@ def test_plus_front_law():
             assert list(front(Plus(inner), g)) == expected
 
 
-def test_restrict_front_law(evens):
-    spec = make_restrict(Schreier(), evens)
+def test_restrict_front_law():
+    spec = make_restrict(Schreier(), EVENS)
     for ground in (range(10), (0, 2, 3, 5, 6, 8)):
-        inside = [x for x in ground if x in evens]
+        inside = [x for x in ground if x in EVENS]
         assert front(spec, ground) == front(Schreier(), inside)
 
 
@@ -459,7 +451,7 @@ def test_variant_errors():
     with pytest.raises(ValueError):
         variant(Schreier(), (2, 4, 5), 4)  # already present
     # the base is checked first: 9 lies outside the evens and above max(s)
-    evens = Restrict(ExactSize(2), GroundSet(tail=Tail(0, 2)))
+    evens = Restrict(ExactSize(2), EVENS)
     with pytest.raises(barrier.NotInBaseError, match=r"^9 is not in the base$"):
         variant(evens, (4, 8), 9)
 
@@ -469,7 +461,7 @@ def test_append_variant():
     assert append_variant(ExactSize(2), (4, 9), 6) == (4, 6)
     with pytest.raises(VariantRangeError):
         append_variant(Schreier(), (2, 4, 5), 3)  # not in the last gap
-    evens = Restrict(ExactSize(2), GroundSet(tail=Tail(0, 2)))
+    evens = Restrict(ExactSize(2), EVENS)
     with pytest.raises(barrier.NotInBaseError, match=r"^5 is not in the base$"):
         append_variant(evens, (2, 8), 5)  # in the last gap, outside the base
 
@@ -481,7 +473,7 @@ def test_append_variant():
         Canonical(parse_ordinal("0")),
         make_product(ExactSize(0), ExactSize(0)),
         make_derived(ExactSize(1), 1),
-        Restrict(Canonical(parse_ordinal("0")), GroundSet(tail=Tail(0, 2))),
+        Restrict(Canonical(parse_ordinal("0")), EVENS),
     ],
     ids=["exact:0", "canonical:0", "product", "derived", "restrict"],
 )
@@ -605,8 +597,8 @@ def test_make_derived_examples():
         make_derived(Plus(Schreier()), 0)  # 0 is outside the shifted base
 
 
-def test_make_restrict_requires_tail(evens):
-    spec = make_restrict(Schreier(), evens)
+def test_make_restrict_requires_tail():
+    spec = make_restrict(Schreier(), EVENS)
     assert classify(spec, (1, 2)) is NOT_IN_BASE
     with pytest.raises(ValueError):
         make_restrict(Schreier(), GroundSet(prefix=(0, 2, 4)))
@@ -618,7 +610,7 @@ def test_make_product_rejects_shifted_factors():
     for factor in (
         Plus(ExactSize(1)),
         Derived(Schreier(), 1),
-        Restrict(Schreier(), GroundSet(tail=Tail(0, 2))),
+        Restrict(Schreier(), EVENS),
         Product(ExactSize(1), Plus(ExactSize(1))),
     ):
         for left, right in ((factor, Schreier()), (Schreier(), factor)):
@@ -731,13 +723,10 @@ def _plain(spec):
     return False
 
 
-_EVENS = GroundSet(tail=Tail(0, 2))
-
-
 @given(composite_specs(), st.integers(-3, 14))
 @example(Plus(Derived(Schreier(), 2)), 4)
-@example(Plus(Restrict(Schreier(), _EVENS)), 3)
-@example(Product(Restrict(ExactSize(1), _EVENS), ExactSize(1)), 4)
+@example(Plus(Restrict(Schreier(), EVENS)), 3)
+@example(Product(Restrict(ExactSize(1), EVENS), ExactSize(1)), 4)
 @example(Product(Schreier(), Plus(Derived(Schreier(), 0))), 2)
 @example(Plus(Plus(Derived(Schreier(), 2))), 4)  # two pluses shift by two
 @example(Product(Plus(Schreier()), Plus(Schreier())), 0)  # equal factors share one shifted test

@@ -24,8 +24,8 @@ from barriers.ordinals import OMEGA, ONE, Ordinal, parse_ordinal
 from barriers.seqs import GroundSet, Tail
 
 import oracles
+from conftest import EVENS
 
-EVENS = GroundSet(tail=Tail(0, 2))
 FAM = OracleFamily((OracleEntry(0, EVENS, 0), OracleEntry(1, EVENS, 0)))
 EMPTY = OracleFamily()
 

@@ -119,13 +119,14 @@ def test_add_mul_cmp_match_vector_oracle():
 
 
 def test_fund_seq_matches_vector_oracle():
-    vecs = [oracles.vnorm(v) for v in product(range(3), repeat=4)]
-    for v in vecs:
-        o = oracles.v_to_ordinal(v)
-        if not o.is_limit:
-            continue
-        for n in range(6):
-            assert fund_seq(o, n) == oracles.v_to_ordinal(oracles.vfund(v, n))
+    # the shared oracle's fund, on the vector pool and on limits that no
+    # vector below w^K holds
+    pool = [oracles.v_to_ordinal(oracles.vnorm(v)) for v in product(range(3), repeat=4)]
+    pool += [WW, omega_pow(add(OMEGA, ONE)), omega_pow(W2), omega_pow(WW), add(omega_pow(mul(OMEGA, nat(2))), OMEGA)]
+    for o in pool:
+        if o.is_limit:
+            for n in range(6):
+                assert oracles.oterms(fund_seq(o, n)) == oracles.oracle.fund(oracles.oterms(o), n), (o, n)
 
 
 # --- algebraic laws -----------------------------------------------------------

@@ -21,7 +21,6 @@ from barriers.barrier import (
     Derived,
     ExactSize,
     Plus,
-    Product,
     Restrict,
     Schreier,
     base_members,
@@ -35,6 +34,7 @@ from barriers.coloring import (
     BUILTIN_COLORINGS,
     BoundViolationError,
     Coloring,
+    PartialColoringError,
     _table_coloring,
     builtin_coloring,
     table_coloring,
@@ -51,10 +51,10 @@ from barriers.reduction import (
     rrt_rt_forward,
     ts_rt_forward,
 )
-from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_rainbow, verify_thin
+from barriers.solver import MAX_GROUND, verify_free, verify_mono, verify_thin
 
 import oracles
-from conftest import EVENS, EXTRA_POOL, REDUCTION_ARMS, REDUCTION_BARRIERS, SPEC_POOL, colorings
+from conftest import EMPTY_MEMBER_SPECS, EVENS, EXTRA_POOL, REDUCTION_ARMS, SPEC_POOL, colorings, holds
 
 
 def singles(table):
@@ -252,75 +252,47 @@ def test_check_reduction_fs_trims_the_top_of_the_witness():
     assert verify_free(f, tuple(x - 1 for x in h[:-1]))
 
 
-@pytest.mark.parametrize("name", sorted(REDUCTIONS))
-def test_check_reduction_zero_counterexamples_smoke(name):
-    red = REDUCTIONS[name]
-    for spec in (ExactSize(1), Schreier()):
-        for seed in (3, 4):
-            f = random_instance(red, spec, range(8), seed=seed)
-            report = check_reduction(red, f, range(8), 3)
-            assert not report.counterexamples, report.counterexamples[:3]
-        for f in adversarial_instances(red, spec, range(8)):
-            report = check_reduction(red, f, range(8), 3)
-            assert not report.counterexamples, (f.name, report.counterexamples[:3])
-
-
 def _identity(f):
     return f
 
 
-# Every registered reduction weakened by one step: each drop removed, and the
-# forward replaced by the identity (ts-to-fs's forward already is it).
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Every registered reduction weakened by one step, each drop removed and each
+# forward replaced by the identity (ts-to-fs's forward already is it), with
+# its smallest failing cell: a witness of min_size 3 needs three ground
+# elements.  Each entry pins what _run_cell reads there, for the sound arm
+# and, through _outcome, for the weakening: the failing classes, the
+# instances with power and the largest forward color, or the error raised.
 WEAKENINGS = (
-    ("fs-to-rt", None, {"drop": ()}),
-    ("fs-to-rt", None, {"forward": _identity}),
-    ("ts-to-rt", None, {"forward": _identity}),
-    ("ts-to-fs", None, {"drop": ()}),
-    ("rrt-to-rt", 2, {"forward": _identity}),
-    ("rrt-to-rt", 3, {"forward": _identity}),
-    ("rrt2-to-fs", None, {"forward": _identity}),
+    ("fs-to-rt", None, {"drop": ()}, ExactSize(1), range(3), ([], 30, 1), ("ok", ([
+        (0, 1, 0), (0, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, 3),
+        (2, 3, 4), (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 3, 0), (3, 3, 1), (3, 4, 0), (3, 4, 1),
+    ], 62, 1))),
+    # the target ground is the source ground shifted up by 1, where the
+    # source table has no value
+    ("fs-to-rt", None, {"forward": _identity}, ExactSize(1), range(1), ([], 0, 0),
+     (PartialColoringError, "coloring 'table' has no value for (1,)")),
+    # on a finite ground every coloring has finitely many colors, so a mono
+    # set is thin: the identity shows in its colors alone, up to 9 on the
+    # tiny cell, where the collapse stays at 1
+    ("ts-to-rt", None, {"forward": _identity}, ExactSize(1), range(5), ([], 120, 1), ("ok", ([], 120, 9))),
+    # H = 0..2 is free for f(x) = x and uses every color, so only the drop of
+    # min makes it thin; the sound arm has no power on exact:1 (see POWERED)
+    ("ts-to-fs", None, {"drop": ()}, ExactSize(1), range(3), ([], 0, 5), ("ok", ([(0, 1, 2)], 6, 5))),
+    ("rrt-to-rt", 2, {"forward": _identity}, Schreier(), range(3), ([], 1, 1), ("ok", ([(0, 0)], 1, 1))),
+    ("rrt-to-rt", 3, {"forward": _identity}, ExactSize(2), range(3), ([], 4, 2), ("ok", ([(0, 0, 0)], 4, 2))),
+    ("rrt2-to-fs", None, {"forward": _identity}, ExactSize(2), range(3), ([], 3, 1), ("ok", ([(0, 0, 1)], 3, 2))),
 )
 
-
-def _sweep(red, bound):
-    """The instances with counterexamples, as (barrier, instance, count), and
-    the largest forward color, over criterion 5's barriers on 0..9 with 10
-    seeded and all adversarial instances each."""
-    ground = range(10)
-    hits, top = [], 0
-    for b_name, spec in REDUCTION_BARRIERS.items():
-        seeded = [random_instance(red, spec, ground, seed=i, bound=bound) for i in range(10)]
-        for f in seeded + adversarial_instances(red, spec, ground, bound=bound):
-            report = check_reduction(red, f, ground, 3)
-            if report.counterexamples:
-                hits.append((b_name, f.name, len(report.counterexamples)))
-            top = max(top, report.forward_max_color or 0)
-    return hits, top
-
-
-def test_every_weakening_of_a_reduction_is_caught():
-    assert {(name, bound) for name, bound, _ in WEAKENINGS} == set(REDUCTION_ARMS)
-    for name, bound, fields in WEAKENINGS:
-        red = REDUCTIONS[name]
-        real_hits, real_top = _sweep(red, bound)
-        assert not real_hits
-        weak = replace(red, **fields)
-        if (name, fields) == ("fs-to-rt", {"forward": _identity}):
-            # the target ground is the source ground shifted up by 1, where
-            # the source table has no value
-            with pytest.raises(ValueError):
-                _sweep(weak, bound)
-        elif name == "ts-to-rt":
-            # on a finite ground every coloring has finitely many colors, so
-            # a mono set is thin; the identity shows in the color range only
-            assert (real_top, _sweep(weak, bound)) == (1, ([], 59))
-        else:
-            hits = _sweep(weak, bound)[0]
-            assert hits, (name, bound, fields)
-            if name == "ts-to-fs":
-                # H = 0..9 is free for the min coloring on exact:1 and uses
-                # every color, so only the drop of min makes it thin
-                assert hits == [("exact:1", "min", 1)]
+# The weakenings without their drop, by name: their counterexamples are the
+# ones the checks against brute force list.
+DROPLESS = {name: replace(REDUCTIONS[name], **fields) for name, _, fields, *_ in WEAKENINGS if "drop" in fields}
 
 
 # One tiny cell per arm of REDUCTION_ARMS, a barrier and a ground, on which
@@ -347,46 +319,48 @@ POWERED = {
 }
 
 
-def _run_cell(red, bound, spec, ground, first=False):
+def _run_cell(red, bound, spec, ground):
     """The color tuples of the cell's instances with counterexamples at
-    min_size 3, up to the first one if asked, and the number of instances
-    with power.  Free and thin sources take every coloring of the front up to
-    a renaming of the colors above max(ground); a k-bounded rainbow source
+    min_size 3, the number of instances with power, and the largest forward
+    color.  Free and thin sources take every coloring of the front up to a
+    renaming of the colors above max(ground); a k-bounded rainbow source
     every coloring whose color classes have at most k members, up to a
     renaming of all colors."""
     members = front(spec, ground)
     k = (bound or 2) if red.source_property == "rainbow" else None
-    failing, powered = [], 0
+    failing, powered, top = [], 0, 0
     for colors in colorings(len(members), -1 if k else max(ground), k):
         f = _table_coloring(spec, dict(zip(members, colors)), name="table", declared_bound=k)
         report = check_reduction(red, f, ground, 3)
         powered += report.power > 0
+        top = max(top, report.forward_max_color or 0)
         if report.counterexamples:
             failing.append(colors)
-            if first:
-                break
-    return failing, powered
+    return failing, powered, top
 
 
 def test_every_instance_of_a_tiny_cell_for_every_arm():
     # every arm shows 0 instances with counterexamples on its cell: 10,427
     # classes of exact:1 on 0..4 for fs-to-rt, ts-to-rt and ts-to-fs; 764
     # colorings of schreier on 0..5 for rrt-to-rt at k = 2; 166 of exact:2 on
-    # 0..3 at k = 3; 9,496 of exact:2 on 0..4 for rrt2-to-fs.  Each
-    # weakening shows one on its arm's cell (the sweep stops at the first):
-    # without its drop fs-to-rt fails on 9,130 and ts-to-fs on one, f(x) =
-    # x; with the identity forward rrt-to-rt fails on 676 and 20, rrt2-to-fs
-    # on 7,577.  The refused fs-to-rt identity and the ts-to-rt one, seen in
-    # the color range only, are left to the sampled sweep.
+    # 0..3 at k = 3; 9,496 of exact:2 on 0..4 for rrt2-to-fs
     assert set(CELLS) == set(POWERED) == set(REDUCTION_ARMS)
     for name, bound in CELLS:
-        assert _run_cell(REDUCTIONS[name], bound, *CELLS[name, bound]) == ([], POWERED[name, bound]), (name, bound)
-    for name, bound, fields in WEAKENINGS:
-        if (name, fields) not in (("fs-to-rt", {"forward": _identity}), ("ts-to-rt", {"forward": _identity})):
-            weak = replace(REDUCTIONS[name], **fields)
-            assert _run_cell(weak, bound, *CELLS[name, bound], first=True)[0], (name, bound, fields)
-    weak = replace(REDUCTIONS["ts-to-fs"], drop=())
-    assert _run_cell(weak, None, *CELLS["ts-to-fs", None])[0] == [(0, 1, 2, 3, 4)]
+        failing, powered, _ = _run_cell(REDUCTIONS[name], bound, *CELLS[name, bound])
+        assert (failing, powered) == ([], POWERED[name, bound]), (name, bound)
+    # without its drop ts-to-fs fails on f(x) = x alone, as on 0..2
+    assert _run_cell(DROPLESS["ts-to-fs"], None, *CELLS["ts-to-fs", None])[0] == [(0, 1, 2, 3, 4)]
+
+
+def test_each_weakening_fails_on_its_smallest_cell():
+    # the sound arm passes every class of the cell, and the weakening shows
+    # its pinned failing classes, its colors or its error there
+    assert {(name, bound) for name, bound, *_ in WEAKENINGS} == set(REDUCTION_ARMS)
+    for name, bound, fields, spec, ground, sound, weak in WEAKENINGS:
+        assert sound[0] == [] and weak != ("ok", sound), (name, fields)
+        assert _run_cell(REDUCTIONS[name], bound, spec, ground) == sound, (name, bound)
+        weakened = replace(REDUCTIONS[name], **fields)
+        assert _outcome(lambda: _run_cell(weakened, bound, spec, ground)) == weak, (name, bound, fields)
 
 
 def _bell(m):
@@ -443,13 +417,6 @@ def test_check_reduction_refuses_a_misspelt_property():
         check_reduction(red, f, range(8), 3)
 
 
-def test_check_reduction_twin_count_range():
-    for k in (2, 3):
-        f = random_instance(REDUCTIONS["rrt-to-rt"], Schreier(), range(8), seed=11, bound=k)
-        report = check_reduction(REDUCTIONS["rrt-to-rt"], f, range(8), 3)
-        assert report.forward_max_color is not None and report.forward_max_color < k
-
-
 def test_check_reduction_requires_declared_bound():
     f = singles({x: x for x in range(5)})  # no declared bound
     with pytest.raises(ValueError):
@@ -484,20 +451,14 @@ def brute_check(red, f, ground, min_size):
     g = base_members(f.barrier, ground)
     gvals = red.forward(f)
     universe = {f(s) for s in front(f.barrier, g)} | {0, 1} | set(g)  # used, the collapse colors, the ground
-    verify = {
-        "mono": verify_mono,
-        "free": verify_free,
-        "rainbow": verify_rainbow,
-        "thin": lambda c, h: verify_thin(c, h, universe),
-    }
     tg = red.target_ground(g)
     checked, counterexamples = 0, []
     for size in range(max(min_size, red.min_witness), len(tg) + 1):
         for h in combinations(tg, size):
-            if verify[red.target_property](gvals, h):
+            if holds(red.target_property, gvals, h, universe):
                 checked += 1
                 back = red.backward(h)
-                if not verify[red.source_property](f, back):
+                if not holds(red.source_property, f, back, universe):
                     cex = {"witness": list(h), "solution": list(back), "property": red.source_property}
                     counterexamples.append(cex)
     return checked, counterexamples
@@ -525,12 +486,8 @@ def test_check_reduction_lists_counterexamples_in_brute_force_order():
     # Broken reductions: fs-to-rt without dropping max(H), ts-to-fs without
     # dropping min(H).  Both produce counterexamples, which must come in the
     # order of the subset scan.
-    broken = [
-        replace(REDUCTIONS["fs-to-rt"], drop=()),
-        replace(REDUCTIONS["ts-to-fs"], drop=()),
-    ]
     seen = 0
-    for red in broken:
+    for red in DROPLESS.values():
         for spec in (ExactSize(1), Schreier()):
             for f in instances(red, spec, range(7)):
                 report = check_reduction(red, f, range(7), 2)
@@ -756,8 +713,7 @@ def test_reports_do_not_depend_on_the_kept_fronts():
     # Many colorings through one (barrier, ground): every report equals the
     # one computed with the front caches emptied first, and the definition.
     spec, ground = Schreier(), range(8)
-    broken = [replace(REDUCTIONS["fs-to-rt"], drop=()), replace(REDUCTIONS["ts-to-fs"], drop=())]
-    cases = [(red, f) for red in [*REDUCTIONS.values(), *broken] for f in instances(red, spec, ground)]
+    cases = [(red, f) for red in [*REDUCTIONS.values(), *DROPLESS.values()] for f in instances(red, spec, ground)]
     kept = [check_reduction(red, f, ground, 2) for red, f in cases]
     fresh = []
     for red, f in cases:
@@ -924,7 +880,7 @@ def test_free_to_mono_checks_membership_on_calls_only(monkeypatch):
 
     monkeypatch.setattr(barrier, "classify", counting_classify)
     red = REDUCTIONS["fs-to-rt"]
-    broken = replace(red, drop=())
+    broken = DROPLESS["fs-to-rt"]
     reports = []
     for spec in (ExactSize(1), ExactSize(2), Schreier()):
         for f in instances(red, spec, range(7)):
@@ -982,15 +938,7 @@ def test_cli_reduce_check_on_a_sparse_ground_matches_brute_force(name, capsys):
 
 # --- a front in one call: colors_of against batches of one ----------------------
 
-EMPTY_FRONT_SPECS = (ExactSize(0), Canonical(Ordinal.from_int(0)), Product(ExactSize(0), ExactSize(0)))
 PARAMS = {"const": {"value": 3}, "rank-div": {"k": 2}, "rank-mod": {"m": 3}}
-
-
-def _outcome(fn):
-    try:
-        return "ok", fn()
-    except Exception as exc:
-        return type(exc), str(exc)
 
 
 def _state(g: Coloring):
@@ -1055,7 +1003,7 @@ def _agree(label, make, members, data):
 def test_colors_of_is_the_per_member_rule_for_every_kind(data):
     # Values, errors (type and message) and the forwards' state, for every
     # coloring kind, on dense and sparse grounds, in lex and shuffled order.
-    spec = data.draw(st.sampled_from([*SPEC_POOL.values(), *EXTRA_POOL.values(), *EMPTY_FRONT_SPECS]))
+    spec = data.draw(st.sampled_from([*SPEC_POOL.values(), *EXTRA_POOL.values(), *EMPTY_MEMBER_SPECS.values()]))
     ground = _ground(data, data.draw(st.integers(1, 7)))
     for label, make, members in _kinds(spec, ground, data):
         _agree(label, make, members, data)

@@ -16,6 +16,7 @@ from barriers.coloring import (
 )
 from barriers.solver import (
     MAX_GROUND,
+    PROPERTIES,
     FrontIndex,
     Witness,
     find,
@@ -25,7 +26,7 @@ from barriers.solver import (
     verify_thin,
 )
 
-from conftest import SPEC_POOL
+from conftest import SPEC_POOL, holds
 
 
 def reference_universe(f, ground):
@@ -127,16 +128,10 @@ def test_find_results_always_verify():
     members = front(Schreier(), range(9))
     f = table_coloring(Schreier(), {s: (3 * s[0] + len(s)) % 4 for s in members})
     universe = reference_universe(f, range(9))
-    checks = {
-        "mono": verify_mono,
-        "free": verify_free,
-        "rainbow": verify_rainbow,
-        "thin": lambda g, h: verify_thin(g, h, universe),
-    }
-    for prop, check in checks.items():
+    for prop in PROPERTIES:
         w = find(prop, f, range(9), 3)
         if w is not None:
-            assert check(f, w.h), (prop, w)
+            assert holds(prop, f, w.h, universe), (prop, w)
 
 
 @given(st.sets(st.integers(0, 9), max_size=7), st.data())
@@ -148,14 +143,9 @@ def test_anti_monotone_in_the_solution_set(h, data):
     sub = tuple(sorted(data.draw(st.sets(st.sampled_from(h or (0,)), max_size=len(h)))))
     sub = tuple(x for x in sub if x in h)
     universe = reference_universe(f, range(10))
-    if verify_free(f, h):
-        assert verify_free(f, sub)
-    if verify_rainbow(f, h):
-        assert verify_rainbow(f, sub)
-    if verify_thin(f, h, universe):
-        assert verify_thin(f, sub, universe)
-    if verify_mono(f, h):
-        assert verify_mono(f, sub)
+    for prop in PROPERTIES:
+        if holds(prop, f, h, universe):
+            assert holds(prop, f, sub, universe), prop
 
 
 def test_check_bounded_detects_violations():
@@ -185,15 +175,13 @@ def brute_find(prop, f, ground, min_size, universe=None):
         universe = reference_universe(f, g) if universe is None else tuple(sorted(set(universe)))
     for size in range(min_size, len(g) + 1):
         for h in combinations(g, size):
-            image = {f(s) for s in front(f.barrier, h)}
-            if prop == "mono" and verify_mono(f, h):
-                return Witness(h, "mono", image.pop() if image else None)
-            if prop == "thin" and verify_thin(f, h, universe):
-                return Witness(h, "thin", min(c for c in universe if c not in image))
-            if prop == "free" and verify_free(f, h):
-                return Witness(h, "free")
-            if prop == "rainbow" and verify_rainbow(f, h):
-                return Witness(h, "rainbow")
+            if holds(prop, f, h, universe):
+                image = {f(s) for s in front(f.barrier, h)}
+                if prop == "mono":
+                    return Witness(h, prop, image.pop() if image else None)
+                if prop == "thin":
+                    return Witness(h, prop, min(c for c in universe if c not in image))
+                return Witness(h, prop)
     return None
 
 
@@ -253,17 +241,11 @@ def test_violations_are_the_up_set_of_failing_subsets():
         f = table_coloring(spec, table)
         index = FrontIndex(f, range(7))
         universe = reference_universe(f, range(7))
-        checks = {
-            "mono": verify_mono,
-            "free": verify_free,
-            "rainbow": verify_rainbow,
-            "thin": lambda g, h: verify_thin(g, h, universe),
-        }
-        for prop, check in checks.items():
+        for prop in PROPERTIES:
             bad = index.violations(prop, universe)
             for m in range(1 << 7):
                 h = [x for x in range(7) if m >> (6 - x) & 1]
-                assert (bad >> m & 1) == (not check(f, h)), (name, prop, h)
+                assert (bad >> m & 1) == (not holds(prop, f, h, universe)), (name, prop, h)
 
 
 def test_ground_cap_is_on_base_elements():
@@ -315,11 +297,9 @@ def test_rainbow_and_thin_violations_for_every_class_size(n):
         f = table_coloring(spec, table)
         index = FrontIndex(f, range(n))
         used = sorted(set(table.values()))
-        checks = {"rainbow": (verify_rainbow, ())}
-        for universe in (used, used[:2], used + [max(used) + 1]):
-            checks[f"thin {universe}"] = (lambda g, h, u=tuple(universe): verify_thin(g, h, u), universe)
-        for label, (check, universe) in checks.items():
-            bad = index.violations(label.split()[0], universe)
+        cases = [("rainbow", ())] + [("thin", u) for u in (used, used[:2], used + [max(used) + 1])]
+        for prop, universe in cases:
+            bad = index.violations(prop, universe)
             for mask in range(1 << n):
                 h = [x for x in range(n) if mask >> (n - 1 - x) & 1]
-                assert (bad >> mask & 1) == (not check(f, h)), (m, label, h)
+                assert (bad >> mask & 1) == (not holds(prop, f, h, universe)), (m, prop, universe, h)
